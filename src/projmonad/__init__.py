@@ -13,7 +13,7 @@ from .polymat import (
     parse_poly,
     sections_matrix,
 )
-from .linalg import DenseMatrix, kernel_basis, rank, rref
+from .linalg import Matrix, kernel_basis, rank, rref
 from .hilbert import IntPoly, bott_h, euler_poly, interpolate, line_bundle_hilb
 from .monad import (
     CohTable,

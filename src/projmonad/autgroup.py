@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .linalg import DenseMatrix, inverse as matrix_inverse, rank
+from .linalg import Matrix, inverse as matrix_inverse, rank
 from .monad import Monad
 from .polymat import (
     FreeSheaf,
@@ -34,7 +34,7 @@ def _constant_coeff(p: HomogPoly):
     return p.terms.get((0,) * (p.n + 1))
 
 
-def constant_part(g: GradedMatrix) -> DenseMatrix:
+def constant_part(g: GradedMatrix) -> Matrix:
     """The scalar matrix of constants between equal twists."""
     if g.source != g.target:
         raise ValueError("endomorphisms only: source and target must agree")
@@ -48,7 +48,7 @@ def constant_part(g: GradedMatrix) -> DenseMatrix:
                 data.append(c if c is not None else field.zero)
             else:
                 data.append(field.zero)
-    return DenseMatrix(field, k, k, data)
+    return Matrix(field, k, k, data)
 
 
 def is_automorphism(g: GradedMatrix) -> bool:
@@ -56,7 +56,7 @@ def is_automorphism(g: GradedMatrix) -> bool:
     return rank(constant_part(g)) == g.rows
 
 
-def _lift_constants(field: Field, sheaf: FreeSheaf, m: DenseMatrix) -> GradedMatrix:
+def _lift_constants(field: Field, sheaf: FreeSheaf, m: Matrix) -> GradedMatrix:
     n = sheaf.n
     k = sheaf.rank
     ent = []
@@ -105,9 +105,6 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
         acc = acc + (term if sign > 0 else -term)
         sign = -sign
     return acc
-
-
-inverse = graded_inverse
 
 
 class GroupElement:
@@ -228,7 +225,7 @@ def format_group_element(g: GroupElement) -> str:
 
 
 def parse_group_element(text: str) -> GroupElement:
-    from .monad import _parse_header
+    from .monad import _parse_header, _parse_int
 
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -240,10 +237,16 @@ def parse_group_element(text: str) -> GroupElement:
     for line in lines[1:]:
         if line.startswith("term "):
             head, _, rest = line.partition(":")
-            sheaves[int(head[5:])] = parse_twists(rest, n)
+            idx = _parse_int(head[5:], line)
+            if idx in sheaves:
+                raise ParseError(f"duplicate line {line!r}")
+            sheaves[idx] = parse_twists(rest, n)
             current = None
         elif line.startswith("block "):
-            current = raw.setdefault(int(line.rstrip(":")[6:]), [])
+            idx = _parse_int(line.rstrip(":")[6:], line)
+            if idx in raw:
+                raise ParseError(f"duplicate line {line!r}")
+            current = raw[idx] = []
         elif current is not None:
             current.append(line)
         else:

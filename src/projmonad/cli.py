@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = monad.add_parser("hilbert", help="Hilbert polynomial of the cohomology sheaf")
     p.add_argument("--in", dest="infile")
-    p.add_argument("--jobs", type=int, default=1)
     add_json(p)
     p.set_defaults(func=_cmd_monad_hilbert)
 

@@ -1,44 +1,61 @@
-"""Exact dense linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p on sparse rows.
 
-rank() is the hot path: the degree-window computations feed it matrices
-with hundreds of rows.  Over F_p it runs vectorized modular elimination
-on int64 arrays (p < 2^31 keeps every product inside 64 bits).  Over Q
-it clears denominators row by row and runs fraction-free Bareiss
-elimination; a bound-checked int64 fast path handles the common
-small-entry case and falls back to big integers when the certified
-bound would overflow.
+rank() is the hot path: the degree-window computations feed it section
+matrices with hundreds of rows and a few percent nonzeros (they are
+multiplication matrices).  A Matrix therefore stores each row as a dict
+{column: raw value} of its nonzero entries (residues in [0, p) over F_p,
+reduced Fractions over Q), and rank, rref, kernel_basis and inverse all
+run one sparse elimination routine, _echelon.
 
-Pivoting is always "first nonzero in column order, rows scanned
-top-down", so reduced forms are reproducible bit for bit.
+Pivoting is deterministic: rows are reduced sparsest first (ties in row
+order), each against the pivots found so far from its leftmost column
+on, and the leftmost column that survives becomes the row's pivot.  The
+rref mode then back-reduces every pivot row; the reduced row echelon
+form is unique, so it and everything derived from it is the same bit for
+bit whatever the pivot order.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
-import numpy as np
+from fractions import Fraction
+from heapq import heappop, heappush
+from math import lcm
 
 from .scalar import Field, FieldElement, PrimeField
 
-# int64 elimination is certified safe while |entries| stay below this.
-_INT64_GUARD = 1 << 30
 
+class Matrix:
+    """A rows x cols matrix over a field, stored as sparse rows.
 
-class DenseMatrix:
-    """A rows x cols matrix of FieldElements, row major."""
+    row_maps[i] maps a column index to the raw value of a nonzero entry
+    of row i; zero entries are never stored.
+    """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "row_maps")
 
     def __init__(self, field: Field, rows: int, cols: int, data: list[FieldElement]):
+        """A matrix from its rows*cols entries in row-major order."""
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = list(data)
+        self.row_maps = [{j: v for j in range(cols) if (v := data[i * cols + j].value)}
+                         for i in range(rows)]
 
     @classmethod
-    def from_rows(cls, field: Field, rows: list[list]) -> "DenseMatrix":
+    def from_row_maps(cls, field: Field, rows: int, cols: int,
+                      row_maps: list[dict]) -> "Matrix":
+        """Wrap sparse rows of nonzero raw values without copying them."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.row_maps = row_maps
+        return m
+
+    @classmethod
+    def from_rows(cls, field: Field, rows: list[list]) -> "Matrix":
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
         flat = []
@@ -50,210 +67,168 @@ class DenseMatrix:
         return cls(field, nr, nc, flat)
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "DenseMatrix":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
+    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
+        return cls.from_row_maps(field, rows, cols, [{} for _ in range(rows)])
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "DenseMatrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i * n + i] = field.one
-        return m
+    def identity(cls, field: Field, n: int) -> "Matrix":
+        return cls.from_row_maps(field, n, n, [{i: field.one.value} for i in range(n)])
+
+    @property
+    def data(self) -> list[FieldElement]:
+        """All rows*cols entries in row-major order."""
+        out = [self.field.zero] * (self.rows * self.cols)
+        for i, row in enumerate(self.row_maps):
+            for j, v in row.items():
+                out[i * self.cols + j] = FieldElement(self.field, v)
+        return out
 
     def entry(self, i: int, j: int) -> FieldElement:
-        return self.data[i * self.cols + j]
+        v = self.row_maps[i].get(j)
+        return self.field.zero if v is None else FieldElement(self.field, v)
 
     def row(self, i: int) -> list[FieldElement]:
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        return [self.entry(i, j) for j in range(self.cols)]
 
-    def transpose(self) -> "DenseMatrix":
-        data = [self.data[i * self.cols + j]
-                for j in range(self.cols) for i in range(self.rows)]
-        return DenseMatrix(self.field, self.cols, self.rows, data)
+    def transpose(self) -> "Matrix":
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.row_maps):
+            for j, v in row.items():
+                out[j][i] = v
+        return Matrix.from_row_maps(self.field, self.cols, self.rows, out)
 
-    def __mul__(self, other: "DenseMatrix") -> "DenseMatrix":
+    def __mul__(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or self.cols != other.rows:
             raise ValueError("matrix product shape/field mismatch")
-        zero = self.field.zero
-        out = [zero] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.data[base + k]
-                if not a:
-                    continue
-                obase = k * other.cols
-                for j in range(other.cols):
-                    b = other.data[obase + j]
-                    if b:
-                        out[i * other.cols + j] = out[i * other.cols + j] + a * b
-        return DenseMatrix(self.field, self.rows, other.cols, out)
+        p = _modulus(self.field)
+        out = []
+        for row in self.row_maps:
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in other.row_maps[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_clean(acc, p))
+        return Matrix.from_row_maps(self.field, self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self.row_maps)
 
     def __eq__(self, other):
         return (
-            isinstance(other, DenseMatrix)
+            isinstance(other, Matrix)
             and other.field == self.field
             and other.rows == self.rows
             and other.cols == self.cols
-            and other.data == self.data
+            and other.row_maps == self.row_maps
         )
 
     def __repr__(self):
-        return f"DenseMatrix({self.rows}x{self.cols} over {self.field})"
+        return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
 
-def rank(m: DenseMatrix) -> int:
-    """Exact rank over the matrix's field."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if isinstance(m.field, PrimeField):
-        arr = np.array([fe.value for fe in m.data], dtype=np.int64)
-        return _rank_modp(arr.reshape(m.rows, m.cols), m.field.p)
-    return _rank_rational(m)
+def _modulus(field: Field) -> int:
+    """p over F_p, 0 over Q."""
+    return field.p if isinstance(field, PrimeField) else 0
 
 
-def _rank_modp(a: np.ndarray, p: int) -> int:
-    a = a % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
+def _clean(row: dict, p: int) -> dict:
+    """Reduce mod p (when p) and drop the zero entries."""
+    if p:
+        return {k: r for k, v in row.items() if (r := v % p)}
+    return {k: Fraction(v) for k, v in row.items() if v}
+
+
+def _integral(row: dict) -> dict:
+    """A Q row scaled to integer entries; scaling keeps the row space."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+
+
+def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
+    """Sparse Gaussian elimination: pivot column -> pivot row tail.
+
+    A pivot row is 1 in its pivot column c plus the returned tail, whose
+    columns all exceed c.  With reduced=True the tails are back-reduced
+    as well: no tail then holds a pivot column, and the pivot rows in
+    column order are the nonzero rows of the RREF.
+
+    Over F_p the row being reduced holds unreduced Python ints, taken mod
+    p only when an entry is read as a pivot candidate or stored.  Over Q
+    each row is first scaled to integers, so that rows meeting only unit
+    pivots never touch Fraction arithmetic.
+    """
+    p = _modulus(m.field)
+    pivots: dict[int, dict] = {}
+    limit = min(m.rows, m.cols)
+    for row in sorted(m.row_maps, key=len):
+        if len(pivots) == limit:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        if not row:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = a[r + 1:, c]
-        if below.size:
-            a[r + 1:, c:] = (a[r + 1:, c:] - below[:, None] * a[r, c:][None, :]) % p
-        r += 1
-    return r
+        acc = dict(row) if p else _integral(row)
+        heap = sorted(acc)
+        while heap:
+            c = heappop(heap)
+            x = acc.pop(c)
+            if p:
+                x %= p
+            if not x:
+                continue
+            tail = pivots.get(c)
+            if tail is None:
+                pivots[c] = _normalized(acc, x, p)
+                break
+            for k, v in tail.items():
+                y = acc.get(k)
+                if y is None:
+                    acc[k] = -x * v
+                    heappush(heap, k)
+                else:
+                    acc[k] = y - x * v
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            tail = pivots[c]
+            for k in [k for k in tail if k in pivots]:
+                x = tail.pop(k)
+                for j, v in pivots[k].items():
+                    tail[j] = tail.get(j, 0) - x * v
+            pivots[c] = _clean(tail, p)
+    return pivots
 
 
-def _integer_rows(m: DenseMatrix) -> list[list[int]]:
-    """Clear denominators row by row; rank is scaling invariant."""
-    out = []
-    for i in range(m.rows):
-        row = [fe.value for fe in m.row(i)]
-        if any(row):
-            den = lcm(*[f.denominator for f in row])
-            ints = [int(f * den) for f in row]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            out.append([x // g for x in ints] if g > 1 else ints)
+def _normalized(acc: dict, x, p: int) -> dict:
+    """acc / x with zeros dropped: the tail of a new pivot row."""
+    if p:
+        inv = pow(x, p - 2, p)
+        return {k: r for k, v in acc.items() if (r := v * inv % p)}
+    out = {}
+    for k, v in acc.items():
+        if v:
+            q = Fraction(v) / x
+            out[k] = q.numerator if q.denominator == 1 else q
     return out
 
 
-def _rank_rational(m: DenseMatrix) -> int:
-    rows = _integer_rows(m)
-    if not rows:
-        return 0
-    maxabs = max(abs(x) for r in rows for x in r)
-    if maxabs < _INT64_GUARD:
-        r = _rank_bareiss_int64(np.array(rows, dtype=np.int64))
-        if r is not None:
-            return r
-    return _rank_bareiss_object(np.array(rows, dtype=object))
+def rank(m: Matrix) -> int:
+    """Exact rank over the matrix's field."""
+    return len(_echelon(m, reduced=False))
 
 
-def _rank_bareiss_int64(a: np.ndarray) -> int | None:
-    """Fraction-free elimination in int64; None when the growth bound trips.
-
-    After each update every entry is a minor of the original matrix, so
-    exactness only needs the intermediate products to stay inside 64
-    bits; the guard check before each step certifies that.
-    """
-    rows, cols = a.shape
-    prev = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = int(a[r, c])
-        sub = a[r + 1:, c:]
-        if sub.size:
-            hi = max(abs(piv), int(np.abs(sub).max()), int(np.abs(a[r, c:]).max()))
-            if hi >= _INT64_GUARD:
-                return None
-            col = a[r + 1:, c][:, None]
-            a[r + 1:, c:] = (piv * sub - col * a[r, c:][None, :]) // prev
-        prev = piv
-        r += 1
-    return r
-
-
-def _rank_bareiss_object(a: np.ndarray) -> int:
-    rows, cols = a.shape
-    prev = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        piv = a[r, c]
-        if r + 1 < rows:
-            sub = a[r + 1:, c:]
-            col = a[r + 1:, c][:, None]
-            a[r + 1:, c:] = (piv * sub - col * a[r, c:][None, :]) // prev
-        prev = piv
-        r += 1
-    return r
-
-
-def rref(m: DenseMatrix) -> tuple[DenseMatrix, list[int]]:
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot column list.
 
-    Generic exact Gauss-Jordan; the RREF of a matrix is unique, so this
-    is also the canonical form used by kernel_basis and inverse.
+    The RREF of a matrix is unique, so this is also the canonical form
+    used by kernel_basis and inverse.
     """
-    field = m.field
-    zero, one = field.zero, field.one
-    rows = [m.row(i) for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        if rows[r][c] != one:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    flat = [x for row in rows for x in row]
-    return DenseMatrix(field, m.rows, m.cols, flat), pivots
+    pivots = _echelon(m, reduced=True)
+    cols = sorted(pivots)
+    one = m.field.one.value
+    rows = [{c: one, **pivots[c]} for c in cols]
+    rows.extend({} for _ in range(m.rows - len(cols)))
+    return Matrix.from_row_maps(m.field, m.rows, m.cols, rows), cols
 
 
-def kernel_basis(m: DenseMatrix) -> list[list[FieldElement]]:
+def kernel_basis(m: Matrix) -> list[list[FieldElement]]:
     """A basis of the right kernel, one column vector per free column."""
     if m.cols == 0:
         return []
@@ -264,8 +239,7 @@ def kernel_basis(m: DenseMatrix) -> list[list[FieldElement]]:
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
     for j in free:
-        v = [m.field.zero] * m.cols
-        v[j] = m.field.one
+        v = _unit_vector(m.field, m.cols, j)
         for k, pc in enumerate(pivots):
             v[pc] = -red.entry(k, j)
         basis.append(v)
@@ -278,17 +252,17 @@ def _unit_vector(field: Field, size: int, j: int) -> list[FieldElement]:
     return v
 
 
-def inverse(m: DenseMatrix) -> DenseMatrix:
+def inverse(m: Matrix) -> Matrix:
     """Inverse of a square matrix; raises on singular input."""
     if m.rows != m.cols:
         raise ValueError("only square matrices invert")
     n = m.rows
-    aug = DenseMatrix(m.field, n, 2 * n,
-                      [m.entry(i, j) if j < n else
-                       (m.field.one if j - n == i else m.field.zero)
-                       for i in range(n) for j in range(2 * n)])
+    one = m.field.one.value
+    aug = Matrix.from_row_maps(m.field, n, 2 * n,
+                               [{**row, n + i: one} for i, row in enumerate(m.row_maps)])
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    data = [red.entry(i, n + j) for i in range(n) for j in range(n)]
-    return DenseMatrix(m.field, n, n, data)
+    return Matrix.from_row_maps(m.field, n, n,
+                                [{j - n: v for j, v in row.items() if j >= n}
+                                 for row in red.row_maps])

@@ -28,7 +28,7 @@ from random import Random
 
 from .autgroup import GroupElement, graded_inverse
 from .hilbert import IntPoly, euler_poly
-from .linalg import DenseMatrix, kernel_basis, rank
+from .linalg import Matrix, kernel_basis, rank
 from .monad import Monad, format_monad, parse_monad
 from .polymat import (
     FreeSheaf,
@@ -122,10 +122,10 @@ class Membership:
         }
 
 
-def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> DenseMatrix:
+def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> Matrix:
     monos = monomials_of_degree(N, 1)
     data = [f.terms.get(m, field.zero) for f in forms for m in monos]
-    return DenseMatrix(field, len(forms), len(monos), data)
+    return Matrix(field, len(forms), len(monos), data)
 
 
 def wss_membership(pt: ParamPoint) -> Membership:

@@ -343,6 +343,13 @@ def _parse_header(line: str) -> tuple[int, Field]:
     return n, parse_field(parts[3])
 
 
+def _parse_int(text: str, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad integer in line {line!r}") from exc
+
+
 def parse_field(token: str) -> Field:
     """Field tokens: 'Q', 'F<p>', or the flag form 'Fp:<p>'."""
     tok = token.strip()
@@ -370,24 +377,25 @@ def parse_monad(text: str) -> Monad:
     for line in lines[1:]:
         if line.startswith("term "):
             head, _, rest = line.partition(":")
-            try:
-                idx = int(head[5:])
-            except ValueError as exc:
-                raise ParseError(f"bad term line {line!r}") from exc
+            idx = _parse_int(head[5:], line)
+            if idx in terms:
+                raise ParseError(f"duplicate line {line!r}")
             terms[idx] = parse_twists(rest, n)
             current = None
         elif line.startswith("diff "):
-            head = line.rstrip(":")
-            try:
-                idx = int(head[5:])
-            except ValueError as exc:
-                raise ParseError(f"bad diff line {line!r}") from exc
-            current = raw_diffs.setdefault(idx, [])
+            idx = _parse_int(line.rstrip(":")[5:], line)
+            if idx in raw_diffs:
+                raise ParseError(f"duplicate line {line!r}")
+            current = raw_diffs[idx] = []
         elif line.startswith("codim "):
-            c = int(line.split()[1])
+            if c is not None:
+                raise ParseError(f"duplicate line {line!r}")
+            c = _parse_int(line.split()[1], line)
             current = None
         elif line.startswith("cohomology_at "):
-            pos = int(line.split()[1])
+            if pos is not None:
+                raise ParseError(f"duplicate line {line!r}")
+            pos = _parse_int(line.split()[1], line)
             current = None
         elif current is not None:
             current.append(line)

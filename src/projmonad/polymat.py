@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb
 from random import Random
 
-from .linalg import DenseMatrix
+from .linalg import Matrix
 from .scalar import Field, FieldElement
 
 Monomial = tuple[int, ...]
@@ -485,11 +485,12 @@ def dual_hom(m: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(m.field, m.target.dual(), m.source.dual(), ent)
 
 
-def sections_matrix(m: GradedMatrix, t: int) -> DenseMatrix:
+def sections_matrix(m: GradedMatrix, t: int) -> Matrix:
     """The matrix of H^0(m(t)): degree-(t+e_j) forms -> degree-(t+f_i) forms.
 
     Blocks follow the twist-list order, monomials the canonical order;
-    a summand with t + twist < 0 contributes an empty block.
+    a summand with t + twist < 0 contributes an empty block.  The rows
+    come out sparse: only the products of monomials with terms are set.
     """
     n = m.n
     src_dims = [forms_dimension(n, t + e) for e in m.source.twists]
@@ -501,8 +502,7 @@ def sections_matrix(m: GradedMatrix, t: int) -> DenseMatrix:
     for d in tgt_dims:
         tgt_off.append(tgt_off[-1] + d)
     rows, cols = tgt_off[-1], src_off[-1]
-    zero = m.field.zero
-    data = [zero] * (rows * cols)
+    row_maps: list[dict] = [{} for _ in range(rows)]
     for j in range(m.cols):
         d_src = t + m.source.twists[j]
         if d_src < 0:
@@ -516,9 +516,8 @@ def sections_matrix(m: GradedMatrix, t: int) -> DenseMatrix:
             for cu, u in enumerate(src_monos):
                 col = src_off[j] + cu
                 for v, coef in p.terms.items():
-                    row = tgt_off[i] + index[monomial_mul(u, v)]
-                    data[row * cols + col] = coef
-    return DenseMatrix(m.field, rows, cols, data)
+                    row_maps[tgt_off[i] + index[monomial_mul(u, v)]][col] = coef.value
+    return Matrix.from_row_maps(m.field, rows, cols, row_maps)
 
 
 def random_poly(field: Field, n: int, degree: int, rng: Random,

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the elimination code in
 projmonad.linalg: determinants come from a subset DP over column
-choices, ranks from a largest-nonzero-minor search, and the catalog
+choices, ranks from a largest-nonzero-minor search, reduced row echelon
+forms from a dense Gauss-Jordan on boxed field elements, and the catalog
 cohomology of line bundles on a line is written down in closed form.
 """
 
@@ -85,6 +86,36 @@ def rank_oracle(field, rows, cols_count):
                 if det_oracle(field, [[rows[i][j] for j in ci] for i in ri]):
                     return k
     return 0
+
+
+def rref_oracle(field, rows, cols_count):
+    """Reduced row echelon form by dense Gauss-Jordan on FieldElements.
+
+    Pivots on the first nonzero entry of each column, rows scanned top
+    down.  Returns the reduced rows (zero rows last) and the pivot
+    columns; the RREF is unique, so any exact elimination must agree.
+    """
+    one = field.one
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols_count):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        if rows[r][c] != one:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
 def h_p1(q: int, d: int) -> int:

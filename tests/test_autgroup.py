@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -20,7 +21,7 @@ from projmonad.autgroup import (
 from projmonad.complexes import koszul_monad, line_monad
 from projmonad.linalg import inverse as matrix_inverse
 from projmonad.monad import cohomology_hilbert_function, dualize, validate
-from projmonad.polymat import FreeSheaf, GradedMatrix, compose, parse_poly
+from projmonad.polymat import FreeSheaf, GradedMatrix, ParseError, compose, parse_poly
 from projmonad.scalar import GF, QQ
 
 F101 = GF(101)
@@ -100,6 +101,15 @@ def _lift(field, sheaf, m):
     from projmonad.autgroup import _lift_constants
 
     return _lift_constants(field, sheaf, m)
+
+
+def test_parse_group_element_rejects_duplicates():
+    term = "P 2 over Q\nterm 0: [0]\nterm 0: [0]\nblock 0:\n1\n"
+    with pytest.raises(ParseError, match=re.escape("duplicate line 'term 0: [0]'")):
+        parse_group_element(term)
+    block = "P 2 over Q\nterm 0: [0]\nblock 0:\n1\nblock 0:\n2\n"
+    with pytest.raises(ParseError, match="duplicate line 'block 0:'"):
+        parse_group_element(block)
 
 
 def test_constant_part_of_inverse_is_matrix_inverse():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -204,6 +208,35 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["p3", "sample", "--seed", "1", "--field", "Q"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "domain"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("monad", "P 2 over Q\nterm 0: [0]\ncodim x\ncohomology_at 0\n"),
+    ("monad", "P 2 over Q\nterm 0: [0]\ncodim 1\ncohomology_at x\n"),
+    ("group", "P 2 over Q\nterm x: [0]\n"),
+    ("group", "P 2 over Q\nterm 0: [0]\nblock x:\n1\n"),
+], ids=["codim", "cohomology_at", "element-term", "element-block"])
+def test_bad_integer_is_parse_error(capsys, tmp_path, command, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    if command == "monad":
+        argv = ["monad", "validate", "--in", str(path)]
+    else:
+        argv = ["group", "dual", "--element", str(path), "--codim", "1"]
+    assert run(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "parse"
+    _check(payload, "error")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import projmonad
+
+    env = dict(os.environ, PYTHONPATH=str(Path(projmonad.__file__).resolve().parents[1]))
+    code = "import sys, projmonad.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_round_trip_dualize_twice(capsys, cubic_file, tmp_path):

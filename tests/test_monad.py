@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -360,6 +361,17 @@ def test_parse_monad_errors():
         "P 2 over Q\nterm 0: [0]\nterm 1: [1,1]\ndiff 0:\nx0\ncodim 1\ncohomology_at 0\n")
     with pytest.raises(ParseError):
         parse_monad(bad_rows)
+    duplicates = {
+        "term 0: [1]": "P 2 over Q\nterm 0: [0]\nterm 0: [1]\ncodim 1\ncohomology_at 0\n",
+        "diff 0:": ("P 2 over Q\nterm 0: [0]\nterm 1: [1]\ndiff 0:\nx0\ndiff 0:\nx1\n"
+                    "codim 1\ncohomology_at 0\n"),
+        "codim 2": "P 2 over Q\nterm 0: [0]\ncodim 1\ncodim 2\ncohomology_at 0\n",
+        "cohomology_at 0": ("P 2 over Q\nterm 0: [0]\ncohomology_at 0\ncodim 1\n"
+                            "cohomology_at 0\n"),
+    }
+    for line, text in duplicates.items():
+        with pytest.raises(ParseError, match=re.escape(f"duplicate line '{line}'")):
+            parse_monad(text)
 
 
 def test_direct_sum_shapes():
