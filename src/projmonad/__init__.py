@@ -21,6 +21,7 @@ from .monad import (
     WindowDisagreementError,
     beilinson_shape,
     cohomology_hilbert_function,
+    default_window,
     dual_beilinson_table,
     dualize,
     exactness_check,
@@ -28,6 +29,7 @@ from .monad import (
     hilbert_poly_of_cohomology,
     minimality_check,
     parse_monad,
+    regularity_bound,
     sheaf_cohomology,
     validate,
 )

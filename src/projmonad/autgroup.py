@@ -251,6 +251,9 @@ def parse_group_element(text: str) -> GroupElement:
             current.append(line)
         else:
             raise ParseError(f"unexpected line {line!r}")
+    for idx in raw:
+        if idx not in sheaves:
+            raise ParseError(f"block {idx} without term {idx}")
     blocks = {}
     for i, sheaf in sheaves.items():
         rows = raw.get(i, [])

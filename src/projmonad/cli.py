@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import modp3
 from .autgroup import (
@@ -25,9 +24,10 @@ from .monad import (
     CohTable,
     WindowDisagreementError,
     beilinson_shape,
-    cohomology_hilbert_function,
+    default_window,
     dual_beilinson_table,
     dualize,
+    exactness_check,
     format_monad,
     hilbert_poly_of_cohomology,
     minimality_check,
@@ -144,26 +144,13 @@ def _cmd_monad_hilbert(args) -> int:
 
 def _cmd_monad_exactness(args) -> int:
     m = parse_monad(_read(args.infile))
-    if args.window:
-        window = _parse_window(args.window)
-    else:
-        t0 = (m.n + 1) + m.max_twist_magnitude()
-        window = range(t0, t0 + m.n + 2)
+    window = _parse_window(args.window) if args.window else default_window(m)
     if args.positions:
         positions = [int(p) for p in args.positions.split(",")]
     else:
         positions = [i for i in range(m.lo, m.hi + 1) if i != m.cohomology_position]
     ts = list(window)
-
-    def one(pos: int) -> bool:
-        return not any(cohomology_hilbert_function(m, pos, ts))
-
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            flags = list(pool.map(one, positions))
-    else:
-        flags = [one(p) for p in positions]
-    result = {str(p): ok for p, ok in zip(positions, flags)}
+    result = {str(p): ok for p, ok in exactness_check(m, positions, ts).items()}
     if args.json:
         _emit_json({"window": [ts[0], ts[-1]], "positions": result})
     else:
@@ -330,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile")
     p.add_argument("--window", help="twist window lo:hi")
     p.add_argument("--positions", help="comma-separated positions")
-    p.add_argument("--jobs", type=int, default=1)
     add_json(p)
     p.set_defaults(func=_cmd_monad_exactness)
 

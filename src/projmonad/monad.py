@@ -9,9 +9,12 @@ exact involution.
 
 Hilbert functions of the cohomology sheaf are computed degreewise: in
 twist t the cohomology of the section complex at the marked position is
-dim ker - rank of adjacent multiplication matrices.  That proxy is only
-trusted on a window where it reproduces the Euler polynomial, which
-hilbert_poly_of_cohomology enforces.
+dim ker - rank of adjacent multiplication matrices.  For a resolution
+F <- L_0 <- ... <- L_{-k} with k <= n, that proxy equals h^0(F(t)) = chi(F(t))
+from the Castelnuovo-Mumford bound max_ij (a_ij - i) on (regularity_bound);
+other shapes start at the heuristic (n+1) + max |twist| (default_window).
+Either way the values are only trusted where they reproduce the Euler
+polynomial, which hilbert_poly_of_cohomology enforces.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def dualize(m: Monad) -> Monad:
     return Monad(m.field, m.n, terms, diffs, c, pos)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=256)
 def _sections_rank(d: GradedMatrix, t: int) -> int:
     return rank(sections_matrix(d, t))
 
@@ -157,19 +160,66 @@ def cohomology_hilbert_function(m: Monad, position: int, t_range) -> list[int]:
     return out
 
 
+def default_window(m: Monad) -> range:
+    """The heuristic window [T, T+n+1] with T = (n+1) + max |twist|."""
+    t0 = (m.n + 1) + m.max_twist_magnitude()
+    return range(t0, t0 + m.n + 2)
+
+
+def regularity_bound(m: Monad) -> int | None:
+    """max_ij (a_ij - i) for L_{p-i} = sum_j O(-a_ij), p the marked position.
+
+    Defined only when p is the right end and the complex has length
+    k = p - lo <= n (and some term is nonzero); None otherwise.  If the
+    complex resolves F = H^p, F is Castelnuovo-Mumford regular in this
+    degree (Eisenbud, The Geometry of Syzygies, ch. 4).
+    """
+    p = m.cohomology_position
+    if p != m.hi or p - m.lo > m.n:
+        return None
+    return max((-e - (p - q) for q in range(m.lo, p + 1) for e in m.terms[q].twists),
+               default=None)
+
+
 def hilbert_poly_of_cohomology(m: Monad) -> IntPoly:
     """Hilbert polynomial of the cohomology sheaf, window checked.
 
-    Samples the degreewise Hilbert function on [T, T+n+1] with
-    T = (n+1) + max |twist|, interpolates with degree bound n - c, and
-    insists the result match the Euler polynomial (with the sign that
-    the marked position dictates).  One retry on a window n+2 wider,
-    then the disagreement is reported as an error.
+    Samples the degreewise Hilbert function on [T, T+n+1], interpolates
+    with degree bound n - c, and insists the result match the Euler
+    polynomial (with the sign that the marked position dictates).  One
+    retry on a window n+2 wider, then the disagreement is reported as an
+    error; so the result is that polynomial or an exception.
+
+    T is reg = regularity_bound(m) when the shape qualifies, and the
+    heuristic (n+1) + max |twist| of default_window otherwise; reg never
+    exceeds the heuristic, since each a_ij - i <= max |twist|.  Why reg
+    is enough, assuming the complex is exact away from p = hi, i.e.
+    that 0 -> L_{-k} -> ... -> L_0 -> F -> 0 is exact, with k <= n:
+
+    - Hypercohomology of L(t) gives E_1^{-i,q} = H^q(L_{-i}(t)) =>
+      H^{q-i}(F(t)).  Line bundles have no middle cohomology, so only the
+      rows q = 0 and q = n are nonzero.
+    - Total degree 0 is fed by E^{0,0} and E^{-n,n}.  E_2^{0,0} is the
+      cokernel of H^0(L_{-1}(t)) -> H^0(L_0(t)), the sampled value.  No
+      later differential reaches or leaves it: one from row n would
+      need column -n-1, past the left end.
+    - E^{-n,n} exists only for k = n, and H^n(O(t - a_kj)) = 0 once
+      t - a_kj >= -n, which holds for t >= reg >= a_kj - k.  So the
+      sampled value is h^0(F(t)) for t >= reg.
+    - The same resolution makes F reg-regular, so H^q(F(t)) = 0 for
+      q > 0 and t >= reg - q, and h^0(F(t)) = chi(F(t)), the Hilbert
+      polynomial, on the whole window.
+
+    A complex that is not such a resolution gets no guarantee from this
+    start; it is caught, as before, by the comparison with the Euler
+    polynomial.
     """
     target = euler_poly(m)
     if m.cohomology_position % 2:
         target = -target
-    t0 = (m.n + 1) + m.max_twist_magnitude()
+    t0 = regularity_bound(m)
+    if t0 is None:
+        t0 = default_window(m).start
     width = m.n + 2
     for extra in (0, m.n + 2):
         window = range(t0, t0 + width + extra)

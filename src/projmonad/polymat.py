@@ -22,7 +22,7 @@ from math import comb
 from random import Random
 
 from .linalg import Matrix
-from .scalar import Field, FieldElement
+from .scalar import Field, FieldElement, PrimeField
 
 Monomial = tuple[int, ...]
 
@@ -192,6 +192,9 @@ class HomogPoly:
     __repr__ = __str__
 
 
+# Largest constant power the parser evaluates over Q, in bits.
+_MAX_POWER_BITS = 1 << 16
+
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^()]))")
 
 
@@ -212,14 +215,18 @@ class _PolyParser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
     Works on plain {monomial: raw coefficient} dicts so mixed-degree
-    intermediates are allowed; homogeneity is checked at the end.
+    intermediates are allowed; homogeneity is checked at the end.  A
+    power whose degree would pass the expected degree, or a constant
+    power over Q larger than _MAX_POWER_BITS, is refused before it is
+    expanded.
     """
 
-    def __init__(self, toks: list[str], field: Field, n: int):
+    def __init__(self, toks: list[str], field: Field, n: int, degree: int | None = None):
         self.toks = toks
         self.i = 0
         self.field = field
         self.n = n
+        self.degree = degree
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -261,9 +268,24 @@ class _PolyParser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
+            e = int(e)
+            top = max(map(sum, base), default=0)
+            if top and self.degree is not None and top * e > self.degree:
+                raise ParseError(
+                    f"exponent {e} gives degree {top * e}, past the expected {self.degree}")
+            if not top and not isinstance(self.field, PrimeField):
+                bits = max((max(abs(c.value.numerator).bit_length(),
+                                c.value.denominator.bit_length()) - 1
+                            for c in base.values()), default=0)
+                if bits * e > _MAX_POWER_BITS:
+                    raise ParseError(f"constant power with exponent {e} is too large")
             out = {(0,) * (self.n + 1): self.field.one}
-            for _ in range(int(e)):
-                out = self._mul(out, base)
+            while e:
+                if e & 1:
+                    out = self._mul(out, base)
+                e >>= 1
+                if e:
+                    base = self._mul(base, base)
             return out
         return base
 
@@ -305,7 +327,7 @@ class _PolyParser:
 
 def parse_poly(src: str, field: Field, n: int, degree: int | None = None) -> HomogPoly:
     """Parse a homogeneous form; degree, when given, pins the zero form too."""
-    parser = _PolyParser(_tokenize(src), field, n)
+    parser = _PolyParser(_tokenize(src), field, n, degree)
     terms = {m: c for m, c in parser.expr().items() if c}
     if parser.peek() is not None:
         raise ParseError(f"trailing input near token {parser.peek()!r}")

@@ -5,6 +5,8 @@ projmonad.linalg: determinants come from a subset DP over column
 choices, ranks from a largest-nonzero-minor search, reduced row echelon
 forms from a dense Gauss-Jordan on boxed field elements, and the catalog
 cohomology of line bundles on a line is written down in closed form.
+The Hilbert window oracle keeps the heuristic window start that the
+regularity bound replaced.
 """
 
 from math import comb
@@ -14,7 +16,8 @@ import pytest
 
 from projmonad.autgroup import act, random_element
 from projmonad.complexes import direct_sum, koszul_monad
-from projmonad.monad import CohTable, Monad
+from projmonad.hilbert import InterpolationError, euler_poly, interpolate
+from projmonad.monad import CohTable, Monad, WindowDisagreementError, cohomology_hilbert_function
 from projmonad.polymat import FreeSheaf, random_graded_matrix
 from projmonad.scalar import GF, QQ, PrimeField
 
@@ -116,6 +119,24 @@ def rref_oracle(field, rows, cols_count):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def hilbert_poly_heuristic_window(m: Monad):
+    """hilbert_poly_of_cohomology on the window it used before the
+    regularity bound: always start at T = (n+1) + max |twist|."""
+    target = euler_poly(m)
+    if m.cohomology_position % 2:
+        target = -target
+    t0 = (m.n + 1) + max((abs(e) for s in m.terms.values() for e in s.twists), default=0)
+    for width in (m.n + 2, 2 * m.n + 4):
+        values = cohomology_hilbert_function(m, m.cohomology_position, range(t0, t0 + width))
+        try:
+            poly = interpolate(values, t0, m.n - m.c)
+        except InterpolationError:
+            continue
+        if poly == target:
+            return poly
+    raise WindowDisagreementError(f"heuristic window disagrees with {target}")
 
 
 def h_p1(q: int, d: int) -> int:

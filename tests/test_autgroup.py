@@ -112,6 +112,15 @@ def test_parse_group_element_rejects_duplicates():
         parse_group_element(block)
 
 
+def test_parse_group_element_rejects_orphan_block():
+    text = "P 2 over Q\nterm 0: [0]\nblock 0:\n2\nblock 5:\n7\n"
+    with pytest.raises(ParseError, match="block 5 without term 5"):
+        parse_group_element(text)
+    # with its term the same block parses and formats back
+    fixed = "P 2 over Q\nterm 0: [0]\nterm 5: [0]\nblock 0:\n2\nblock 5:\n7\n"
+    assert format_group_element(parse_group_element(fixed)) == fixed
+
+
 def test_constant_part_of_inverse_is_matrix_inverse():
     rng = Random(33)
     for _ in range(30):

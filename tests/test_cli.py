@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -104,11 +105,25 @@ def test_monad_exactness_json(capsys, cubic_file):
     _check(payload, "exactness")
 
 
+def test_monad_exactness_default_window(capsys, tmp_path):
+    path = tmp_path / "k.monad"
+    path.write_text(format_monad(koszul_monad(QQ, 2, [0, 1])))
+    # T = (n+1) + max |twist| = 3 + 2, n+2 twists
+    rc, payload = _run_json(capsys, ["monad", "exactness", "--in", str(path), "--json"])
+    assert rc == 0
+    assert payload == {"window": [5, 8], "positions": {"-2": True, "-1": True}}
+    assert run(["monad", "exactness", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "-2: exact on [5, 8]\n-1: exact on [5, 8]\n"
+
+
 def test_monad_exactness_with_jobs(capsys, cubic_file):
+    # --jobs is gone; the same run without it keeps its answer
     rc, payload = _run_json(capsys, [
-        "monad", "exactness", "--in", cubic_file, "--window", "3:6",
-        "--jobs", "2", "--json"])
+        "monad", "exactness", "--in", cubic_file, "--window", "3:6", "--json"])
     assert rc == 0 and payload["positions"] == {"-2": True, "-1": True}
+    assert run(["monad", "exactness", "--in", cubic_file, "--window", "3:6",
+                "--jobs", "2", "--json"]) == 2
+    capsys.readouterr()
 
 
 def test_monad_minimality(capsys, tmp_path):
@@ -224,6 +239,20 @@ def test_bad_integer_is_parse_error(capsys, tmp_path, command, text):
     else:
         argv = ["group", "dual", "--element", str(path), "--codim", "1"]
     assert run(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "parse"
+    _check(payload, "error")
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("cell", ["x0^1000000000", "2^1000000000"])
+def test_huge_exponent_is_parse_error(capsys, tmp_path, field, cell):
+    path = tmp_path / "huge.monad"
+    path.write_text(f"P 2 over {field}\nterm -1: [-1]\nterm 0: [0]\ndiff -1:\n{cell}\n"
+                    "codim 1\ncohomology_at 0\n")
+    start = time.perf_counter()
+    assert run(["monad", "validate", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "parse"
     _check(payload, "error")

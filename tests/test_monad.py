@@ -3,12 +3,19 @@ from random import Random
 
 import pytest
 
-from conftest import h_p1, line_cohomology_table, random_monad, random_valid_monad
+from conftest import (
+    h_p1,
+    hilbert_poly_heuristic_window,
+    line_cohomology_table,
+    random_monad,
+    random_valid_monad,
+)
 from projmonad.complexes import (
     augment_with_identity,
     direct_sum,
     koszul_monad,
     line_monad,
+    omega_resolution,
 )
 from projmonad.hilbert import IntPoly, euler_poly
 from projmonad.monad import (
@@ -25,8 +32,15 @@ from projmonad.monad import (
     hilbert_poly_of_cohomology,
     minimality_check,
     parse_monad,
+    regularity_bound,
     sheaf_cohomology,
     validate,
+)
+from projmonad.modp3 import (
+    forbidden_form_point,
+    point_monad,
+    sample_wss_stats,
+    twisted_cubic_point,
 )
 from projmonad.polymat import FreeSheaf, GradedMatrix, ParseError
 from projmonad.scalar import GF, QQ
@@ -148,8 +162,83 @@ def test_hilbert_poly_of_line_and_koszul():
 def test_window_disagreement_on_fake_complex():
     terms = {-1: FreeSheaf(2, (-1,)), 0: FreeSheaf(2, (0,))}
     fake = Monad(QQ, 2, terms, {}, 1, 0)  # zero differential, nonzero terms
+    assert regularity_bound(fake) == 0  # the shape qualifies; it is no resolution
     with pytest.raises(WindowDisagreementError):
         hilbert_poly_of_cohomology(fake)
+
+
+def test_regularity_bound_values():
+    cubic = point_monad(twisted_cubic_point())
+    assert regularity_bound(cubic) == 1
+    assert regularity_bound(dualize(cubic)) == 2
+    assert regularity_bound(line_monad(QQ, 3, 0)) == 0
+    assert regularity_bound(line_monad(QQ, 2, 0)) == 0
+    assert regularity_bound(line_monad(QQ, 3, -1)) == 1
+    # shapes that keep the heuristic window
+    L = line_monad(QQ, 2, 0)
+    inner = Monad(QQ, 2, L.terms, L.diffs, 1, -1)
+    assert regularity_bound(inner) is None  # marked spot not the right end
+    long = koszul_monad(QQ, 2, [0, 1, 2])
+    assert long.hi - long.lo == 3 and regularity_bound(long) is None  # longer than n
+    empty = Monad(QQ, 2, {0: FreeSheaf(2, ())}, {}, 1, 0)
+    assert regularity_bound(empty) is None
+
+
+def _window_outcome(fn, m):
+    try:
+        return fn(m)
+    except WindowDisagreementError:
+        return "disagreement"
+
+
+def _assert_windows_agree(monads):
+    for m in monads:
+        assert (_window_outcome(hilbert_poly_of_cohomology, m)
+                == _window_outcome(hilbert_poly_heuristic_window, m)), m
+
+
+def _acceptance_complexes():
+    """The complexes whose cohomology the acceptance suite reads; the
+    random data of criteria 3 and 9 only feeds Euler polynomials and
+    round trips."""
+    koszul = [koszul_monad(QQ, n, v) for n, sets in (
+        (1, [(0, 1)]),
+        (2, [(0, 1), (0, 2), (1, 2), (0, 1, 2)]),
+        (3, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2), (0, 1, 3),
+             (0, 2, 3), (1, 2, 3), (0, 1, 2, 3)])) for v in sets]
+    koszul += [koszul_monad(QQ, 2, (0, 1), twist=-1), koszul_monad(QQ, 2, (0, 1, 2), twist=1),
+               koszul_monad(QQ, 3, (0, 1), twist=-2), koszul_monad(QQ, 3, (1, 3), twist=2)]
+    lines = [line_monad(QQ, n, a) for n in (2, 3) for a in range(-3, 4)]
+    out = koszul + [augment_with_identity(m, m.lo, -1) for m in koszul]
+    out += lines + [dualize(m) for m in lines]
+    out += [omega_resolution(QQ, n, p, t)
+            for n in (1, 2, 3) for p in range(n + 1) for t in range(-6, 7)]
+    # criteria 1, 2 and 8; the sampled point of criterion 7 is in the next test
+    for pt in (twisted_cubic_point(), twisted_cubic_point(F101), sample_wss_stats(17, F101)[0]):
+        out += [point_monad(pt), dualize(point_monad(pt))]
+    return out
+
+
+def test_windows_agree_on_acceptance_complexes():
+    _assert_windows_agree(_acceptance_complexes())
+
+
+def test_windows_agree_on_p3_points():
+    points = [twisted_cubic_point(), forbidden_form_point(),
+              sample_wss_stats(0, F101)[0], sample_wss_stats(0, GF(2147483647))[0]]
+    monads = [point_monad(pt) for pt in points]
+    monads += [dualize(m) for m in monads]
+    _assert_windows_agree(monads)
+    for m in monads[:4]:
+        assert hilbert_poly_of_cohomology(m) == IntPoly([1, 3])
+    for m in monads[4:]:
+        assert hilbert_poly_of_cohomology(m) == IntPoly([-1, 3])
+
+
+def test_windows_agree_on_random_valid_monads(rng):
+    # over F101: on Q draws the heuristic window's big-rational ranks can
+    # take minutes, and the window start does not depend on the field
+    _assert_windows_agree([random_valid_monad(rng, F101) for _ in range(30)])
 
 
 def test_odd_position_flips_euler_sign():
