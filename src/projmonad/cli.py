@@ -8,6 +8,7 @@ machine-readable JSON), 2 on parse errors (bad files or flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -146,7 +147,10 @@ def _cmd_monad_exactness(args) -> int:
     m = parse_monad(_read(args.infile))
     window = _parse_window(args.window) if args.window else default_window(m)
     if args.positions:
-        positions = [int(p) for p in args.positions.split(",")]
+        try:
+            positions = [int(p) for p in args.positions.split(",")]
+        except ValueError as exc:
+            raise _CliParseError(f"bad positions {args.positions!r}") from exc
     else:
         positions = [i for i in range(m.lo, m.hi + 1) if i != m.cohomology_position]
     ts = list(window)
@@ -272,7 +276,9 @@ def _cmd_p3_demo(args) -> int:
     return 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="projmonad",
         description="Exact computations with complexes of twisted line bundles",

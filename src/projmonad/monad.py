@@ -234,12 +234,32 @@ def hilbert_poly_of_cohomology(m: Monad) -> IntPoly:
         f"window disagreement: degreewise values do not match {target}")
 
 
+# Most entries (rows x cols) allowed in one section matrix of a window
+# test: 100 times the largest one any shipped computation builds (the
+# 650 x 946 matrices of a P^3 point at the heuristic window).
+MAX_SECTION_ENTRIES = 10 ** 8
+
+
 def exactness_check(m: Monad, positions, t_range) -> dict[int, bool]:
     """Window test: a position passes when its Hilbert data vanishes.
 
     Vanishing on a window is evidence, not proof, of exactness there.
+    Section dimensions grow with t, so the matrices at the top of the
+    window are the largest; a window whose largest matrix has more than
+    MAX_SECTION_ENTRIES entries is refused before any is built.
     """
     ts = list(t_range)
+    if ts:
+        t = max(ts)
+        for pos in positions:
+            for d in (m.diffs.get(pos), m.diffs.get(pos - 1)):
+                if d is None:
+                    continue
+                rows, cols = d.target.sections_dim(t), d.source.sections_dim(t)
+                if rows * cols > MAX_SECTION_ENTRIES:
+                    raise ValueError(
+                        f"twist {t} needs a {rows}x{cols} section matrix, more than "
+                        f"{MAX_SECTION_ENTRIES} entries")
     return {pos: not any(cohomology_hilbert_function(m, pos, ts)) for pos in positions}
 
 

@@ -11,18 +11,26 @@ Monomials are exponent tuples of length n+1.  The canonical order on
 the monomials of a fixed degree is lexicographic with x0 > x1 > ... >
 xn, descending; every matrix and printed polynomial uses it, so output
 is bit-stable.
+
+Coefficients are FieldElements, but the arithmetic (products, sums and
+composites of forms, and the expression parser) runs on raw values:
+residues mod p, summed unreduced and reduced once, or over Q integer
+numerators over a common denominator.  Each result coefficient is boxed
+once, when the HomogPoly holding it is built and validated.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import add
 from random import Random
 
-from .linalg import Matrix
-from .scalar import Field, FieldElement, PrimeField
+from .linalg import Matrix, _modulus
+from .scalar import Field, FieldElement, FieldError, PrimeField
 
 Monomial = tuple[int, ...]
 
@@ -56,7 +64,7 @@ def forms_dimension(n: int, d: int) -> int:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_str(m: Monomial) -> str:
@@ -84,9 +92,9 @@ class HomogPoly:
         for m, c in terms.items():
             if not c:
                 continue
-            if len(m) != n + 1 or sum(m) != degree or any(e < 0 for e in m):
+            if len(m) != n + 1 or sum(m) != degree or min(m) < 0:
                 raise ValueError(f"monomial {m} is not of degree {degree} on P^{n}")
-            if c.field != field:
+            if c.field is not field and c.field != field:
                 raise ValueError("coefficient from the wrong field")
             clean[m] = c
         self.field = field
@@ -127,33 +135,45 @@ class HomogPoly:
             return HomogPoly(self.field, self.n, self.degree, dict(self.terms))
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            terms[m] = c if s is None else s + c
-        return HomogPoly(self.field, self.n, self.degree, terms)
+        p = _modulus(self.field)
+        da, num = _raw(self, p)
+        db, b = _raw(other, p)
+        den = lcm(da, db)
+        if den != da:
+            s = den // da
+            num = {m: v * s for m, v in num.items()}
+        s = den // db
+        for m, v in b.items():
+            num[m] = num.get(m, 0) + v * s
+        return _boxed(self.field, self.n, self.degree, p, num, den)
 
     def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.field, self.n, self.degree, {m: -c for m, c in self.terms.items()})
+        field = self.field
+        neg = field.neg
+        return HomogPoly(field, self.n, self.degree,
+                         {m: FieldElement(field, neg(c.value)) for m, c in self.terms.items()})
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._compatible(other)
-        terms: dict[Monomial, FieldElement] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = monomial_mul(ma, mb)
-                c = ca * cb
-                s = terms.get(m)
-                terms[m] = c if s is None else s + c
-        return HomogPoly(self.field, self.n, self.degree + other.degree, terms)
+        p = _modulus(self.field)
+        da, a = _raw(self, p)
+        db, b = _raw(other, p)
+        num: dict[Monomial, int] = {}
+        _mul_into(num, a, b, 1)
+        return _boxed(self.field, self.n, self.degree + other.degree, p, num, da * db)
 
     def scale(self, c: FieldElement) -> "HomogPoly":
         if not c:
             return HomogPoly.zero(self.field, self.n, self.degree)
-        return HomogPoly(self.field, self.n, self.degree, {m: c * v for m, v in self.terms.items()})
+        field = self.field
+        if c.field is not field and c.field != field:
+            raise FieldError(f"field mismatch: {c.field} vs {field}")
+        mul, x = field.mul, c.value
+        return HomogPoly(field, self.n, self.degree,
+                         {m: FieldElement(field, mul(x, v.value)) for m, v in self.terms.items()})
 
     def __eq__(self, other):
         # Zero forms are equal whatever their recorded degree.
@@ -192,13 +212,53 @@ class HomogPoly:
     __repr__ = __str__
 
 
+# Raw arithmetic.  A form travels as (den, {monomial: int}) and stands for
+# sum num[m] * m / den: over F_p den is 1 and num holds residues, possibly
+# unreduced; over Q num holds the numerators over a common denominator.
+
+
+def _raw(poly: HomogPoly, p: int) -> tuple[int, dict[Monomial, int]]:
+    """poly as (den, numerators); p is the modulus, 0 over Q."""
+    if p:
+        return 1, {m: c.value for m, c in poly.terms.items()}
+    den = lcm(*(c.value.denominator for c in poly.terms.values()))
+    return den, {m: c.value.numerator * (den // c.value.denominator)
+                 for m, c in poly.terms.items()}
+
+
+def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int], b: dict[Monomial, int],
+              scale: int):
+    """out += scale * a * b on numerator dicts, without reducing."""
+    get = out.get
+    for ma, ca in a.items():
+        ca *= scale
+        for mb, cb in b.items():
+            m = monomial_mul(ma, mb)
+            out[m] = get(m, 0) + ca * cb
+
+
+def _boxed(field: Field, n: int, degree: int, p: int, num: dict[Monomial, int],
+           den: int) -> HomogPoly:
+    """The form sum num[m] * m / den, one FieldElement per nonzero term."""
+    if p:
+        terms = {m: FieldElement(field, r) for m, v in num.items() if (r := v % p)}
+    else:
+        terms = {m: FieldElement(field, Fraction(v, den)) for m, v in num.items() if v}
+    return HomogPoly(field, n, degree, terms)
+
+
 # Largest constant power the parser evaluates over Q, in bits.
 _MAX_POWER_BITS = 1 << 16
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^()]))")
+# A whole string of _TOKEN matches.  The lookaheads stop a digit run from
+# splitting into several numbers, so a failed match cannot backtrack far.
+_TOKENS = re.compile(r"(?:\s*(?:\d+(?!\d)(?:/\d+(?!\d))?|x\d+(?!\d)|[-+*^()]))*\s*")
 
 
 def _tokenize(src: str) -> list[str]:
+    if _TOKENS.fullmatch(src):
+        return [m.group(m.lastgroup) for m in _TOKEN.finditer(src)]
     toks, pos = [], 0
     while pos < len(src):
         m = _TOKEN.match(src, pos)
@@ -214,40 +274,46 @@ def _tokenize(src: str) -> list[str]:
 class _PolyParser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
-    Works on plain {monomial: raw coefficient} dicts so mixed-degree
-    intermediates are allowed; homogeneity is checked at the end.  A
-    power whose degree would pass the expected degree, or a constant
-    power over Q larger than _MAX_POWER_BITS, is refused before it is
-    expanded.
+    Works on plain {monomial: raw coefficient} dicts (residues in [0, p),
+    or over Q ints and Fractions) so mixed-degree intermediates are
+    allowed; homogeneity is checked at the end.  A power whose degree
+    would pass the expected degree, or a constant power over Q larger
+    than _MAX_POWER_BITS, is refused before it is expanded.
     """
 
     def __init__(self, toks: list[str], field: Field, n: int, degree: int | None = None):
-        self.toks = toks
+        self.toks = toks + [None]
         self.i = 0
         self.field = field
+        self.p = _modulus(field)
         self.n = n
         self.degree = degree
+        self.const = (0,) * (n + 1)
+        self.variables: dict[str, Monomial] = {}  # variable token -> monomial
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i]
 
     def take(self):
-        t = self.peek()
-        self.i += 1
+        t = self.toks[self.i]
+        if t is not None:
+            self.i += 1
         return t
 
     def expr(self) -> dict:
+        p = self.p
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.take() == "-" else 1
         acc = self.term()
         if sign < 0:
-            acc = {m: -c for m, c in acc.items()}
+            acc = {m: -c % p if p else -c for m, c in acc.items()}
         while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.term()
-            for m, c in t.items():
-                v = acc.get(m, self.field.zero) + (c if op == "+" else -c)
+            neg = self.take() == "-"
+            for m, c in self.term().items():
+                v = acc.get(m, 0) + (-c if neg else c)
+                if p:
+                    v %= p
                 if v:
                     acc[m] = v
                 elif m in acc:
@@ -257,37 +323,41 @@ class _PolyParser:
     def term(self) -> dict:
         acc = self.power()
         while self.peek() == "*":
-            self.take()
+            self.i += 1
             acc = self._mul(acc, self.power())
         return acc
 
     def power(self) -> dict:
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            e = self.take()
-            if e is None or not e.isdigit():
-                raise ParseError("exponent must be a nonnegative integer")
-            e = int(e)
-            top = max(map(sum, base), default=0)
-            if top and self.degree is not None and top * e > self.degree:
-                raise ParseError(
-                    f"exponent {e} gives degree {top * e}, past the expected {self.degree}")
-            if not top and not isinstance(self.field, PrimeField):
-                bits = max((max(abs(c.value.numerator).bit_length(),
-                                c.value.denominator.bit_length()) - 1
-                            for c in base.values()), default=0)
-                if bits * e > _MAX_POWER_BITS:
-                    raise ParseError(f"constant power with exponent {e} is too large")
-            out = {(0,) * (self.n + 1): self.field.one}
-            while e:
-                if e & 1:
-                    out = self._mul(out, base)
-                e >>= 1
-                if e:
-                    base = self._mul(base, base)
-            return out
-        return base
+        if self.peek() != "^":
+            return base
+        self.i += 1
+        e = self.take()
+        if e is None or not e.isdigit():
+            raise ParseError("exponent must be a nonnegative integer")
+        e = int(e)
+        top = max(map(sum, base), default=0)
+        if top and self.degree is not None and top * e > self.degree:
+            raise ParseError(
+                f"exponent {e} gives degree {top * e}, past the expected {self.degree}")
+        p = self.p
+        if not top and not p:
+            bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+                        for c in base.values()), default=0)
+            if bits * e > _MAX_POWER_BITS:
+                raise ParseError(f"constant power with exponent {e} is too large")
+        if len(base) == 1:
+            (m, c), = base.items()
+            v = pow(c, e, p) if p else c ** e
+            return {tuple([x * e for x in m]): v} if v else {}
+        out = {self.const: 1}
+        while e:
+            if e & 1:
+                out = self._mul(out, base)
+            e >>= 1
+            if e:
+                base = self._mul(base, base)
+        return out
 
     def atom(self) -> dict:
         t = self.take()
@@ -299,36 +369,48 @@ class _PolyParser:
                 raise ParseError("unbalanced parentheses")
             return inner
         if t.startswith("x"):
-            i = int(t[1:])
-            if i > self.n:
-                raise ParseError(f"variable {t} out of range for P^{self.n}")
-            exps = [0] * (self.n + 1)
-            exps[i] = 1
-            return {tuple(exps): self.field.one}
+            m = self.variables.get(t)
+            if m is None:
+                i = int(t[1:])
+                if i > self.n:
+                    raise ParseError(f"variable {t} out of range for P^{self.n}")
+                m = self.variables[t] = tuple(int(j == i) for j in range(self.n + 1))
+            return {m: 1}
         if t[0].isdigit():
             try:
-                return {(0,) * (self.n + 1): self.field.parse(t)}
-            except Exception as exc:
+                if "/" in t:
+                    v = self.field.parse(t).value
+                else:
+                    v = int(t) % self.p if self.p else int(t)
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(str(exc)) from exc
+            return {self.const: v}
         raise ParseError(f"unexpected token {t!r}")
 
     def _mul(self, a: dict, b: dict) -> dict:
+        """The product with its zero terms dropped."""
+        p = self.p
+        if len(a) == 1 and len(b) == 1:
+            (ma, ca), = a.items()
+            (mb, cb), = b.items()
+            v = ca * cb % p if p else ca * cb
+            return {monomial_mul(ma, mb): v} if v else {}
         out: dict = {}
+        get = out.get
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = monomial_mul(ma, mb)
-                v = out.get(m, self.field.zero) + ca * cb
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return out
+                out[m] = get(m, 0) + ca * cb
+        if p:
+            return {m: r for m, v in out.items() if (r := v % p)}
+        return {m: v for m, v in out.items() if v}
 
 
 def parse_poly(src: str, field: Field, n: int, degree: int | None = None) -> HomogPoly:
     """Parse a homogeneous form; degree, when given, pins the zero form too."""
     parser = _PolyParser(_tokenize(src), field, n, degree)
-    terms = {m: c for m, c in parser.expr().items() if c}
+    box = field.coerce
+    terms = {m: FieldElement(field, box(c)) for m, c in parser.expr().items() if c}
     if parser.peek() is not None:
         raise ParseError(f"trailing input near token {parser.peek()!r}")
     if not terms:
@@ -479,23 +561,32 @@ class GradedMatrix:
 
 
 def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """The composite a . b of b: F -> G and a: G -> H."""
+    """The composite a . b of b: F -> G and a: G -> H.
+
+    Each entry sums its k products into one numerator dict; over Q the
+    products are scaled to the LCM of their denominators first.
+    """
     if a.field != b.field:
         raise ValueError("composition across fields")
     if a.source != b.target:
         raise ValueError(f"composition mismatch: {a.source} vs {b.target}")
+    field, n = a.field, a.n
+    p = _modulus(field)
+    raw_a = [[_raw(q, p) for q in row] for row in a.entries]
+    raw_b = [[_raw(q, p) for q in row] for row in b.entries]
+    cols_b = [[row[j] for row in raw_b] for j in range(b.cols)]
     ent = []
-    for i in range(a.rows):
+    for f, row_a in zip(a.target.twists, raw_a):
         row = []
-        for j in range(b.cols):
-            acc = HomogPoly.zero(a.field, a.n, a.target.twists[i] - b.source.twists[j])
-            for k in range(a.cols):
-                p, q = a.entries[i][k], b.entries[k][j]
-                if p.terms and q.terms:
-                    acc = acc + p * q
-            row.append(acc)
+        for e, col_b in zip(b.source.twists, cols_b):
+            pairs = [(x, y) for x, y in zip(row_a, col_b) if x[1] and y[1]]
+            den = lcm(*(dx * dy for (dx, _), (dy, _) in pairs))
+            num: dict[Monomial, int] = {}
+            for (dx, x), (dy, y) in pairs:
+                _mul_into(num, x, y, den // (dx * dy))
+            row.append(_boxed(field, n, f - e, p, num, den))
         ent.append(row)
-    return GradedMatrix(a.field, b.source, a.target, ent)
+    return GradedMatrix(field, b.source, a.target, ent)
 
 
 def dual_hom(m: GradedMatrix) -> GradedMatrix:
@@ -558,8 +649,6 @@ def random_poly(field: Field, n: int, degree: int, rng: Random,
 
 
 def random_scalar(field: Field, rng: Random) -> FieldElement:
-    from .scalar import PrimeField
-
     if isinstance(field, PrimeField):
         return field.element(rng.randrange(field.p))
     return field.element(rng.randint(-9, 9))

@@ -6,9 +6,12 @@ choices, ranks from a largest-nonzero-minor search, reduced row echelon
 forms from a dense Gauss-Jordan on boxed field elements, and the catalog
 cohomology of line bundles on a line is written down in closed form.
 The Hilbert window oracle keeps the heuristic window start that the
-regularity bound replaced.
+regularity bound replaced.  The polynomial oracles multiply, compose and
+parse forms one boxed FieldElement operation at a time, as projmonad.polymat
+did before its arithmetic moved onto raw values.
 """
 
+import re
 from math import comb
 from random import Random
 
@@ -18,7 +21,14 @@ from projmonad.autgroup import act, random_element
 from projmonad.complexes import direct_sum, koszul_monad
 from projmonad.hilbert import InterpolationError, euler_poly, interpolate
 from projmonad.monad import CohTable, Monad, WindowDisagreementError, cohomology_hilbert_function
-from projmonad.polymat import FreeSheaf, random_graded_matrix
+from projmonad.polymat import (
+    _MAX_POWER_BITS,
+    FreeSheaf,
+    GradedMatrix,
+    HomogPoly,
+    ParseError,
+    random_graded_matrix,
+)
 from projmonad.scalar import GF, QQ, PrimeField
 
 
@@ -119,6 +129,194 @@ def rref_oracle(field, rows, cols_count):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def _monomial_mul_oracle(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def poly_add_oracle(a: HomogPoly, b: HomogPoly) -> HomogPoly:
+    """Sum of two forms of one degree (or zero), coefficient by coefficient."""
+    if not a.terms:
+        return HomogPoly(a.field, a.n, b.degree, dict(b.terms))
+    if not b.terms:
+        return HomogPoly(a.field, a.n, a.degree, dict(a.terms))
+    if a.degree != b.degree:
+        raise ValueError("cannot add forms of different degrees")
+    terms = dict(a.terms)
+    for m, c in b.terms.items():
+        s = terms.get(m)
+        terms[m] = c if s is None else s + c
+    return HomogPoly(a.field, a.n, a.degree, terms)
+
+
+def poly_mul_oracle(a: HomogPoly, b: HomogPoly) -> HomogPoly:
+    """Product of two forms, one FieldElement product and sum per pair of terms."""
+    terms = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = _monomial_mul_oracle(ma, mb)
+            c = ca * cb
+            s = terms.get(m)
+            terms[m] = c if s is None else s + c
+    return HomogPoly(a.field, a.n, a.degree + b.degree, terms)
+
+
+def compose_oracle(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    """The composite a . b, each entry summed product by product."""
+    assert a.field == b.field and a.source == b.target
+    ent = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = HomogPoly.zero(a.field, a.n, a.target.twists[i] - b.source.twists[j])
+            for k in range(a.cols):
+                p, q = a.entries[i][k], b.entries[k][j]
+                if p.terms and q.terms:
+                    acc = poly_add_oracle(acc, poly_mul_oracle(p, q))
+            row.append(acc)
+        ent.append(row)
+    return GradedMatrix(a.field, b.source, a.target, ent)
+
+
+_ORACLE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^()]))")
+
+
+def _tokenize_oracle(src: str) -> list[str]:
+    toks, pos = [], 0
+    while pos < len(src):
+        m = _ORACLE_TOKEN.match(src, pos)
+        if not m:
+            if src[pos:].strip():
+                raise ParseError(f"unexpected character {src[pos:].lstrip()[0]!r} in {src!r}")
+            break
+        toks.append(m.group(m.lastgroup))
+        pos = m.end()
+    return toks
+
+
+class _PolyParserOracle:
+    """Recursive descent over {monomial: FieldElement} dicts, token by token."""
+
+    def __init__(self, toks, field, n, degree=None):
+        self.toks = toks
+        self.i = 0
+        self.field = field
+        self.n = n
+        self.degree = degree
+
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def take(self):
+        t = self.peek()
+        self.i += 1
+        return t
+
+    def expr(self):
+        sign = 1
+        if self.peek() in ("+", "-"):
+            sign = -1 if self.take() == "-" else 1
+        acc = self.term()
+        if sign < 0:
+            acc = {m: -c for m, c in acc.items()}
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            t = self.term()
+            for m, c in t.items():
+                v = acc.get(m, self.field.zero) + (c if op == "+" else -c)
+                if v:
+                    acc[m] = v
+                elif m in acc:
+                    del acc[m]
+        return acc
+
+    def term(self):
+        acc = self.power()
+        while self.peek() == "*":
+            self.take()
+            acc = self._mul(acc, self.power())
+        return acc
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            e = self.take()
+            if e is None or not e.isdigit():
+                raise ParseError("exponent must be a nonnegative integer")
+            e = int(e)
+            top = max(map(sum, base), default=0)
+            if top and self.degree is not None and top * e > self.degree:
+                raise ParseError(
+                    f"exponent {e} gives degree {top * e}, past the expected {self.degree}")
+            if not top and not isinstance(self.field, PrimeField):
+                bits = max((max(abs(c.value.numerator).bit_length(),
+                                c.value.denominator.bit_length()) - 1
+                            for c in base.values()), default=0)
+                if bits * e > _MAX_POWER_BITS:
+                    raise ParseError(f"constant power with exponent {e} is too large")
+            out = {(0,) * (self.n + 1): self.field.one}
+            while e:
+                if e & 1:
+                    out = self._mul(out, base)
+                e >>= 1
+                if e:
+                    base = self._mul(base, base)
+            return out
+        return base
+
+    def atom(self):
+        t = self.take()
+        if t is None:
+            raise ParseError("unexpected end of expression")
+        if t == "(":
+            inner = self.expr()
+            if self.take() != ")":
+                raise ParseError("unbalanced parentheses")
+            return inner
+        if t.startswith("x"):
+            i = int(t[1:])
+            if i > self.n:
+                raise ParseError(f"variable {t} out of range for P^{self.n}")
+            exps = [0] * (self.n + 1)
+            exps[i] = 1
+            return {tuple(exps): self.field.one}
+        if t[0].isdigit():
+            try:
+                return {(0,) * (self.n + 1): self.field.parse(t)}
+            except Exception as exc:
+                raise ParseError(str(exc)) from exc
+        raise ParseError(f"unexpected token {t!r}")
+
+    def _mul(self, a, b):
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = _monomial_mul_oracle(ma, mb)
+                v = out.get(m, self.field.zero) + ca * cb
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]
+        return out
+
+
+def parse_poly_oracle(src: str, field, n: int, degree=None) -> HomogPoly:
+    """parse_poly with every coefficient operation on FieldElements."""
+    parser = _PolyParserOracle(_tokenize_oracle(src), field, n, degree)
+    terms = {m: c for m, c in parser.expr().items() if c}
+    if parser.peek() is not None:
+        raise ParseError(f"trailing input near token {parser.peek()!r}")
+    if not terms:
+        return HomogPoly.zero(field, n, 0 if degree is None else degree)
+    degrees = {sum(m) for m in terms}
+    if len(degrees) > 1:
+        raise ParseError(f"expression {src!r} is not homogeneous (degrees {sorted(degrees)})")
+    d = degrees.pop()
+    if degree is not None and d != degree:
+        raise ParseError(f"expected degree {degree}, got {d} in {src!r}")
+    return HomogPoly(field, n, d, terms)
 
 
 def hilbert_poly_heuristic_window(m: Monad):

@@ -274,3 +274,57 @@ def test_cli_round_trip_dualize_twice(capsys, cubic_file, tmp_path):
     run(["monad", "dualize", "--in", cubic_file, "--out", str(once)])
     run(["monad", "dualize", "--in", str(once), "--out", str(twice)])
     assert twice.read_text() == open(cubic_file).read()
+
+
+@pytest.fixture
+def koszul_file(tmp_path):
+    path = tmp_path / "koszul.monad"
+    path.write_text(format_monad(koszul_monad(QQ, 2, [0, 1], twist=0, c=2)))
+    return str(path)
+
+
+def _fresh_run(argv):
+    """Exit code, stdout and stderr of the CLI in a new interpreter."""
+    import projmonad
+
+    env = dict(os.environ, PYTHONPATH=str(Path(projmonad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "projmonad.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cached_parser_leaks_no_state_between_runs(capsys, koszul_file, tmp_path):
+    bott = ["bott", "--n", "3", "--p", "1", "--q", "1", "--t", "0"]
+    calls = [
+        bott + ["--json"],
+        bott,
+        ["monad", "dualize", "--in", koszul_file, "--out", str(tmp_path / "in_process.monad")],
+        ["monad", "dualize", "--in", koszul_file],
+        ["monad", "exactness", "--in", koszul_file, "--bogus"],
+        ["monad", "exactness", "--in", koszul_file, "--window", "1:3", "--json"],
+        ["monad", "exactness", "--in", koszul_file, "--window", "1:3"],
+        ["hilb", "--n", "2", "--e", "1"],
+    ]
+    for argv in calls:
+        rc = run(argv)
+        got = capsys.readouterr()
+        fresh_argv = [str(tmp_path / "fresh.monad") if a.endswith("in_process.monad") else a
+                      for a in argv]
+        assert (rc, got.out, got.err) == _fresh_run(fresh_argv), argv
+    assert (tmp_path / "in_process.monad").read_text() == (tmp_path / "fresh.monad").read_text()
+
+
+def test_monad_exactness_bad_positions_is_parse_error(capsys, koszul_file):
+    assert run(["monad", "exactness", "--in", koszul_file, "--positions", "x"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "parse"
+    _check(payload, "error")
+
+
+def test_monad_exactness_huge_window_is_domain_error(capsys, koszul_file):
+    start = time.perf_counter()
+    assert run(["monad", "exactness", "--in", koszul_file, "--window", "0:100000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "domain"
+    _check(payload, "error")

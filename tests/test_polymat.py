@@ -1,8 +1,11 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import compose_oracle, parse_poly_oracle, poly_add_oracle, poly_mul_oracle
+from projmonad.autgroup import graded_inverse, random_automorphism
 from projmonad.linalg import rank
 from projmonad.polymat import (
     FreeSheaf,
@@ -17,6 +20,7 @@ from projmonad.polymat import (
     parse_twists,
     random_graded_matrix,
     random_poly,
+    random_scalar,
     sections_matrix,
 )
 from projmonad.scalar import GF, QQ
@@ -229,3 +233,177 @@ def test_twist_list_parsing():
         parse_twists("0,-1", 3)
     with pytest.raises(ParseError):
         parse_twists("[a]", 3)
+
+
+# --- raw arithmetic and parsing against the boxed oracles ----------------
+
+ORACLE_FIELDS = [QQ, GF(101), GF(2**31 - 1)]
+
+
+def _same_poly(p, q):
+    """Equal field, space, recorded degree and coefficients, raw types included."""
+    assert (p.field, p.n, p.degree) == (q.field, q.n, q.degree)
+    assert p.terms == q.terms
+    assert all(type(c.value) is type(q.terms[m].value) for m, c in p.terms.items())
+
+
+def _same_matrix(a, b):
+    assert (a.field, a.source, a.target) == (b.field, b.source, b.target)
+    for row_a, row_b in zip(a.entries, b.entries):
+        for p, q in zip(row_a, row_b):
+            _same_poly(p, q)
+
+
+def _fraction_poly(field, n, degree, rng):
+    """A random form with non-integer coefficients over Q."""
+    terms = {m: field.element(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+             for m in monomials_of_degree(n, degree) if rng.random() < 0.7}
+    return HomogPoly(field, n, degree, terms)
+
+
+def _random_sheaf(rng, n, lo, hi, max_rank=3):
+    return FreeSheaf(n, tuple(rng.randint(lo, hi) for _ in range(rng.randint(0, max_rank))))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_poly_arithmetic_matches_boxed_oracle(field):
+    rng = Random(11)
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        da, db = rng.randint(-2, 3), rng.randint(-2, 3)
+        if field == QQ and rng.random() < 0.5:
+            a = _fraction_poly(field, n, max(da, 0), rng)
+            b = _fraction_poly(field, n, max(db, 0), rng)
+        else:
+            a = random_poly(field, n, da, rng, 0.6)
+            b = random_poly(field, n, db, rng, 0.6)
+        _same_poly(a * b, poly_mul_oracle(a, b))
+        _same_poly(b * a, poly_mul_oracle(b, a))
+        _same_poly(-a, HomogPoly(field, n, a.degree, {m: -c for m, c in a.terms.items()}))
+        _same_poly(a - a, HomogPoly.zero(field, n, a.degree))
+        c = random_scalar(field, rng)
+        _same_poly(a.scale(c), HomogPoly(field, n, a.degree,
+                                         {m: c * v for m, v in a.terms.items()}))
+        b = random_poly(field, n, a.degree, rng, 0.6)
+        _same_poly(a + b, poly_add_oracle(a, b))
+        _same_poly(a - b, poly_add_oracle(a, HomogPoly(
+            field, n, b.degree, {m: -c for m, c in b.terms.items()})))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_compose_matches_boxed_oracle(field):
+    rng = Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        x = _random_sheaf(rng, n, -4, -2)
+        y = _random_sheaf(rng, n, -3, 0)
+        z = _random_sheaf(rng, n, -1, 2)
+        b = random_graded_matrix(field, x, y, rng, rng.choice((0.3, 0.8)))
+        a = random_graded_matrix(field, y, z, rng, rng.choice((0.3, 0.8)))
+        _same_matrix(compose(a, b), compose_oracle(a, b))
+    # cancellation: the row [p, p] against the column [q, -q]
+    n = 2
+    p = random_poly(field, n, 1, rng)
+    q = random_poly(field, n, 2, rng)
+    row = GradedMatrix(field, FreeSheaf(n, (-1, -1)), FreeSheaf(n, (0,)), [[p, p]])
+    col = GradedMatrix(field, FreeSheaf(n, (-3,)), FreeSheaf(n, (-1, -1)), [[q], [-q]])
+    zero = compose(row, col)
+    _same_matrix(zero, compose_oracle(row, col))
+    assert zero.entries[0][0].is_zero() and zero.entries[0][0].degree == 3
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_compose_empty_blocks_match_boxed_oracle(field):
+    rng = Random(13)
+    empty = FreeSheaf(2, ())
+    s = FreeSheaf(2, (-2, 0, 1))
+    t = FreeSheaf(2, (-1, 3))
+    for a, b in [
+        (random_graded_matrix(field, empty, t, rng), random_graded_matrix(field, s, empty, rng)),
+        (random_graded_matrix(field, t, empty, rng), random_graded_matrix(field, s, t, rng)),
+        (random_graded_matrix(field, s, t, rng), random_graded_matrix(field, empty, s, rng)),
+    ]:
+        ab = compose(a, b)
+        _same_matrix(ab, compose_oracle(a, b))
+        # forced zeros keep their negative recorded degree
+        assert all(p.degree == f - e for f, row in zip(ab.target.twists, ab.entries)
+                   for e, p in zip(ab.source.twists, row))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_graded_inverse_round_trip_matches_boxed_oracle(field):
+    rng = Random(14)
+    fractional = 0
+    for _ in range(15):
+        n = rng.randint(1, 3)
+        sheaf = FreeSheaf(n, tuple(rng.randint(-3, 0) for _ in range(rng.randint(1, 4))))
+        g = random_automorphism(field, sheaf, rng, density=0.7)
+        g_inv = graded_inverse(g)
+        fractional += any(field == QQ and c.value.denominator > 1
+                          for row in g_inv.entries for p in row for c in p.terms.values())
+        for a, b in ((g, g_inv), (g_inv, g), (g_inv, g_inv)):
+            _same_matrix(compose(a, b), compose_oracle(a, b))
+            for p, q in zip(a.entries[0], b.entries[0]):
+                _same_poly(p * q, poly_mul_oracle(p, q))
+        one = GradedMatrix.identity(field, sheaf)
+        _same_matrix(compose(g, g_inv), one)
+        _same_matrix(compose(g_inv, g), one)
+    # over Q the inverses carry non-integer coefficients
+    assert fractional > 5 if field == QQ else fractional == 0
+
+
+def _parse_outcome(parse, src, field, n, degree):
+    try:
+        return "ok", parse(src, field, n, degree)
+    except Exception as exc:  # the exception type and text are compared
+        return type(exc), str(exc)
+
+
+def _check_parse_against_oracle(src, field, n, degree):
+    got = _parse_outcome(parse_poly, src, field, n, degree)
+    want = _parse_outcome(parse_poly_oracle, src, field, n, degree)
+    if got[0] == "ok" and want[0] == "ok":
+        _same_poly(got[1], want[1])
+    else:
+        assert got == want
+
+
+PARSE_CASES = [
+    "x0^1000000000", "2^1000000000", "(x0 + x1", "x0 + x1)", "((x0)", "x0 $ x1",
+    "x0 + 1", "x0^2 + x1", "x9", "x0 +", "", "   ", "-", "3/0*x0", "x0^x1", "x0^-1",
+    "x0 x1", "2 3", "1/2/3", "x0^2^2", "(2/3)^4*x1", "0^0", "0*x0", "x0 - x0",
+    "-(x0 - 2*x1)^2", "1" * 5000 + "*x0", "x" + "1" * 5000, "x01*x1", "٣*x0",
+    "101*x0 + x1", "(101*x0)^5", "(x0 - x0)^3", "- 0 + x0", "12345678901234567890*x1",
+    "x0*x1*x2 + 7/3*x1^3 - (x0 + x1)^2*x2", "1" * 3000 + "!", " x0 \t+\n x1 ",
+]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_parse_cases_match_boxed_oracle(field):
+    for src in PARSE_CASES:
+        for n, degree in ((3, None), (3, 1), (2, 2), (3, 4), (1, 0), (3, -1)):
+            _check_parse_against_oracle(src, field, n, degree)
+
+
+PARSE_TOKENS = ["x0", "x1", "x2", "x3", "x4", "x", "0", "1", "2", "3", "5", "101", "2/3",
+                "1/0", "10/5", "+", "-", "*", "^", "(", ")", " ", "/", "!", "^2", "^3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_TOKENS), max_size=14),
+       st.sampled_from(ORACLE_FIELDS), st.sampled_from([None, 0, 1, 2, 3]))
+def test_parse_random_cells_match_boxed_oracle(tokens, field, degree):
+    _check_parse_against_oracle("".join(tokens), field, 3, degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**31),
+       st.sampled_from(ORACLE_FIELDS))
+def test_parse_printed_forms_match_boxed_oracle(n, degree, seed, field):
+    rng = Random(seed)
+    if field == QQ and seed % 2:
+        p = _fraction_poly(field, n, degree, rng)
+    else:
+        p = random_poly(field, n, degree, rng, density=0.6)
+    _check_parse_against_oracle(str(p), field, n, degree)
+    _check_parse_against_oracle(f"({p})*x0 - x0*({p})", field, n, degree + 1)
