@@ -44,7 +44,8 @@ from .autgroup import (
 )
 from .modp3 import (
     ParamPoint,
-    dualize_point,
+    point_monad,
+    point_of,
     sample_wss,
     twisted_cubic_point,
     wss_membership,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from random import Random
 
 from .linalg import Matrix, inverse as matrix_inverse, rank
-from .monad import Monad
+from .monad import Monad, format_blocks, parse_block, read_blocks
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
@@ -24,11 +24,11 @@ from .polymat import (
     ParseError,
     compose,
     dual_hom,
-    parse_poly,
-    parse_twists,
     random_poly,
+    random_scalar,
 )
 from .scalar import Field
+
 
 def _constant_coeff(p: HomogPoly):
     return p.terms.get((0,) * (p.n + 1))
@@ -118,9 +118,6 @@ class GroupElement:
                 raise ValueError(f"block {i} is not an endomorphism")
         self.blocks = dict(blocks)
 
-    def block(self, i: int) -> GradedMatrix:
-        return self.blocks[i]
-
     @property
     def field(self) -> Field:
         return next(iter(self.blocks.values())).field
@@ -178,8 +175,6 @@ def random_automorphism(field: Field, sheaf: FreeSheaf, rng: Random,
     k = sheaf.rank
     if k == 0:
         return GradedMatrix.zero(field, sheaf, sheaf)
-    from .polymat import random_scalar
-
     for _ in range(max_tries):
         ent = []
         for r in range(k):
@@ -205,69 +200,22 @@ def random_element(field: Field, m: Monad, seed: int, density: float = 0.7) -> G
                          for i in sorted(m.terms)})
 
 
-# Serialization: the same block layout as monad differentials.
+# Serialization: the block layout of monad files, with `block <i>:` sections.
 
 
 def format_group_element(g: GroupElement) -> str:
     indices = sorted(g.blocks)
     first = g.blocks[indices[0]]
-    lines = [f"P {first.n} over {first.field!r}"]
-    for i in indices:
-        lines.append(f"term {i}: {g.blocks[i].source}")
-    for i in indices:
-        b = g.blocks[i]
-        if b.rows == 0:
-            continue
-        lines.append(f"block {i}:")
-        for r in range(b.rows):
-            lines.append("; ".join(str(b.entries[r][s]) for s in range(b.cols)))
-    return "\n".join(lines) + "\n"
+    return format_blocks(first.n, first.field, ((i, g.blocks[i].source) for i in indices),
+                         "block", ((i, g.blocks[i]) for i in indices))
 
 
 def parse_group_element(text: str) -> GroupElement:
-    from .monad import _parse_header, _parse_int
-
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty group element file")
-    n, field = _parse_header(lines[0])
-    sheaves: dict[int, FreeSheaf] = {}
-    raw: dict[int, list[str]] = {}
-    current = None
-    for line in lines[1:]:
-        if line.startswith("term "):
-            head, _, rest = line.partition(":")
-            idx = _parse_int(head[5:], line)
-            if idx in sheaves:
-                raise ParseError(f"duplicate line {line!r}")
-            sheaves[idx] = parse_twists(rest, n)
-            current = None
-        elif line.startswith("block "):
-            idx = _parse_int(line.rstrip(":")[6:], line)
-            if idx in raw:
-                raise ParseError(f"duplicate line {line!r}")
-            current = raw[idx] = []
-        elif current is not None:
-            current.append(line)
-        else:
-            raise ParseError(f"unexpected line {line!r}")
+    n, field, sheaves, raw, _ = read_blocks(text, "group element", "block")
     for idx in raw:
         if idx not in sheaves:
             raise ParseError(f"block {idx} without term {idx}")
-    blocks = {}
-    for i, sheaf in sheaves.items():
-        rows = raw.get(i, [])
-        if sheaf.rank == 0:
-            blocks[i] = GradedMatrix.zero(field, sheaf, sheaf)
-            continue
-        if len(rows) != sheaf.rank:
-            raise ParseError(f"block {i}: expected {sheaf.rank} rows")
-        ent = []
-        for r, row in enumerate(rows):
-            cells = row.split(";")
-            if len(cells) != sheaf.rank:
-                raise ParseError(f"block {i} row {r}: expected {sheaf.rank} entries")
-            ent.append([parse_poly(cell, field, n, sheaf.twists[r] - sheaf.twists[s])
-                        for s, cell in enumerate(cells)])
-        blocks[i] = GradedMatrix(field, sheaf, sheaf, ent)
-    return GroupElement(blocks)
+    if not sheaves:
+        raise ParseError("group element file has no term line")
+    return GroupElement({i: parse_block(f"block {i}", raw.get(i, []), field, n, sheaf, sheaf)
+                         for i, sheaf in sheaves.items()})

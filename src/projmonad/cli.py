@@ -153,13 +153,13 @@ def _cmd_monad_exactness(args) -> int:
             raise _CliParseError(f"bad positions {args.positions!r}") from exc
     else:
         positions = [i for i in range(m.lo, m.hi + 1) if i != m.cohomology_position]
-    ts = list(window)
-    result = {str(p): ok for p, ok in exactness_check(m, positions, ts).items()}
+    result = {str(p): ok for p, ok in exactness_check(m, positions, window).items()}
+    lo, hi = window[0], window[-1]
     if args.json:
-        _emit_json({"window": [ts[0], ts[-1]], "positions": result})
+        _emit_json({"window": [lo, hi], "positions": result})
     else:
         for p, ok in result.items():
-            print(f"{p}: {'exact' if ok else 'not exact'} on [{ts[0]}, {ts[-1]}]")
+            print(f"{p}: {'exact' if ok else 'not exact'} on [{lo}, {hi}]")
     return 0
 
 
@@ -232,8 +232,7 @@ def _cmd_p3_check(args) -> int:
 
 def _cmd_p3_dualize(args) -> int:
     pt = modp3.parse_point(_read(args.infile))
-    dp = modp3.dualize_point(pt)
-    _write(args.out, format_monad(modp3.dual_point_monad(dp)))
+    _write(args.out, format_monad(dualize(modp3.point_monad(pt))))
     return 0
 
 
@@ -247,15 +246,12 @@ def _cmd_p3_demo(args) -> int:
     monad = modp3.point_monad(pt)
     report["euler"] = str(euler_poly(monad))
     report["window_hilbert"] = str(hilbert_poly_of_cohomology(monad))
-    dp = modp3.dualize_point(pt)
-    dual_monad = modp3.dual_point_monad(dp)
+    dual_monad = dualize(monad)
     report["dual_twists"] = {str(i): list(dual_monad.terms[i].twists) for i in (-2, -1, 0)}
     report["dual_euler"] = str(euler_poly(dual_monad))
     g = random_element(field, monad, seed=args.seed + 1)
     gd = induced_dual_element(g, 2)
-    lhs = modp3.dualize_point(modp3.act_on_point(g, pt))
-    rhs = modp3.act_on_dual_point(gd, dp)
-    report["equivariant"] = lhs == rhs
+    report["equivariant"] = dualize(act(g, monad)) == act(gd, dual_monad)
     ok = (res.member and report["euler"] == "3*m + 1"
           and report["window_hilbert"] == "3*m + 1"
           and report["dual_euler"] == "3*m - 1" and report["equivariant"])

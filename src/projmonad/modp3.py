@@ -16,9 +16,9 @@ section matrices:
         independent (phi is then not column-equivalent to a matrix
         whose second row starts with two zeros).
 
-Dualizing a point transposes both matrices into a resolution on the
-3m-1 side, and the group of term automorphisms acts compatibly on both
-sides.
+A point is a Monad (point_monad, with point_of going back), so
+monad.dualize transposes it into a resolution on the 3m-1 side and
+autgroup.act moves it by term automorphisms, compatibly on both sides.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .autgroup import GroupElement, graded_inverse
-from .hilbert import IntPoly, euler_poly
+from .autgroup import graded_inverse, random_automorphism
 from .linalg import Matrix, kernel_basis, rank
 from .monad import Monad, format_monad, parse_monad
 from .polymat import (
@@ -35,7 +34,6 @@ from .polymat import (
     GradedMatrix,
     HomogPoly,
     compose,
-    dual_hom,
     monomials_of_degree,
     parse_poly,
     random_poly,
@@ -87,24 +85,6 @@ class ParamPoint:
 
 
 @dataclass(frozen=True)
-class DualParamPoint:
-    """The transposed pair: phi_d: O(-4)+O(-3) -> O(-3)+3O(-2), then psi_d."""
-
-    phi_d: GradedMatrix
-    psi_d: GradedMatrix
-
-    def __post_init__(self):
-        if self.phi_d.source != TARGET.dual() or self.phi_d.target != MIDDLE.dual():
-            raise MalformedPointError("phi_d has the wrong twist lists")
-        if self.psi_d.source != MIDDLE.dual() or self.psi_d.target != SOURCE.dual():
-            raise MalformedPointError("psi_d has the wrong twist lists")
-
-    @property
-    def field(self) -> Field:
-        return self.phi_d.field
-
-
-@dataclass(frozen=True)
 class Membership:
     member: bool
     clauses: dict[str, bool]
@@ -146,45 +126,10 @@ def wss_membership(pt: ParamPoint) -> Membership:
     return Membership(all(clauses.values()), clauses)
 
 
-def dualize_point(pt):
-    """Transpose a point onto the opposite side; an involution."""
-    if isinstance(pt, ParamPoint):
-        return DualParamPoint(phi_d=dual_hom(pt.phi), psi_d=dual_hom(pt.psi))
-    if isinstance(pt, DualParamPoint):
-        return ParamPoint(psi=dual_hom(pt.psi_d), phi=dual_hom(pt.phi_d))
-    raise MalformedPointError(f"cannot dualize {pt!r}")
-
-
 def point_monad(pt: ParamPoint) -> Monad:
     """The complex 2O(-3) -> O(-1)+3O(-2) -> O+O(-1) at positions -2..0."""
     terms = {-2: SOURCE, -1: MIDDLE, 0: TARGET}
     return Monad(pt.field, N, terms, {-2: pt.psi, -1: pt.phi}, 2, 0)
-
-
-def dual_point_monad(dp: DualParamPoint) -> Monad:
-    terms = {-2: TARGET.dual(), -1: MIDDLE.dual(), 0: SOURCE.dual()}
-    return Monad(dp.field, N, terms, {-2: dp.phi_d, -1: dp.psi_d}, 2, 0)
-
-
-def dual_euler_poly(dp: DualParamPoint) -> IntPoly:
-    return euler_poly(dual_point_monad(dp))
-
-
-def act_on_point(g: GroupElement, pt: ParamPoint) -> ParamPoint:
-    """psi -> g_{-1} psi g_{-2}^{-1}, phi -> g_0 phi g_{-1}^{-1}."""
-    inv = {i: graded_inverse(g.block(i)) for i in (-2, -1)}
-    return ParamPoint(
-        psi=compose(g.block(-1), compose(pt.psi, inv[-2])),
-        phi=compose(g.block(0), compose(pt.phi, inv[-1])),
-    )
-
-
-def act_on_dual_point(g: GroupElement, dp: DualParamPoint) -> DualParamPoint:
-    inv = {i: graded_inverse(g.block(i)) for i in (-2, -1)}
-    return DualParamPoint(
-        phi_d=compose(g.block(-1), compose(dp.phi_d, inv[-2])),
-        psi_d=compose(g.block(0), compose(dp.psi_d, inv[-1])),
-    )
 
 
 def twisted_cubic_point(field: Field = QQ) -> ParamPoint:
@@ -287,8 +232,6 @@ def sample_wss_stats(seed: int, field: Field, max_tries: int = 32) -> tuple[Para
     """
     if not isinstance(field, PrimeField):
         raise ValueError("sampling requires a prime field; Q points are check-only")
-    from .autgroup import random_automorphism
-
     rng = Random(seed)
     for attempt in range(1, max_tries + 1):
         phi0 = _determinantal_phi(field, rng)
@@ -314,9 +257,14 @@ def format_point(pt: ParamPoint) -> str:
     return format_monad(point_monad(pt))
 
 
-def parse_point(text: str) -> ParamPoint:
-    m = parse_monad(text)
+def point_of(m: Monad) -> ParamPoint:
+    """The point read off a monad with the fixed twist lists at -2..0;
+    point_of(point_monad(pt)) == pt."""
     if (m.n != N or m.lo != -2 or m.hi != 0
             or m.terms[-2] != SOURCE or m.terms[-1] != MIDDLE or m.terms[0] != TARGET):
         raise MalformedPointError("file does not carry the fixed twist lists")
     return ParamPoint(psi=m.diffs[-2], phi=m.diffs[-1])
+
+
+def parse_point(text: str) -> ParamPoint:
+    return point_of(parse_monad(text))

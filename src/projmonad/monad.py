@@ -81,9 +81,6 @@ class Monad:
         """Dimension of the supported locus, n - c."""
         return self.n - self.c
 
-    def diff(self, i: int) -> GradedMatrix | None:
-        return self.diffs.get(i)
-
     def max_twist_magnitude(self) -> int:
         return max((abs(e) for s in self.terms.values() for e in s.twists), default=0)
 
@@ -239,15 +236,23 @@ def hilbert_poly_of_cohomology(m: Monad) -> IntPoly:
 # 650 x 946 matrices of a P^3 point at the heuristic window).
 MAX_SECTION_ENTRIES = 10 ** 8
 
+# Most twists allowed in one window test: 1000 times the widest window
+# any shipped computation samples (the 2(n+2) = 10 twist retry on P^3).
+MAX_WINDOW_TWISTS = 10 ** 4
+
 
 def exactness_check(m: Monad, positions, t_range) -> dict[int, bool]:
     """Window test: a position passes when its Hilbert data vanishes.
 
     Vanishing on a window is evidence, not proof, of exactness there.
-    Section dimensions grow with t, so the matrices at the top of the
-    window are the largest; a window whose largest matrix has more than
-    MAX_SECTION_ENTRIES entries is refused before any is built.
+    A window of more than MAX_WINDOW_TWISTS twists is refused before it
+    is listed.  Section dimensions grow with t, so the matrices at the
+    top of the window are the largest; a window whose largest matrix has
+    more than MAX_SECTION_ENTRIES entries is refused before any is built.
     """
+    if len(t_range) > MAX_WINDOW_TWISTS:
+        raise ValueError(
+            f"window of {len(t_range)} twists, more than {MAX_WINDOW_TWISTS}")
     ts = list(t_range)
     if ts:
         t = max(ts)
@@ -383,34 +388,26 @@ def dual_beilinson_table(table: CohTable) -> CohTable:
 #   codim 2
 #   cohomology_at 0
 #
-# Differential blocks with no entries (a zero-rank side) are omitted.
+# Group element files share the header, the term lines and the block
+# rows, with `block <i>:` sections and no trailing keys.  Blocks with no
+# entries (a zero-rank side) are omitted.
 
 
-def format_monad(m: Monad) -> str:
-    lines = [f"P {m.n} over {m.field!r}"]
-    for i in range(m.lo, m.hi + 1):
-        lines.append(f"term {i}: {m.terms[i]}")
-    for i in range(m.lo, m.hi):
-        d = m.diffs[i]
-        if d.rows == 0 or d.cols == 0:
-            continue
-        lines.append(f"diff {i}:")
-        for r in range(d.rows):
-            lines.append("; ".join(str(d.entries[r][s]) for s in range(d.cols)))
-    lines.append(f"codim {m.c}")
-    lines.append(f"cohomology_at {m.cohomology_position}")
+def format_blocks(n: int, field: Field, terms, word: str, blocks) -> str:
+    """Header, term lines and nonempty blocks, from (index, value) pairs."""
+    lines = [f"P {n} over {field!r}"]
+    lines.extend(f"term {i}: {sheaf}" for i, sheaf in terms)
+    for i, b in blocks:
+        if b.rows and b.cols:
+            lines.append(f"{word} {i}:")
+            lines.extend("; ".join(map(str, row)) for row in b.entries)
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(line: str) -> tuple[int, Field]:
-    parts = line.split()
-    if len(parts) != 4 or parts[0] != "P" or parts[2] != "over":
-        raise ParseError(f"bad header {line!r}")
-    try:
-        n = int(parts[1])
-    except ValueError as exc:
-        raise ParseError(f"bad dimension in header {line!r}") from exc
-    return n, parse_field(parts[3])
+def format_monad(m: Monad) -> str:
+    text = format_blocks(m.n, m.field, ((i, m.terms[i]) for i in range(m.lo, m.hi + 1)),
+                         "diff", ((i, m.diffs[i]) for i in range(m.lo, m.hi)))
+    return text + f"codim {m.c}\ncohomology_at {m.cohomology_position}\n"
 
 
 def _parse_int(text: str, line: str) -> int:
@@ -435,14 +432,26 @@ def parse_field(token: str) -> Field:
     raise ParseError(f"unknown field {token!r}")
 
 
-def parse_monad(text: str) -> Monad:
+def read_blocks(text: str, what: str, word: str, keys: tuple[str, ...] = ()):
+    """Split a `what` file into (n, field, terms, raw_rows, key_values):
+    sheaves by `term` index, row lines by `<word>` index, and the integer
+    of each `<key> v` line, key in keys."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ParseError("empty monad file")
-    n, field = _parse_header(lines[0])
+        raise ParseError(f"empty {what} file")
+    parts = lines[0].split()
+    if len(parts) != 4 or parts[0] != "P" or parts[2] != "over":
+        raise ParseError(f"bad header {lines[0]!r}")
+    try:
+        n = int(parts[1])
+    except ValueError as exc:
+        raise ParseError(f"bad dimension in header {lines[0]!r}") from exc
+    field = parse_field(parts[3])
     terms: dict[int, FreeSheaf] = {}
-    raw_diffs: dict[int, list[str]] = {}
-    c = pos = None
+    raw_rows: dict[int, list[str]] = {}
+    key_values: dict[str, int] = {}
+    opener = word + " "
+    key_openers = tuple(k + " " for k in keys)
     current: list[str] | None = None
     for line in lines[1:]:
         if line.startswith("term "):
@@ -452,50 +461,53 @@ def parse_monad(text: str) -> Monad:
                 raise ParseError(f"duplicate line {line!r}")
             terms[idx] = parse_twists(rest, n)
             current = None
-        elif line.startswith("diff "):
-            idx = _parse_int(line.rstrip(":")[5:], line)
-            if idx in raw_diffs:
+        elif line.startswith(opener):
+            idx = _parse_int(line.rstrip(":")[len(opener):], line)
+            if idx in raw_rows:
                 raise ParseError(f"duplicate line {line!r}")
-            current = raw_diffs[idx] = []
-        elif line.startswith("codim "):
-            if c is not None:
+            current = raw_rows[idx] = []
+        elif line.startswith(key_openers):
+            key = line[:line.index(" ")]
+            if key in key_values:
                 raise ParseError(f"duplicate line {line!r}")
-            c = _parse_int(line.split()[1], line)
-            current = None
-        elif line.startswith("cohomology_at "):
-            if pos is not None:
-                raise ParseError(f"duplicate line {line!r}")
-            pos = _parse_int(line.split()[1], line)
+            key_values[key] = _parse_int(line.split()[1], line)
             current = None
         elif current is not None:
             current.append(line)
         else:
             raise ParseError(f"unexpected line {line!r}")
-    if c is None or pos is None:
+    return n, field, terms, raw_rows, key_values
+
+
+def parse_block(label: str, rows: list[str], field: Field, n: int,
+                src: FreeSheaf, tgt: FreeSheaf) -> GradedMatrix:
+    """A row per target summand, cells at degree tgt.twists[r] - src.twists[s]."""
+    if len(rows) != tgt.rank:
+        raise ParseError(f"{label}: expected {tgt.rank} rows, got {len(rows)}")
+    entries = []
+    for r, row in enumerate(rows):
+        cells = row.split(";")
+        if len(cells) != src.rank:
+            raise ParseError(f"{label} row {r}: expected {src.rank} entries")
+        entries.append([parse_poly(cell, field, n, tgt.twists[r] - src.twists[s])
+                        for s, cell in enumerate(cells)])
+    try:
+        return GradedMatrix(field, src, tgt, entries)
+    except ValueError as exc:
+        raise ParseError(f"{label}: {exc}") from exc
+
+
+def parse_monad(text: str) -> Monad:
+    n, field, terms, raw_diffs, keys = read_blocks(
+        text, "monad", "diff", ("codim", "cohomology_at"))
+    if len(keys) != 2:
         raise ParseError("missing codim or cohomology_at")
     diffs = {}
     for idx, rows in raw_diffs.items():
         if idx not in terms or idx + 1 not in terms:
             raise ParseError(f"diff {idx} without surrounding terms")
-        src, tgt = terms[idx], terms[idx + 1]
-        if len(rows) != tgt.rank:
-            raise ParseError(
-                f"diff {idx}: expected {tgt.rank} rows, got {len(rows)}")
-        entries = []
-        for r, row in enumerate(rows):
-            cells = row.split(";")
-            if len(cells) != src.rank:
-                raise ParseError(
-                    f"diff {idx} row {r}: expected {src.rank} entries")
-            entries.append([
-                parse_poly(cell, field, n, tgt.twists[r] - src.twists[s])
-                for s, cell in enumerate(cells)
-            ])
-        try:
-            diffs[idx] = GradedMatrix(field, src, tgt, entries)
-        except ValueError as exc:
-            raise ParseError(f"diff {idx}: {exc}") from exc
+        diffs[idx] = parse_block(f"diff {idx}", rows, field, n, terms[idx], terms[idx + 1])
     try:
-        return Monad(field, n, terms, diffs, c, pos)
+        return Monad(field, n, terms, diffs, keys["codim"], keys["cohomology_at"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

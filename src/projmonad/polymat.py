@@ -250,6 +250,10 @@ def _boxed(field: Field, n: int, degree: int, p: int, num: dict[Monomial, int],
 # Largest constant power the parser evaluates over Q, in bits.
 _MAX_POWER_BITS = 1 << 16
 
+# Deepest parenthesis nesting the parser accepts: each level costs four
+# stack frames, so this stays far inside the interpreter's recursion limit.
+MAX_PAREN_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^()]))")
 # A whole string of _TOKEN matches.  The lookaheads stop a digit run from
 # splitting into several numbers, so a failed match cannot backtrack far.
@@ -278,7 +282,8 @@ class _PolyParser:
     or over Q ints and Fractions) so mixed-degree intermediates are
     allowed; homogeneity is checked at the end.  A power whose degree
     would pass the expected degree, or a constant power over Q larger
-    than _MAX_POWER_BITS, is refused before it is expanded.
+    than _MAX_POWER_BITS, is refused before it is expanded; parentheses
+    nested deeper than MAX_PAREN_DEPTH are refused.
     """
 
     def __init__(self, toks: list[str], field: Field, n: int, degree: int | None = None):
@@ -290,6 +295,7 @@ class _PolyParser:
         self.degree = degree
         self.const = (0,) * (n + 1)
         self.variables: dict[str, Monomial] = {}  # variable token -> monomial
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.toks[self.i]
@@ -364,9 +370,13 @@ class _PolyParser:
         if t is None:
             raise ParseError("unexpected end of expression")
         if t == "(":
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
             inner = self.expr()
             if self.take() != ")":
                 raise ParseError("unbalanced parentheses")
+            self.depth -= 1
             return inner
         if t.startswith("x"):
             m = self.variables.get(t)

@@ -10,16 +10,14 @@ from pathlib import Path
 from random import Random
 
 from conftest import h_p1, line_cohomology_table, random_monad
-from projmonad.autgroup import induced_dual_element, random_element
+from projmonad.autgroup import act, induced_dual_element, random_element
 from projmonad.complexes import augment_with_identity, koszul_monad, line_monad, omega_resolution
 from projmonad.hilbert import IntPoly, bott_h, euler_poly
 from projmonad.modp3 import (
-    act_on_dual_point,
-    act_on_point,
-    dualize_point,
     forbidden_form_point,
     format_point,
     point_monad,
+    point_of,
     sample_wss_stats,
     twisted_cubic_point,
     wss_membership,
@@ -182,17 +180,17 @@ def test_criterion_8_equivariance():
     points = [twisted_cubic_point(F101), sample_wss_stats(17, F101)[0]]
     square_ok = 0
     for k in range(100):
-        pt = points[k % 2]
-        g = random_element(F101, point_monad(pt), seed=9000 + k)
-        lhs = dualize_point(act_on_point(g, pt))
-        rhs = act_on_dual_point(induced_dual_element(g, 2), dualize_point(pt))
+        m = point_monad(points[k % 2])
+        g = random_element(F101, m, seed=9000 + k)
+        lhs = dualize(act(g, m))
+        rhs = act(induced_dual_element(g, 2), dualize(m))
         assert lhs == rhs
         square_ok += 1
     invariant_ok = 0
     for k in range(50):
-        pt = points[k % 2]
-        g = random_element(F101, point_monad(pt), seed=12000 + k)
-        assert wss_membership(act_on_point(g, pt)).member
+        m = point_monad(points[k % 2])
+        g = random_element(F101, m, seed=12000 + k)
+        assert wss_membership(point_of(act(g, m))).member
         invariant_ok += 1
     assert square_ok == 100 and invariant_ok == 50
     print("criterion 8: PASS - duality/action square 100/100, membership "

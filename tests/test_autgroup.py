@@ -121,6 +121,24 @@ def test_parse_group_element_rejects_orphan_block():
     assert format_group_element(parse_group_element(fixed)) == fixed
 
 
+def test_parse_group_element_checks_row_counts():
+    # rows under a rank-0 term are refused, not dropped
+    text = "P 2 over Q\nterm 0: []\nblock 0:\n1; x0\n"
+    with pytest.raises(ParseError, match=re.escape("block 0: expected 0 rows, got 1")):
+        parse_group_element(text)
+    missing = "P 2 over Q\nterm 0: [0,1]\n"
+    with pytest.raises(ParseError, match=re.escape("block 0: expected 2 rows, got 0")):
+        parse_group_element(missing)
+    # a rank-0 term with no rows parses to the empty block and prints back
+    empty = "P 2 over Q\nterm 0: []\nterm 1: [0]\nblock 1:\n3\n"
+    assert format_group_element(parse_group_element(empty)) == empty
+
+
+def test_parse_group_element_needs_a_term():
+    with pytest.raises(ParseError, match="no term line"):
+        parse_group_element("P 2 over Q\n")
+
+
 def test_constant_part_of_inverse_is_matrix_inverse():
     rng = Random(33)
     for _ in range(30):

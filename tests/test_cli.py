@@ -12,7 +12,8 @@ import pytest
 from projmonad.cli import run
 from projmonad.complexes import koszul_monad
 from projmonad.modp3 import forbidden_form_point, format_point, twisted_cubic_point
-from projmonad.monad import format_monad, parse_monad
+from projmonad.monad import MAX_WINDOW_TWISTS, format_monad, parse_monad
+from projmonad.polymat import MAX_PAREN_DEPTH
 from projmonad.scalar import GF, QQ
 
 
@@ -328,3 +329,58 @@ def test_monad_exactness_huge_window_is_domain_error(capsys, koszul_file):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "domain"
     _check(payload, "error")
+
+
+def test_monad_exactness_many_twists_is_domain_error(capsys, koszul_file):
+    # every section matrix of this window is empty, so only the twist
+    # count stops it; the window is never listed
+    start = time.perf_counter()
+    assert run(["monad", "exactness", "--in", koszul_file, "--window=-200000:0"]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "domain"
+    assert f"more than {MAX_WINDOW_TWISTS}" in payload["error"]["message"]
+    _check(payload, "error")
+
+
+def test_monad_exactness_narrow_high_window_is_domain_error(capsys, koszul_file):
+    # two twists, so only the section-matrix size stops it
+    start = time.perf_counter()
+    assert run(["monad", "exactness", "--in", koszul_file, "--window", "5000:5001"]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "domain"
+    assert "section matrix" in payload["error"]["message"]
+    _check(payload, "error")
+
+
+@pytest.mark.parametrize("depth, code", [
+    (MAX_PAREN_DEPTH, 0), (MAX_PAREN_DEPTH + 1, 2), (3000, 2)])
+def test_paren_nesting_bound(capsys, tmp_path, depth, code):
+    path = tmp_path / "nested.monad"
+    cell = "(" * depth + "x0" + ")" * depth
+    path.write_text(f"P 2 over Q\nterm -1: [-1]\nterm 0: [0]\ndiff -1:\n{cell}\n"
+                    "codim 1\ncohomology_at 0\n")
+    assert run(["monad", "validate", "--in", str(path), "--json"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    if code:
+        assert payload["error"]["kind"] == "parse"
+        _check(payload, "error")
+    else:
+        assert payload == {"ok": True, "violations": []}
+
+
+def test_empty_group_element_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "empty.element"
+    path.write_text("P 2 over Q\n")
+    assert run(["group", "dual", "--element", str(path), "--codim", "1"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "parse"
+    _check(payload, "error")
+
+
+def test_p3_dualize_equals_monad_dualize(capsys, cubic_f101_file):
+    assert run(["p3", "dualize", "--in", cubic_f101_file]) == 0
+    p3_out = capsys.readouterr().out
+    assert run(["monad", "dualize", "--in", cubic_f101_file]) == 0
+    assert capsys.readouterr().out == p3_out

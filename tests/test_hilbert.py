@@ -13,8 +13,8 @@ from projmonad.hilbert import (
     interpolate,
     line_bundle_hilb,
 )
-from projmonad.modp3 import dual_point_monad, dualize_point, point_monad, twisted_cubic_point
-from projmonad.monad import sheaf_cohomology
+from projmonad.modp3 import point_monad, twisted_cubic_point
+from projmonad.monad import dualize, sheaf_cohomology
 from projmonad.scalar import QQ
 
 
@@ -93,7 +93,7 @@ def test_hilbert_polys_are_integer_valued():
 def test_euler_of_p3_example_and_dual():
     pt = twisted_cubic_point()
     assert str(euler_poly(point_monad(pt))) == "3*m + 1"
-    assert str(euler_poly(dual_point_monad(dualize_point(pt)))) == "3*m - 1"
+    assert str(euler_poly(dualize(point_monad(pt)))) == "3*m - 1"
 
 
 def test_euler_of_line_resolution():

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from projmonad.autgroup import induced_dual_element, random_element
+from projmonad.autgroup import act, induced_dual_element, random_element
 from projmonad.hilbert import IntPoly, euler_poly
 from projmonad.linalg import rank
 from projmonad.modp3 import (
@@ -12,20 +12,17 @@ from projmonad.modp3 import (
     MalformedPointError,
     ParamPoint,
     SampleExhaustedError,
-    act_on_dual_point,
-    act_on_point,
-    dual_point_monad,
-    dualize_point,
     forbidden_form_point,
     format_point,
     parse_point,
     point_monad,
+    point_of,
     sample_wss,
     sample_wss_stats,
     twisted_cubic_point,
     wss_membership,
 )
-from projmonad.monad import exactness_check, hilbert_poly_of_cohomology, minimality_check
+from projmonad.monad import dualize, exactness_check, hilbert_poly_of_cohomology, minimality_check
 from projmonad.polymat import GradedMatrix, compose, parse_poly, sections_matrix
 from projmonad.scalar import GF, QQ
 
@@ -108,23 +105,21 @@ def test_point_shape_validation():
 
 
 def test_dual_twist_lists():
-    dp = dualize_point(twisted_cubic_point())
-    m = dual_point_monad(dp)
+    m = dualize(point_monad(twisted_cubic_point()))
     assert m.terms[-2].twists == (-4, -3)
     assert m.terms[-1].twists == (-3, -2, -2, -2)
     assert m.terms[0].twists == (-1, -1)
-    assert compose(dp.psi_d, dp.phi_d).is_zero()
+    assert compose(m.diffs[-1], m.diffs[-2]).is_zero()
 
 
-def test_dualize_point_is_involution():
+def test_dualize_is_involution_on_points():
     pt = twisted_cubic_point()
-    assert dualize_point(dualize_point(pt)) == pt
+    assert point_of(dualize(dualize(point_monad(pt)))) == pt
 
 
 def test_dual_euler_is_3m_minus_1():
     for pt in (twisted_cubic_point(), sample_wss(11, F101)):
-        dp = dualize_point(pt)
-        assert euler_poly(dual_point_monad(dp)) == IntPoly([-1, 3])
+        assert euler_poly(dualize(point_monad(pt))) == IntPoly([-1, 3])
 
 
 def test_sampling_accepts_within_regression_bound():
@@ -160,7 +155,7 @@ def test_sampled_point_hilbert_and_exactness():
 
 
 def test_dual_window_hilbert_is_3m_minus_1():
-    dual = dual_point_monad(dualize_point(twisted_cubic_point(F101)))
+    dual = dualize(point_monad(twisted_cubic_point(F101)))
     assert hilbert_poly_of_cohomology(dual) == IntPoly([-1, 3])
 
 
@@ -169,7 +164,7 @@ def test_membership_invariant_under_group_action():
     m = point_monad(pt)
     for trial in range(10):
         g = random_element(F101, m, seed=100 + trial)
-        assert wss_membership(act_on_point(g, pt)).member
+        assert wss_membership(point_of(act(g, m))).member
 
 
 def test_clause_d_or_is_the_invariant():
@@ -186,7 +181,7 @@ def test_clause_d_or_is_the_invariant():
     independence_flipped = False
     for trial in range(40):
         g = random_element(F101, m, seed=500 + trial)
-        moved = act_on_point(g, pt)
+        moved = point_of(act(g, m))
         assert wss_membership(moved).member
         assert not moved.phi.entries[1][0].is_zero()
         lin = [moved.phi.entries[1][j] for j in (1, 2, 3)]
@@ -201,8 +196,8 @@ def test_duality_action_equivariance():
     for trial in range(10):
         g = random_element(F101, m, seed=700 + trial)
         gd = induced_dual_element(g, 2)
-        lhs = dualize_point(act_on_point(g, pt))
-        rhs = act_on_dual_point(gd, dualize_point(pt))
+        lhs = dualize(act(g, m))
+        rhs = act(gd, dualize(m))
         assert lhs == rhs
 
 
