@@ -1,10 +1,12 @@
 """Automorphisms of free sheaves and their action on complexes.
 
-An endomorphism of sum O(e_j) is invertible exactly when its degree-0
-part (the constant entries between equal twists) is an invertible
-scalar matrix: the strictly positive-degree remainder nu raises twists,
-so nu^K = 0 once K exceeds the number of distinct twist values, and the
-finite Neumann series inverts 1 + g0^{-1} nu.
+An endomorphism g of sum O(e_j) is invertible exactly when its degree-0
+part g0 (the constant entries between equal twists) is an invertible
+scalar matrix.  The rest of g strictly raises twists, so g X = I is
+triangular by twist level: graded_inverse solves it one level at a time,
+each level from g0^{-1} and the levels below.  The inverse of a square
+matrix over the polynomial ring is unique, so any exact method gives
+the same bytes.
 
 A group element is one automorphism per term of a complex; it acts on
 the differentials by d_i -> g_{i+1} d_i g_i^{-1}, and dualizing both
@@ -13,15 +15,19 @@ the element and the complex keeps the action square commuting.
 
 from __future__ import annotations
 
+from math import lcm
 from random import Random
 
-from .linalg import Matrix, inverse as matrix_inverse, rank
+from .linalg import Matrix, _modulus, inverse as matrix_inverse, rank
 from .monad import Monad, format_blocks, parse_block, read_blocks
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
     HomogPoly,
     ParseError,
+    _boxed,
+    _mul_into,
+    _raw,
     compose,
     dual_hom,
     random_poly,
@@ -56,55 +62,79 @@ def is_automorphism(g: GradedMatrix) -> bool:
     return rank(constant_part(g)) == g.rows
 
 
-def _lift_constants(field: Field, sheaf: FreeSheaf, m: Matrix) -> GradedMatrix:
-    n = sheaf.n
-    k = sheaf.rank
-    ent = []
-    for r in range(k):
-        row = []
-        for s in range(k):
-            gap = sheaf.twists[r] - sheaf.twists[s]
-            c = m.entry(r, s)
-            if gap == 0 and c:
-                row.append(HomogPoly.constant(field, n, c))
-            else:
-                # The inverse of a grading-preserving scalar matrix is
-                # again grading preserving, so off-grade slots are zero.
-                if c:
-                    raise ValueError("constant inverse left the grading")
-                row.append(HomogPoly.zero(field, n, gap))
-        ent.append(row)
-    return GradedMatrix(field, sheaf, sheaf, ent)
-
-
 def graded_inverse(g: GradedMatrix) -> GradedMatrix:
-    """Two-sided inverse of an automorphism g = g0 + nu.
+    """Two-sided inverse of an automorphism g = g0 + nu, by degree induction.
 
-    g = g0 (1 + g0^{-1} nu) and nu is nilpotent of order at most the
-    number of distinct twists K, so
-    g^{-1} = sum_{j<K} (-g0^{-1} nu)^j g0^{-1} exactly.
+    The inverse X has entry X_rs of degree e_r - e_s: zero for e_r < e_s,
+    and the constant (g0^{-1})_rs for e_r = e_s.  Row block e_a = v of
+    g X = I, read in column s, gives for each higher twist level v in
+    increasing order
+
+        X_rs = -sum_{e_a = v} (g0^{-1})_ra sum_{e_s <= e_b < v} g_ab X_bs
+
+    for e_r = v, where every X_bs on the right lies on a lower level.
+    This right inverse exists exactly when g0 inverts, and a one-sided
+    inverse of a square matrix over the polynomial ring is its unique
+    two-sided inverse, so the result is the same however it is computed.
+
+    The solve runs on raw values: residues mod p, or over Q integer
+    numerators.  There g = G / D and g0^{-1} = N / d0 with G and N
+    integral, and the entries q levels above their column's level share
+    the denominator d0 (d0 D)^q, so the products are all of integers.
     """
     g0 = constant_part(g)
     try:
         g0_inv = matrix_inverse(g0)
     except ValueError as exc:
         raise ValueError("not an automorphism: constant part is singular") from exc
-    sheaf = g.source
-    lifted_inv = _lift_constants(g.field, sheaf, g0_inv)
-    nu = g - _lift_constants(g.field, sheaf, g0)
-    if nu.is_zero():
-        return lifted_inv
-    neumann_len = len(set(sheaf.twists))
-    step = compose(lifted_inv, nu)
-    acc = lifted_inv
-    power = None
-    sign = -1
-    for _ in range(1, neumann_len):
-        power = step if power is None else compose(step, power)
-        term = compose(power, lifted_inv)
-        acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
+    field, sheaf, n = g.field, g.source, g.n
+    p = _modulus(field)
+    twists = sheaf.twists
+    k = sheaf.rank
+    levels = sorted(set(twists))
+    level = [levels.index(e) for e in twists]
+    members = [[a for a in range(k) if level[a] == j] for j in range(len(levels))]
+    raw = [[_raw(q, p) for q in row] for row in g.entries]
+    den_g = lcm(*(d for row in raw for d, _ in row))
+    big = [[{m: v * (den_g // d) for m, v in num.items()} for d, num in row] for row in raw]
+    den_0 = lcm(*(v.denominator for row in g0_inv.row_maps for v in row.values()))
+    small = [{a: v.numerator * (den_0 // v.denominator) for a, v in row.items()}
+             for row in g0_inv.row_maps]
+    step = den_0 * den_g
+    const = (0,) * (n + 1)
+    ent = [[None] * k for _ in range(k)]
+    for s in range(k):
+        base = level[s]
+        # col[b]: numerators of X_bs over den_0 * step^(level[b] - base)
+        col: list[dict | None] = [None] * k
+        for r in members[base]:
+            c = small[r].get(s)
+            col[r] = {const: c} if c else {}
+        for j in range(base + 1, len(levels)):
+            sums = []
+            for a in members[j]:
+                acc: dict = {}
+                row_a = big[a]
+                for b in range(k):
+                    x = col[b]  # set only below level j
+                    if x and row_a[b]:
+                        _mul_into(acc, row_a[b], x, step ** (j - 1 - level[b]))
+                sums.append(acc)
+            for r in members[j]:
+                out: dict = {}
+                get = out.get
+                for a, acc in zip(members[j], sums):
+                    c = small[r].get(a)
+                    if c:
+                        for m, v in acc.items():
+                            out[m] = get(m, 0) - c * v
+                col[r] = {m: res for m, v in out.items() if (res := v % p)} if p else out
+        for r in range(k):
+            gap = twists[r] - twists[s]
+            x = col[r]
+            ent[r][s] = (HomogPoly.zero(field, n, gap) if x is None
+                         else _boxed(field, n, gap, p, x, den_0 * step ** (level[r] - base)))
+    return GradedMatrix(field, sheaf, sheaf, ent)
 
 
 class GroupElement:

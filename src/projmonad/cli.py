@@ -214,7 +214,7 @@ def _cmd_group_dual(args) -> int:
 
 def _cmd_p3_sample(args) -> int:
     field = parse_field(args.field)
-    pt, tries = modp3.sample_wss_stats(args.seed, field, args.max_tries)
+    pt, tries, _ = modp3.sample_wss_stats(args.seed, field, args.max_tries)
     text = modp3.format_point(pt)
     if args.json:
         _emit_json({"seed": args.seed, "tries": tries, "point": text})
@@ -239,9 +239,8 @@ def _cmd_p3_dualize(args) -> int:
 def _cmd_p3_demo(args) -> int:
     field = parse_field(args.field)
     report: dict = {"seed": args.seed, "field": repr(field)}
-    pt, tries = modp3.sample_wss_stats(args.seed, field, args.max_tries)
+    pt, tries, res = modp3.sample_wss_stats(args.seed, field, args.max_tries)
     report["tries"] = tries
-    res = modp3.wss_membership(pt)
     report["membership"] = res.to_dict()
     monad = modp3.point_monad(pt)
     report["euler"] = str(euler_poly(monad))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 
@@ -117,12 +118,23 @@ class IntPoly:
         return cls([Fraction(s) for s in json.loads(text)])
 
 
+# Largest k binomial_poly expands, so the largest projective dimension:
+# 10 times the largest n any shipped computation uses (P^4).  Expanding
+# costs about k^3 coefficient operations on numbers of about k log k bits.
+MAX_DIMENSION = 40
+
+
+@lru_cache(maxsize=1024)
 def binomial_poly(shift: int, k: int) -> IntPoly:
     """C(m + shift, k) as a polynomial in m: (m+shift)...(m+shift-k+1)/k!.
 
     The polynomial extension is what makes evaluation at negative
-    arguments meaningful.
+    arguments meaningful.  k above MAX_DIMENSION is refused before any
+    work.  Results are cached: IntPoly is immutable, and one Euler
+    polynomial or interpolation asks for the same few keys many times.
     """
+    if k > MAX_DIMENSION:
+        raise ValueError(f"dimension {k} is larger than {MAX_DIMENSION}")
     acc = IntPoly.constant(1)
     for j in range(k):
         acc = acc * IntPoly([shift - j, 1])

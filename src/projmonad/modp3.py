@@ -222,13 +222,15 @@ def _psi_from_kernel(phi: GradedMatrix) -> GradedMatrix | None:
                         [[columns[0][r], columns[1][r]] for r in range(4)])
 
 
-def sample_wss_stats(seed: int, field: Field, max_tries: int = 32) -> tuple[ParamPoint, int]:
+def sample_wss_stats(seed: int, field: Field,
+                     max_tries: int = 32) -> tuple[ParamPoint, int, Membership]:
     """Draw phi on the syzygy-positive locus, densify by a random
     automorphism, solve psi from the section kernel, test membership.
 
-    Returns the first accepted point and the number of draws it took.
-    Deterministic in the seed.  Refuses Q: the rejection loop is only
-    meant for prime fields, where dense draws are cheap and generic.
+    Returns the first accepted point, the number of draws it took and
+    the Membership that accepted it.  Deterministic in the seed.
+    Refuses Q: the rejection loop is only meant for prime fields, where
+    dense draws are cheap and generic.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("sampling requires a prime field; Q points are check-only")
@@ -244,8 +246,9 @@ def sample_wss_stats(seed: int, field: Field, max_tries: int = 32) -> tuple[Para
         pt = ParamPoint(psi=psi, phi=phi)
         if not pt.is_complex():
             raise AssertionError("kernel solve must satisfy phi psi = 0")
-        if wss_membership(pt).member:
-            return pt, attempt
+        res = wss_membership(pt)
+        if res.member:
+            return pt, attempt, res
     raise SampleExhaustedError(f"exhausted max_tries = {max_tries}")
 
 
@@ -258,11 +261,15 @@ def format_point(pt: ParamPoint) -> str:
 
 
 def point_of(m: Monad) -> ParamPoint:
-    """The point read off a monad with the fixed twist lists at -2..0;
-    point_of(point_monad(pt)) == pt."""
+    """The point read off a monad with the fixed twist lists at -2..0,
+    codim 2 and cohomology at 0; point_of(point_monad(pt)) == pt."""
     if (m.n != N or m.lo != -2 or m.hi != 0
             or m.terms[-2] != SOURCE or m.terms[-1] != MIDDLE or m.terms[0] != TARGET):
         raise MalformedPointError("file does not carry the fixed twist lists")
+    if m.c != 2 or m.cohomology_position != 0:
+        raise MalformedPointError(
+            f"a point has codim 2 and cohomology at 0, not codim {m.c} "
+            f"and cohomology at {m.cohomology_position}")
     return ParamPoint(psi=m.diffs[-2], phi=m.diffs[-1])
 
 

@@ -209,7 +209,8 @@ def hilbert_poly_of_cohomology(m: Monad) -> IntPoly:
 
     A complex that is not such a resolution gets no guarantee from this
     start; it is caught, as before, by the comparison with the Euler
-    polynomial.
+    polynomial.  The whole window, retry included, passes
+    _check_window_size before any section matrix is built.
     """
     target = euler_poly(m)
     if m.cohomology_position % 2:
@@ -218,6 +219,7 @@ def hilbert_poly_of_cohomology(m: Monad) -> IntPoly:
     if t0 is None:
         t0 = default_window(m).start
     width = m.n + 2
+    _check_window_size(m, [m.cohomology_position], range(t0, t0 + 2 * width))
     for extra in (0, m.n + 2):
         window = range(t0, t0 + width + extra)
         values = cohomology_hilbert_function(m, m.cohomology_position, window)
@@ -231,40 +233,61 @@ def hilbert_poly_of_cohomology(m: Monad) -> IntPoly:
         f"window disagreement: degreewise values do not match {target}")
 
 
-# Most entries (rows x cols) allowed in one section matrix of a window
-# test: 100 times the largest one any shipped computation builds (the
-# 650 x 946 matrices of a P^3 point at the heuristic window).
-MAX_SECTION_ENTRIES = 10 ** 8
+# Most entries (rows x cols) allowed in one section matrix of a window:
+# 5 times the largest one the test suite builds (11700 x 15600, in the
+# heuristic-window retry of an Omega resolution on P^3).  The benchmark
+# workloads stay under 630 x 700.
+MAX_SECTION_ENTRIES = 10 ** 9
+
+# Most rows, and most columns, allowed in one section matrix: 12 times
+# the longest side the test suite builds (15600), and more than 100
+# times any other shipped computation's.  Rows cost memory even when
+# empty: a window that tops out at 125800 x 165 peaks near 200 MB.
+MAX_SECTION_SIDE = 200_000
 
 # Most twists allowed in one window test: 1000 times the widest window
 # any shipped computation samples (the 2(n+2) = 10 twist retry on P^3).
 MAX_WINDOW_TWISTS = 10 ** 4
 
 
-def exactness_check(m: Monad, positions, t_range) -> dict[int, bool]:
-    """Window test: a position passes when its Hilbert data vanishes.
+def _check_window_size(m: Monad, positions, t_range):
+    """Refuse, before anything is built, a window too large to compute.
 
-    Vanishing on a window is evidence, not proof, of exactness there.
     A window of more than MAX_WINDOW_TWISTS twists is refused before it
     is listed.  Section dimensions grow with t, so the matrices at the
-    top of the window are the largest; a window whose largest matrix has
-    more than MAX_SECTION_ENTRIES entries is refused before any is built.
+    top of the window are the largest; a window whose largest matrix at
+    one of the positions has more than MAX_SECTION_ENTRIES entries, or a
+    side longer than MAX_SECTION_SIDE, is refused as well.
     """
     if len(t_range) > MAX_WINDOW_TWISTS:
         raise ValueError(
             f"window of {len(t_range)} twists, more than {MAX_WINDOW_TWISTS}")
+    if not t_range:
+        return
+    t = max(t_range)
+    for pos in positions:
+        for d in (m.diffs.get(pos), m.diffs.get(pos - 1)):
+            if d is None:
+                continue
+            rows, cols = d.target.sections_dim(t), d.source.sections_dim(t)
+            if rows * cols > MAX_SECTION_ENTRIES:
+                raise ValueError(
+                    f"twist {t} needs a {rows}x{cols} section matrix, more than "
+                    f"{MAX_SECTION_ENTRIES} entries")
+            if max(rows, cols) > MAX_SECTION_SIDE:
+                raise ValueError(
+                    f"twist {t} needs a {rows}x{cols} section matrix, a side longer "
+                    f"than {MAX_SECTION_SIDE}")
+
+
+def exactness_check(m: Monad, positions, t_range) -> dict[int, bool]:
+    """Window test: a position passes when its Hilbert data vanishes.
+
+    Vanishing on a window is evidence, not proof, of exactness there.
+    The window passes _check_window_size first.
+    """
+    _check_window_size(m, positions, t_range)
     ts = list(t_range)
-    if ts:
-        t = max(ts)
-        for pos in positions:
-            for d in (m.diffs.get(pos), m.diffs.get(pos - 1)):
-                if d is None:
-                    continue
-                rows, cols = d.target.sections_dim(t), d.source.sections_dim(t)
-                if rows * cols > MAX_SECTION_ENTRIES:
-                    raise ValueError(
-                        f"twist {t} needs a {rows}x{cols} section matrix, more than "
-                        f"{MAX_SECTION_ENTRIES} entries")
     return {pos: not any(cohomology_hilbert_function(m, pos, ts)) for pos in positions}
 
 

@@ -8,7 +8,9 @@ cohomology of line bundles on a line is written down in closed form.
 The Hilbert window oracle keeps the heuristic window start that the
 regularity bound replaced.  The polynomial oracles multiply, compose and
 parse forms one boxed FieldElement operation at a time, as projmonad.polymat
-did before its arithmetic moved onto raw values.
+did before its arithmetic moved onto raw values.  The graded inverse
+oracle sums the finite Neumann series that the degree induction of
+projmonad.autgroup replaced.
 """
 
 import re
@@ -17,9 +19,10 @@ from random import Random
 
 import pytest
 
-from projmonad.autgroup import act, random_element
+from projmonad.autgroup import act, constant_part, random_element
 from projmonad.complexes import direct_sum, koszul_monad
 from projmonad.hilbert import InterpolationError, euler_poly, interpolate
+from projmonad.linalg import Matrix, inverse as matrix_inverse
 from projmonad.monad import CohTable, Monad, WindowDisagreementError, cohomology_hilbert_function
 from projmonad.polymat import (
     _MAX_POWER_BITS,
@@ -27,6 +30,7 @@ from projmonad.polymat import (
     GradedMatrix,
     HomogPoly,
     ParseError,
+    compose,
     random_graded_matrix,
 )
 from projmonad.scalar import GF, QQ, PrimeField
@@ -177,6 +181,59 @@ def compose_oracle(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             row.append(acc)
         ent.append(row)
     return GradedMatrix(a.field, b.source, a.target, ent)
+
+
+def lift_constants(field, sheaf: FreeSheaf, m: Matrix) -> GradedMatrix:
+    """The scalar matrix m as a graded endomorphism of sheaf; m must
+    vanish between different twists."""
+    n = sheaf.n
+    k = sheaf.rank
+    ent = []
+    for r in range(k):
+        row = []
+        for s in range(k):
+            gap = sheaf.twists[r] - sheaf.twists[s]
+            c = m.entry(r, s)
+            if gap == 0 and c:
+                row.append(HomogPoly.constant(field, n, c))
+            else:
+                # The inverse of a grading-preserving scalar matrix is
+                # again grading preserving, so off-grade slots are zero.
+                if c:
+                    raise ValueError("constant inverse left the grading")
+                row.append(HomogPoly.zero(field, n, gap))
+        ent.append(row)
+    return GradedMatrix(field, sheaf, sheaf, ent)
+
+
+def graded_inverse_neumann_oracle(g: GradedMatrix) -> GradedMatrix:
+    """Two-sided inverse of an automorphism g = g0 + nu.
+
+    g = g0 (1 + g0^{-1} nu) and nu is nilpotent of order at most the
+    number of distinct twists K, so
+    g^{-1} = sum_{j<K} (-g0^{-1} nu)^j g0^{-1} exactly.
+    """
+    g0 = constant_part(g)
+    try:
+        g0_inv = matrix_inverse(g0)
+    except ValueError as exc:
+        raise ValueError("not an automorphism: constant part is singular") from exc
+    sheaf = g.source
+    lifted_inv = lift_constants(g.field, sheaf, g0_inv)
+    nu = g - lift_constants(g.field, sheaf, g0)
+    if nu.is_zero():
+        return lifted_inv
+    neumann_len = len(set(sheaf.twists))
+    step = compose(lifted_inv, nu)
+    acc = lifted_inv
+    power = None
+    sign = -1
+    for _ in range(1, neumann_len):
+        power = step if power is None else compose(step, power)
+        term = compose(power, lifted_inv)
+        acc = acc + (term if sign > 0 else -term)
+        sign = -sign
+    return acc
 
 
 _ORACLE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^()]))")

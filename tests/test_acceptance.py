@@ -163,7 +163,7 @@ def test_criterion_7_semistability_criterion():
     res = wss_membership(pt)
     assert res.member
     # seeded sampling over F101 accepts within the recorded bound
-    sampled, tries = sample_wss_stats(0, F101)
+    sampled, tries, _ = sample_wss_stats(0, F101)
     assert tries <= 4
     assert wss_membership(sampled).member
     # every accepted point has window Hilbert polynomial 3m+1
@@ -199,8 +199,8 @@ def test_criterion_8_equivariance():
 
 def test_criterion_9_determinism_and_round_trips():
     # same seed, same bytes; and the frozen golden draw has not drifted
-    a, _ = sample_wss_stats(42, F101)
-    b, _ = sample_wss_stats(42, F101)
+    a, _, _ = sample_wss_stats(42, F101)
+    b, _, _ = sample_wss_stats(42, F101)
     assert format_point(a) == format_point(b)
     assert format_point(a) == (DATA / "golden_p3_seed42_f101.monad").read_text()
     # parse . print round trips, bit for bit

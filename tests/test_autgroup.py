@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from conftest import random_valid_monad
+from conftest import graded_inverse_neumann_oracle, lift_constants, random_valid_monad
 from projmonad.autgroup import (
     GroupElement,
     act,
@@ -83,6 +83,60 @@ def test_inverse_two_sided_100_random():
         assert compose(inv, g) == ident
 
 
+def _automorphism_cases(field, rng):
+    """Automorphisms with 1-5 twist levels, gapped and unsorted twist
+    lists, every density, plus the rank-0 and identity edge cases."""
+    cases = []
+    for trial in range(45):
+        n = rng.randint(1, 3)
+        levels = rng.sample(range(-8, 3), 1 + trial % 5)
+        twists = [e for e in levels for _ in range(rng.randint(1, 2))]
+        rng.shuffle(twists)
+        sheaf = FreeSheaf(n, tuple(twists))
+        density = (0.3, 0.7, 1.0)[trial % 3]
+        cases.append(random_automorphism(field, sheaf, rng, density=density))
+    cases.append(GradedMatrix.zero(field, FreeSheaf(2, ()), FreeSheaf(2, ())))
+    cases.append(GradedMatrix.identity(field, FreeSheaf(3, (0, -4, -1, -4, 2))))
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, F101, GF(2**31 - 1)], ids=repr)
+def test_graded_inverse_matches_neumann_oracle(field):
+    rng = Random(41)
+    for g in _automorphism_cases(field, rng):
+        inv = graded_inverse(g)
+        assert inv == graded_inverse_neumann_oracle(g)
+        ident = GradedMatrix.identity(field, g.source)
+        assert compose(g, inv) == ident
+        assert compose(inv, g) == ident
+
+
+@pytest.mark.parametrize("field", [QQ, F101, GF(2**31 - 1)], ids=repr)
+def test_graded_inverse_errors_match_neumann_oracle(field):
+    # constant part singular: the constant on the middle twist level is 0
+    sheaf = FreeSheaf(1, (-1, -2, -1))
+    ent = [[parse_poly(c, field, 1, sheaf.twists[r] - sheaf.twists[s])
+            for s, c in enumerate(row)]
+           for r, row in enumerate([["1", "0", "2"], ["0", "0", "0"], ["1", "x1", "2"]])]
+    g = GradedMatrix(field, sheaf, sheaf, ent)
+    messages = []
+    for inverse in (graded_inverse, graded_inverse_neumann_oracle):
+        with pytest.raises(ValueError) as info:
+            inverse(g)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "not an automorphism: constant part is singular"
+    # not an endomorphism
+    src, tgt = FreeSheaf(1, (-1,)), FreeSheaf(1, (0,))
+    m = GradedMatrix(field, src, tgt, [[parse_poly("x0", field, 1, 1)]])
+    messages = []
+    for inverse in (graded_inverse, graded_inverse_neumann_oracle):
+        with pytest.raises(ValueError) as info:
+            inverse(m)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("endomorphisms only")
+
+
 def test_positive_part_is_nilpotent():
     rng = Random(32)
     for _ in range(20):
@@ -90,17 +144,11 @@ def test_positive_part_is_nilpotent():
         sheaf = FreeSheaf(2, twists)
         g = random_automorphism(QQ, sheaf, rng)
         g0 = constant_part(g)
-        nu = g - _lift(g.field, sheaf, g0)
+        nu = g - lift_constants(g.field, sheaf, g0)
         power = nu
         for _ in range(len(set(twists)) - 1):
             power = compose(nu, power)
         assert power.is_zero()
-
-
-def _lift(field, sheaf, m):
-    from projmonad.autgroup import _lift_constants
-
-    return _lift_constants(field, sheaf, m)
 
 
 def test_parse_group_element_rejects_duplicates():

@@ -11,6 +11,7 @@ import pytest
 
 from projmonad.cli import run
 from projmonad.complexes import koszul_monad
+from projmonad.hilbert import MAX_DIMENSION
 from projmonad.modp3 import forbidden_form_point, format_point, twisted_cubic_point
 from projmonad.monad import MAX_WINDOW_TWISTS, format_monad, parse_monad
 from projmonad.polymat import MAX_PAREN_DEPTH
@@ -384,3 +385,62 @@ def test_p3_dualize_equals_monad_dualize(capsys, cubic_f101_file):
     p3_out = capsys.readouterr().out
     assert run(["monad", "dualize", "--in", cubic_f101_file]) == 0
     assert capsys.readouterr().out == p3_out
+
+
+@pytest.mark.parametrize("command", ["check", "dualize"])
+@pytest.mark.parametrize("line, replacement", [
+    ("codim 2", "codim 3"), ("cohomology_at 0", "cohomology_at -1")], ids=["codim", "position"])
+def test_p3_commands_refuse_other_codim_or_position(capsys, tmp_path, command, line,
+                                                    replacement):
+    text = format_point(twisted_cubic_point())
+    assert line + "\n" in text
+    path = tmp_path / "moved.monad"
+    path.write_text(text.replace(line + "\n", replacement + "\n"))
+    assert run(["p3", command, "--in", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "domain"
+    assert "codim 2 and cohomology at 0" in payload["error"]["message"]
+    _check(payload, "error")
+
+
+def _deep_twist_file(tmp_path, k):
+    """O(-(k+1)) -> O + O(-k) by (x0^(k+1), x0): its window starts near t = k."""
+    path = tmp_path / f"deep{k}.monad"
+    path.write_text(f"P 3 over F101\nterm -1: [{-(k + 1)}]\nterm 0: [0,{-k}]\n"
+                    f"diff -1:\nx0^{k + 1}\nx0\ncodim 1\ncohomology_at 0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("k, reason", [(1000, "entries"), (120, "side longer than")])
+def test_monad_hilbert_deep_twist_is_domain_error(capsys, tmp_path, k, reason):
+    # k = 120 stays under the entry bound (375k x 165 at the top of the
+    # retry window), so only the side bound stops it
+    start = time.perf_counter()
+    assert run(["monad", "hilbert", "--in", _deep_twist_file(tmp_path, k)]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "domain"
+    assert "section matrix" in payload["error"]["message"]
+    assert reason in payload["error"]["message"]
+    _check(payload, "error")
+
+
+def test_dimension_bound(capsys, tmp_path):
+    rc, payload = _run_json(capsys, ["hilb", "--n", str(MAX_DIMENSION), "--e", "0", "--json"])
+    assert rc == 0
+    _check(payload, "poly")
+    start = time.perf_counter()
+    assert run(["hilb", "--n", str(MAX_DIMENSION + 1), "--e", "0"]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "domain"
+    _check(payload, "error")
+    path = tmp_path / "huge_dimension.monad"
+    path.write_text("P 100000 over Q\nterm -1: [-1]\nterm 0: [0]\ndiff -1:\nx0\n"
+                    "codim 1\ncohomology_at 0\n")
+    start = time.perf_counter()
+    assert run(["monad", "hilbert", "--in", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "domain"
+    _check(payload, "error")

@@ -4,16 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from projmonad.complexes import line_monad, omega_resolution
+from projmonad.complexes import koszul_monad, line_monad, omega_resolution
 from projmonad.hilbert import (
     InterpolationError,
     IntPoly,
+    binomial_poly,
     bott_h,
     euler_poly,
     interpolate,
     line_bundle_hilb,
 )
-from projmonad.modp3 import point_monad, twisted_cubic_point
+from projmonad.modp3 import forbidden_form_point, point_monad, twisted_cubic_point
 from projmonad.monad import dualize, sheaf_cohomology
 from projmonad.scalar import QQ
 
@@ -94,6 +95,31 @@ def test_euler_of_p3_example_and_dual():
     pt = twisted_cubic_point()
     assert str(euler_poly(point_monad(pt))) == "3*m + 1"
     assert str(euler_poly(dualize(point_monad(pt)))) == "3*m - 1"
+
+
+def _euler_uncached(m) -> IntPoly:
+    """sum_i (-1)^i P_{C^i}, every C(m + e + n, n) expanded afresh."""
+    acc = IntPoly.zero()
+    for i in range(m.lo, m.hi + 1):
+        for e in m.terms[i].twists:
+            term = binomial_poly.__wrapped__(e + m.n, m.n)
+            acc = acc + (term if i % 2 == 0 else -term)
+    return acc
+
+
+def test_euler_poly_equals_uncached_sum_on_catalog():
+    catalog = [point_monad(twisted_cubic_point()), point_monad(forbidden_form_point()),
+               line_monad(QQ, 3, 0), line_monad(QQ, 2, -1),
+               koszul_monad(QQ, 3, (0, 2)), koszul_monad(QQ, 4, (0, 1, 2), twist=1)]
+    catalog += [omega_resolution(QQ, 4, p, t) for p in range(5) for t in (-3, 0, 2)]
+    for m in catalog:
+        for subject in (m, dualize(m)):
+            first = euler_poly(subject)
+            assert first == _euler_uncached(subject)
+            # a second call is served from the cache and agrees
+            assert euler_poly(subject) == first
+    assert binomial_poly(5, 3) is binomial_poly(5, 3)
+    assert binomial_poly(5, 3) == binomial_poly.__wrapped__(5, 3)
 
 
 def test_euler_of_line_resolution():

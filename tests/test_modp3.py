@@ -124,7 +124,7 @@ def test_dual_euler_is_3m_minus_1():
 
 def test_sampling_accepts_within_regression_bound():
     for seed in range(10):
-        pt, tries = sample_wss_stats(seed, F101)
+        pt, tries, _ = sample_wss_stats(seed, F101)
         assert tries <= TRY_BOUND
         assert wss_membership(pt).member
 
@@ -134,7 +134,7 @@ def test_sampling_galleries_are_deterministic():
 
 
 def test_sampling_golden_point_seed_42():
-    pt, tries = sample_wss_stats(42, F101)
+    pt, tries, _ = sample_wss_stats(42, F101)
     assert tries == 1
     golden = (DATA / "golden_p3_seed42_f101.monad").read_text()
     assert format_point(pt) == golden
