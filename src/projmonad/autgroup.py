@@ -192,7 +192,10 @@ def act(g: GroupElement, m: Monad) -> Monad:
 
 def induced_dual_element(g: GroupElement, c: int) -> GroupElement:
     """The element acting on the dual complex so that duality commutes:
-    the block at i is the inverse of the dual of the block at -i-c."""
+    the block at i is the inverse of the dual of the block at -i-c, for a
+    codimension c in 1..n."""
+    if not 1 <= c <= g.n:
+        raise ValueError(f"codimension {c} out of range 1..{g.n}")
     return GroupElement({-(i + c): graded_inverse(dual_hom(b))
                          for i, b in g.blocks.items()})
 

@@ -124,6 +124,12 @@ class IntPoly:
 MAX_DIMENSION = 40
 
 
+def check_dimension(n: int):
+    """Refuse a projective dimension above MAX_DIMENSION."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} is larger than {MAX_DIMENSION}")
+
+
 @lru_cache(maxsize=1024)
 def binomial_poly(shift: int, k: int) -> IntPoly:
     """C(m + shift, k) as a polynomial in m: (m+shift)...(m+shift-k+1)/k!.
@@ -133,8 +139,7 @@ def binomial_poly(shift: int, k: int) -> IntPoly:
     work.  Results are cached: IntPoly is immutable, and one Euler
     polynomial or interpolation asks for the same few keys many times.
     """
-    if k > MAX_DIMENSION:
-        raise ValueError(f"dimension {k} is larger than {MAX_DIMENSION}")
+    check_dimension(k)
     acc = IntPoly.constant(1)
     for j in range(k):
         acc = acc * IntPoly([shift - j, 1])

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hilbert import InterpolationError, IntPoly, euler_poly, interpolate
+from .hilbert import InterpolationError, IntPoly, check_dimension, euler_poly, interpolate
 from .linalg import rank
 from .polymat import (
     FreeSheaf,
@@ -458,7 +458,9 @@ def parse_field(token: str) -> Field:
 def read_blocks(text: str, what: str, word: str, keys: tuple[str, ...] = ()):
     """Split a `what` file into (n, field, terms, raw_rows, key_values):
     sheaves by `term` index, row lines by `<word>` index, and the integer
-    of each `<key> v` line, key in keys."""
+    of each `<key> v` line, key in keys.  A dimension n above
+    hilbert.MAX_DIMENSION is a ValueError, raised before any line past
+    the header is read."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"empty {what} file")
@@ -470,6 +472,7 @@ def read_blocks(text: str, what: str, word: str, keys: tuple[str, ...] = ()):
     except ValueError as exc:
         raise ParseError(f"bad dimension in header {lines[0]!r}") from exc
     field = parse_field(parts[3])
+    check_dimension(n)
     terms: dict[int, FreeSheaf] = {}
     raw_rows: dict[int, list[str]] = {}
     key_values: dict[str, int] = {}

@@ -17,6 +17,13 @@ composites of forms, and the expression parser) runs on raw values:
 residues mod p, summed unreduced and reduced once, or over Q integer
 numerators over a common denominator.  Each result coefficient is boxed
 once, when the HomogPoly holding it is built and validated.
+
+The parser reads a term's plain factors (integer and a/b literals, x_i,
+x_i^k) straight into one exponent list and one numerator and
+denominator, so a printed form costs one coefficient per term; only
+parenthesised factors and powers of literals build intermediate forms.
+The printer builds the text of each monomial once (monomial_str is
+cached) and reuses it on every later term with that monomial.
 """
 
 from __future__ import annotations
@@ -67,7 +74,9 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
+@lru_cache(maxsize=1 << 12)
 def monomial_str(m: Monomial) -> str:
+    """x0^a*x1*... in variable order; "" for the constant monomial."""
     parts = []
     for i, e in enumerate(m):
         if e == 1:
@@ -101,6 +110,14 @@ class HomogPoly:
         self.n = n
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def _unchecked(cls, field: Field, n: int, degree: int,
+                   terms: dict[Monomial, FieldElement]) -> "HomogPoly":
+        """A form from terms known to be nonzero, of this field and degree."""
+        self = object.__new__(cls)
+        self.field, self.n, self.degree, self.terms = field, n, degree, terms
+        return self
 
     @classmethod
     def zero(cls, field: Field, n: int, degree: int) -> "HomogPoly":
@@ -188,25 +205,25 @@ class HomogPoly:
         return hash((self.field, self.n, key, tuple(sorted(self.terms.items()))))
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         out = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
+        for m in sorted(terms, reverse=True):
+            cs = str(terms[m].value)
             mono = monomial_str(m)
-            cs = str(c)
-            neg = cs.startswith("-")
+            neg = cs[0] == "-"
             mag = cs[1:] if neg else cs
-            if mono and mag == "1":
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
+            if not mono:
                 body = mag
-            if not out:
-                out.append(f"-{body}" if neg else body)
+            elif mag == "1":
+                body = mono
             else:
+                body = f"{mag}*{mono}"
+            if out:
                 out.append(f"- {body}" if neg else f"+ {body}")
+            else:
+                out.append(f"-{body}" if neg else body)
         return " ".join(out)
 
     __repr__ = __str__
@@ -254,7 +271,7 @@ _MAX_POWER_BITS = 1 << 16
 # stack frames, so this stays far inside the interpreter's recursion limit.
 MAX_PAREN_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^()]))")
+_TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|x\d+|[-+*^()])")
 # A whole string of _TOKEN matches.  The lookaheads stop a digit run from
 # splitting into several numbers, so a failed match cannot backtrack far.
 _TOKENS = re.compile(r"(?:\s*(?:\d+(?!\d)(?:/\d+(?!\d))?|x\d+(?!\d)|[-+*^()]))*\s*")
@@ -262,7 +279,7 @@ _TOKENS = re.compile(r"(?:\s*(?:\d+(?!\d)(?:/\d+(?!\d))?|x\d+(?!\d)|[-+*^()]))*\
 
 def _tokenize(src: str) -> list[str]:
     if _TOKENS.fullmatch(src):
-        return [m.group(m.lastgroup) for m in _TOKEN.finditer(src)]
+        return _TOKEN.findall(src)
     toks, pos = [], 0
     while pos < len(src):
         m = _TOKEN.match(src, pos)
@@ -270,7 +287,7 @@ def _tokenize(src: str) -> list[str]:
             if src[pos:].strip():
                 raise ParseError(f"unexpected character {src[pos:].lstrip()[0]!r} in {src!r}")
             break
-        toks.append(m.group(m.lastgroup))
+        toks.append(m.group(1))
         pos = m.end()
     return toks
 
@@ -278,12 +295,15 @@ def _tokenize(src: str) -> list[str]:
 class _PolyParser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
-    Works on plain {monomial: raw coefficient} dicts (residues in [0, p),
-    or over Q ints and Fractions) so mixed-degree intermediates are
-    allowed; homogeneity is checked at the end.  A power whose degree
-    would pass the expected degree, or a constant power over Q larger
-    than _MAX_POWER_BITS, is refused before it is expanded; parentheses
-    nested deeper than MAX_PAREN_DEPTH are refused.
+    Works on plain {monomial: raw coefficient} dicts (residues in (0, p),
+    or over Q nonzero ints and Fractions) so mixed-degree intermediates
+    are allowed; homogeneity is checked at the end.  A term folds its
+    plain factors (literals, x_i and x_i^k) into one exponent list and one
+    numerator and denominator; only parenthesised factors and powers of
+    literals go through power().  A power whose degree would pass the
+    expected degree, or a constant power over Q larger than
+    _MAX_POWER_BITS, is refused before it is expanded; parentheses nested
+    deeper than MAX_PAREN_DEPTH are refused.
     """
 
     def __init__(self, toks: list[str], field: Field, n: int, degree: int | None = None):
@@ -294,7 +314,7 @@ class _PolyParser:
         self.n = n
         self.degree = degree
         self.const = (0,) * (n + 1)
-        self.variables: dict[str, Monomial] = {}  # variable token -> monomial
+        self.variables: dict[str, int] = {}  # variable token -> index
         self.depth = 0  # open parentheses
 
     def peek(self):
@@ -307,45 +327,81 @@ class _PolyParser:
         return t
 
     def expr(self) -> dict:
-        p = self.p
+        toks, p = self.toks, self.p
         sign = 1
-        if self.peek() in ("+", "-"):
+        if toks[self.i] in ("+", "-"):
             sign = -1 if self.take() == "-" else 1
         acc = self.term()
         if sign < 0:
-            acc = {m: -c % p if p else -c for m, c in acc.items()}
-        while self.peek() in ("+", "-"):
-            neg = self.take() == "-"
+            acc = {m: p - c if p else -c for m, c in acc.items()}
+        get = acc.get
+        while (op := toks[self.i]) in ("+", "-"):
+            self.i += 1
+            neg = op == "-"
             for m, c in self.term().items():
-                v = acc.get(m, 0) + (-c if neg else c)
+                if neg:
+                    c = p - c if p else -c
+                v = get(m)
+                if v is None:
+                    acc[m] = c
+                    continue
+                v += c
                 if p:
                     v %= p
                 if v:
                     acc[m] = v
-                elif m in acc:
+                else:
                     del acc[m]
         return acc
 
     def term(self) -> dict:
-        acc = self.power()
-        while self.peek() == "*":
-            self.i += 1
-            acc = self._mul(acc, self.power())
-        return acc
+        toks, p, variables = self.toks, self.p, self.variables
+        exps = [0] * (self.n + 1)
+        num = den = 1
+        rest = None  # product of the factors that went through power()
+        i = self.i
+        while True:
+            t = toks[i]
+            k = variables.get(t)
+            if k is None and t is not None and t[0] == "x":
+                k = self._variable(t)
+            if k is not None:
+                if toks[i + 1] == "^":
+                    exps[k] += self._exponent(toks[i + 2], 1)
+                    i += 3
+                else:
+                    exps[k] += 1
+                    i += 1
+            elif t is not None and t[0].isdigit() and toks[i + 1] != "^":
+                a, b = self._literal(t)
+                num *= a
+                den *= b
+                if p:
+                    num %= p
+                    den %= p
+                i += 1
+            else:
+                self.i = i
+                f = self.power()
+                rest = f if rest is None else self._mul(rest, f)
+                i = self.i
+            if toks[i] != "*":
+                break
+            i += 1
+        self.i = i
+        c = self._value(num, den)
+        if not c:
+            return {}
+        out = {tuple(exps): c}
+        return out if rest is None else self._mul(out, rest)
 
     def power(self) -> dict:
         base = self.atom()
         if self.peek() != "^":
             return base
         self.i += 1
-        e = self.take()
-        if e is None or not e.isdigit():
-            raise ParseError("exponent must be a nonnegative integer")
-        e = int(e)
         top = max(map(sum, base), default=0)
-        if top and self.degree is not None and top * e > self.degree:
-            raise ParseError(
-                f"exponent {e} gives degree {top * e}, past the expected {self.degree}")
+        e = self._exponent(self.take(), top)
         p = self.p
         if not top and not p:
             bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
@@ -378,24 +434,49 @@ class _PolyParser:
                 raise ParseError("unbalanced parentheses")
             self.depth -= 1
             return inner
-        if t.startswith("x"):
-            m = self.variables.get(t)
-            if m is None:
-                i = int(t[1:])
-                if i > self.n:
-                    raise ParseError(f"variable {t} out of range for P^{self.n}")
-                m = self.variables[t] = tuple(int(j == i) for j in range(self.n + 1))
-            return {m: 1}
         if t[0].isdigit():
-            try:
-                if "/" in t:
-                    v = self.field.parse(t).value
-                else:
-                    v = int(t) % self.p if self.p else int(t)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(str(exc)) from exc
-            return {self.const: v}
+            v = self._value(*self._literal(t))
+            return {self.const: v} if v else {}
         raise ParseError(f"unexpected token {t!r}")
+
+    def _variable(self, t: str) -> int:
+        """The index of variable token t, remembered for this parse."""
+        i = int(t[1:])
+        if i > self.n:
+            raise ParseError(f"variable {t} out of range for P^{self.n}")
+        self.variables[t] = i
+        return i
+
+    def _literal(self, t: str) -> tuple[int, int]:
+        """Numerator and nonzero denominator of literal t, residues over F_p."""
+        a, _, b = t.partition("/")
+        try:
+            num, den = int(a), int(b) if b else 1
+            if self.p:
+                num %= self.p
+                den %= self.p
+            if not den:
+                self.field.inv(den)  # raises the field's division-by-zero error
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(str(exc)) from exc
+        return num, den
+
+    def _value(self, num: int, den: int):
+        """The raw coefficient num / den."""
+        if den == 1:
+            return num
+        p = self.p
+        return num * pow(den, p - 2, p) % p if p else Fraction(num, den)
+
+    def _exponent(self, e: str | None, top: int) -> int:
+        """Exponent token e after a '^' whose base has top degree top."""
+        if e is None or not e.isdigit():
+            raise ParseError("exponent must be a nonnegative integer")
+        e = int(e)
+        if top and self.degree is not None and top * e > self.degree:
+            raise ParseError(
+                f"exponent {e} gives degree {top * e}, past the expected {self.degree}")
+        return e
 
     def _mul(self, a: dict, b: dict) -> dict:
         """The product with its zero terms dropped."""
@@ -419,19 +500,20 @@ class _PolyParser:
 def parse_poly(src: str, field: Field, n: int, degree: int | None = None) -> HomogPoly:
     """Parse a homogeneous form; degree, when given, pins the zero form too."""
     parser = _PolyParser(_tokenize(src), field, n, degree)
-    box = field.coerce
-    terms = {m: FieldElement(field, box(c)) for m, c in parser.expr().items() if c}
+    raw = parser.expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input near token {parser.peek()!r}")
-    if not terms:
+    if not raw:
         return HomogPoly.zero(field, n, 0 if degree is None else degree)
-    degrees = {sum(m) for m in terms}
+    degrees = set(map(sum, raw))
     if len(degrees) > 1:
         raise ParseError(f"expression {src!r} is not homogeneous (degrees {sorted(degrees)})")
     d = degrees.pop()
     if degree is not None and d != degree:
         raise ParseError(f"expected degree {degree}, got {d} in {src!r}")
-    return HomogPoly(field, n, d, terms)
+    box = field.coerce
+    return HomogPoly._unchecked(field, n, d, {m: FieldElement(field, box(c))
+                                              for m, c in raw.items()})
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ regularity bound replaced.  The polynomial oracles multiply, compose and
 parse forms one boxed FieldElement operation at a time, as projmonad.polymat
 did before its arithmetic moved onto raw values.  The graded inverse
 oracle sums the finite Neumann series that the degree induction of
-projmonad.autgroup replaced.
+projmonad.autgroup replaced.  The printing oracle builds every monomial's
+text afresh for each term, as HomogPoly.__str__ did before it reused them.
 """
 
 import re
@@ -374,6 +375,45 @@ def parse_poly_oracle(src: str, field, n: int, degree=None) -> HomogPoly:
     if degree is not None and d != degree:
         raise ParseError(f"expected degree {degree}, got {d} in {src!r}")
     return HomogPoly(field, n, d, terms)
+
+
+# Cells the fuzz and grammar tests mix into generated texts.
+JUNK_CELLS = ["", "x9", "x0^", "((x0", "1/0", "x0 x1", "x0^1000000000", "2^1000000000",
+              "x0*x1", "(x0+x1)^2", "x0 +", "?"]
+
+
+def _monomial_str_oracle(m) -> str:
+    parts = []
+    for i, e in enumerate(m):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    return "*".join(parts)
+
+
+def poly_str_oracle(p: HomogPoly) -> str:
+    """str(p), each term's monomial text built on the spot."""
+    if not p.terms:
+        return "0"
+    out = []
+    for m in sorted(p.terms, reverse=True):
+        c = p.terms[m]
+        mono = _monomial_str_oracle(m)
+        cs = str(c)
+        neg = cs.startswith("-")
+        mag = cs[1:] if neg else cs
+        if mono and mag == "1":
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = mag
+        if not out:
+            out.append(f"-{body}" if neg else body)
+        else:
+            out.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(out)
 
 
 def hilbert_poly_heuristic_window(m: Monad):

@@ -425,7 +425,7 @@ def test_monad_hilbert_deep_twist_is_domain_error(capsys, tmp_path, k, reason):
     _check(payload, "error")
 
 
-def test_dimension_bound(capsys, tmp_path):
+def test_dimension_bound(capsys, tmp_path, cubic_f101_file):
     rc, payload = _run_json(capsys, ["hilb", "--n", str(MAX_DIMENSION), "--e", "0", "--json"])
     assert rc == 0
     _check(payload, "poly")
@@ -444,3 +444,51 @@ def test_dimension_bound(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "domain"
     _check(payload, "error")
+    # one cell summing 20 variables on P^2000000: parsing it would take
+    # seconds and hundreds of MB, so every reader refuses the header
+    n = 2_000_000
+    cell = " + ".join(f"x{n - k}" for k in range(20))
+    monad_path = tmp_path / "huge.monad"
+    monad_path.write_text(f"P {n} over Q\nterm -1: [-1]\nterm 0: [0]\ndiff -1:\n{cell}\n"
+                          "codim 1\ncohomology_at 0\n")
+    element_path = tmp_path / "huge.element"
+    element_path.write_text(f"P {n} over Q\nterm 0: [0,-1]\nblock 0:\n1; {cell}\n0; 1\n")
+    commands = [
+        ["monad", "hilbert", "--in", str(monad_path)],
+        ["monad", "validate", "--in", str(monad_path)],
+        ["monad", "dualize", "--in", str(monad_path)],
+        ["group", "random", "--monad", str(monad_path), "--seed", "0"],
+        ["group", "act", "--monad", cubic_f101_file, "--element", str(element_path)],
+        ["group", "dual", "--element", str(element_path), "--codim", "1"],
+    ]
+    for argv in commands:
+        start = time.perf_counter()
+        assert run(argv) == 1, argv
+        assert time.perf_counter() - start < 1.0, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {
+            "kind": "domain", "message": f"dimension {n} is larger than {MAX_DIMENSION}"}
+        _check(payload, "error")
+    # the bound itself is a dimension files may use
+    at_bound = tmp_path / "at_bound.monad"
+    at_bound.write_text(f"P {MAX_DIMENSION} over Q\nterm 0: [0]\ncodim 1\ncohomology_at 0\n")
+    assert run(["monad", "validate", "--in", str(at_bound)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("codim", [0, -5, 4, 99])
+def test_group_dual_codimension_out_of_range(capsys, tmp_path, cubic_f101_file, codim):
+    element = tmp_path / "g.element"
+    assert run(["group", "random", "--monad", cubic_f101_file, "--seed", "4",
+                "--out", str(element)]) == 0
+    out = tmp_path / "gd.element"
+    assert run(["group", "dual", "--element", str(element), "--codim", str(codim),
+                "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "domain",
+                                "message": f"codimension {codim} out of range 1..3"}
+    _check(payload, "error")
+    assert not out.exists()
+    for c in (1, 2, 3):
+        assert run(["group", "dual", "--element", str(element), "--codim", str(c),
+                    "--out", str(out)]) == 0

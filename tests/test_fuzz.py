@@ -18,6 +18,7 @@ from pathlib import Path
 import jsonschema
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import JUNK_CELLS
 from projmonad.autgroup import parse_group_element
 from projmonad.cli import run
 from projmonad.monad import parse_monad
@@ -32,8 +33,6 @@ FIELDS = ["Q", "F101", "F7", "F2147483647"]
 JUNK_FIELDS = ["F4", "F1", "R", "Fp:x"]
 CONSTANTS = ["1", "-1", "2", "3/2", "100", "0"]
 COEFFICIENTS = ["", "2*", "-", "3/2*", "100*", "-7*"]
-JUNK_CELLS = ["", "x9", "x0^", "((x0", "1/0", "x0 x1", "x0^1000000000", "2^1000000000",
-              "x0*x1", "(x0+x1)^2", "x0 +", "?"]
 JUNK_LINES = ["diff 0:", "block 0:", "term 0: [", "term x: [0]", "codim", "cohomology_at 9",
               "P 2 over Q", "x0; x1", "garbage"]
 

@@ -4,9 +4,25 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import compose_oracle, parse_poly_oracle, poly_add_oracle, poly_mul_oracle
-from projmonad.autgroup import graded_inverse, random_automorphism
+from conftest import (
+    JUNK_CELLS,
+    compose_oracle,
+    parse_poly_oracle,
+    poly_add_oracle,
+    poly_mul_oracle,
+    poly_str_oracle,
+    random_valid_monad,
+)
+from projmonad.autgroup import (
+    format_group_element,
+    graded_inverse,
+    induced_dual_element,
+    parse_group_element,
+    random_automorphism,
+    random_element,
+)
 from projmonad.linalg import rank
+from projmonad.monad import format_blocks, format_monad, parse_block, parse_monad, read_blocks
 from projmonad.polymat import (
     FreeSheaf,
     GradedMatrix,
@@ -407,3 +423,129 @@ def test_parse_printed_forms_match_boxed_oracle(n, degree, seed, field):
         p = random_poly(field, n, degree, rng, density=0.6)
     _check_parse_against_oracle(str(p), field, n, degree)
     _check_parse_against_oracle(f"({p})*x0 - x0*({p})", field, n, degree + 1)
+
+
+# Generated texts in the cell grammar: nested parentheses, powers of sums,
+# a/b literals, signs, repeated variables, x_i^0, zero coefficients, odd
+# whitespace and junk cells.  Every variable index up to 3 is drawn, so
+# on P^1 and P^2 some are out of range.
+
+GRAMMAR_LITERALS = ["0", "1", "2", "7", "100", "101", "202", "2147483647", "2147483648",
+                    "12345678901234567890", "2/3", "10/5", "0/4", "3/101", "1/0", "7/2147483647"]
+GRAMMAR_SPACE = ["", "", "", " ", "  ", "\t", "\n ", " \t "]
+
+
+@st.composite
+def grammar_texts(draw, depth: int = 0, powers: int = 2) -> str:
+    """A text from the cell grammar; powers bounds nested powers of sums,
+    so that no expansion grows past a few hundred terms."""
+    def space():
+        return draw(st.sampled_from(GRAMMAR_SPACE))
+
+    def literal():
+        return draw(st.one_of(st.sampled_from(GRAMMAR_LITERALS),
+                              st.integers(0, 30).map(str),
+                              st.tuples(st.integers(0, 30), st.integers(0, 30))
+                              .map(lambda ab: f"{ab[0]}/{ab[1]}")))
+
+    def child():
+        return draw(grammar_texts(depth + 1, powers))
+
+    kind = draw(st.integers(0, 9 if depth < 3 else 4))
+    if kind == 0:
+        return literal()
+    if kind == 1:
+        var = f"x{draw(st.integers(0, 3))}"
+        if draw(st.booleans()):
+            var += f"{space()}^{space()}{draw(st.integers(0, 3))}"
+        return var
+    if kind == 2:
+        return draw(st.sampled_from(JUNK_CELLS))
+    if kind == 3:
+        return f"{draw(st.sampled_from(GRAMMAR_LITERALS))}^{draw(st.integers(0, 3))}"
+    if kind == 4:
+        # a sum of terms of one degree, in any factor order, with
+        # repeated variables and x_i^0 factors
+        degree = draw(st.integers(0, 3))
+        out = draw(st.sampled_from(["", "", "-", "+"]))
+        for k in range(draw(st.integers(1, 4))):
+            factors = [f"x{draw(st.integers(0, 3))}" for _ in range(degree)]
+            if draw(st.booleans()):
+                factors.append(f"x{draw(st.integers(0, 3))}^0")
+            if draw(st.booleans()) or not factors:
+                factors.insert(draw(st.integers(0, len(factors))), literal())
+            if k:
+                out += f"{space()}{draw(st.sampled_from('+-'))}{space()}"
+            out += f"{space()}*{space()}".join(factors)
+        return out
+    if kind == 5:
+        lead = draw(st.sampled_from(["", "", "-", "+"]))
+        parts = [child() for _ in range(draw(st.integers(2, 3)))]
+        out = lead + space() + parts[0]
+        for part in parts[1:]:
+            out += f"{space()}{draw(st.sampled_from('+-'))}{space()}{part}"
+        return out
+    if kind in (6, 7):
+        return f"{space()}*{space()}".join(child() for _ in range(draw(st.integers(2, 4))))
+    if kind == 8 and powers:
+        inner = draw(grammar_texts(depth + 1, powers - 1))
+        return f"({space()}{inner}{space()})^{draw(st.integers(0, 3))}"
+    return f"({space()}-{space()}{child()})"
+
+
+@settings(max_examples=400, deadline=None)
+@given(grammar_texts(), st.integers(1, 3), st.integers(0, 3))
+def test_parse_generated_grammar_matches_boxed_oracle(src, n, degree):
+    for field in ORACLE_FIELDS:
+        for pinned in (None, degree):
+            _check_parse_against_oracle(src, field, n, pinned)
+
+
+# --- printing ---------------------------------------------------------
+
+
+def _format_matrix(a: GradedMatrix) -> str:
+    return format_blocks(a.n, a.field, [(0, a.source), (1, a.target)], "diff", [(0, a)])
+
+
+def _parse_matrix(text: str) -> GradedMatrix:
+    n, field, terms, raw, _ = read_blocks(text, "matrix", "diff")
+    return parse_block("diff 0", raw.get(0, []), field, n, terms[0], terms[1])
+
+
+def _assert_printer_matches_oracle(matrices):
+    for a in matrices:
+        for row in a.entries:
+            for p in row:
+                assert str(p) == poly_str_oracle(p)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_printer_matches_oracle_and_round_trips(field):
+    rng = Random(15)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        # ranks from 1: format_blocks leaves out an empty block
+        src = FreeSheaf(n, tuple(rng.randint(-3, 0) for _ in range(rng.randint(1, 3))))
+        tgt = FreeSheaf(n, tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3))))
+        a = random_graded_matrix(field, src, tgt, rng, rng.choice((0.2, 0.6, 1.0)))
+        if field == QQ and rng.random() < 0.5:
+            a = GradedMatrix(field, src, tgt, [[_fraction_poly(field, n, f - e, rng)
+                                                if f >= e else HomogPoly.zero(field, n, f - e)
+                                                for e in src.twists] for f in tgt.twists])
+        _assert_printer_matches_oracle([a])
+        text = _format_matrix(a)
+        back = _parse_matrix(text)
+        assert back == a
+        assert _format_matrix(back) == text
+    for _ in range(10):
+        m = random_valid_monad(rng, field)
+        g = random_element(field, m, seed=rng.randrange(1 << 30), density=0.7)
+        gd = induced_dual_element(g, m.c)  # over Q, inverses carry fractions
+        _assert_printer_matches_oracle([*m.diffs.values(), *g.blocks.values(),
+                                        *gd.blocks.values()])
+        for obj, fmt, parse in ((m, format_monad, parse_monad),
+                                (g, format_group_element, parse_group_element),
+                                (gd, format_group_element, parse_group_element)):
+            text = fmt(obj)
+            assert fmt(parse(text)) == text
