@@ -25,7 +25,7 @@ from .polymat import (
     GradedMatrix,
     HomogPoly,
     ParseError,
-    _boxed,
+    _from_numerators,
     _mul_into,
     _raw,
     compose,
@@ -36,25 +36,15 @@ from .polymat import (
 from .scalar import Field
 
 
-def _constant_coeff(p: HomogPoly):
-    return p.terms.get((0,) * (p.n + 1))
-
-
 def constant_part(g: GradedMatrix) -> Matrix:
     """The scalar matrix of constants between equal twists."""
     if g.source != g.target:
         raise ValueError("endomorphisms only: source and target must agree")
-    k = g.rows
-    field = g.field
-    data = []
-    for r in range(k):
-        for s in range(k):
-            if g.target.twists[r] == g.source.twists[s]:
-                c = _constant_coeff(g.entries[r][s])
-                data.append(c if c is not None else field.zero)
-            else:
-                data.append(field.zero)
-    return Matrix(field, k, k, data)
+    const = (0,) * (g.n + 1)
+    twists = g.source.twists
+    rows = [{s: c for s, p in enumerate(row) if twists[s] == e and (c := p.terms.get(const))}
+            for e, row in zip(twists, g.entries)]
+    return Matrix.from_row_maps(g.field, g.rows, g.rows, rows)
 
 
 def is_automorphism(g: GradedMatrix) -> bool:
@@ -133,7 +123,8 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
             gap = twists[r] - twists[s]
             x = col[r]
             ent[r][s] = (HomogPoly.zero(field, n, gap) if x is None
-                         else _boxed(field, n, gap, p, x, den_0 * step ** (level[r] - base)))
+                         else _from_numerators(field, n, gap, p, x,
+                                               den_0 * step ** (level[r] - base)))
     return GradedMatrix(field, sheaf, sheaf, ent)
 
 

@@ -104,8 +104,8 @@ class Membership:
 
 def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> Matrix:
     monos = monomials_of_degree(N, 1)
-    data = [f.terms.get(m, field.zero) for f in forms for m in monos]
-    return Matrix(field, len(forms), len(monos), data)
+    rows = [{j: c for j, m in enumerate(monos) if (c := f.terms.get(m))} for f in forms]
+    return Matrix.from_row_maps(field, len(forms), len(monos), rows)
 
 
 def wss_membership(pt: ParamPoint) -> Membership:
@@ -183,7 +183,7 @@ def forbidden_form_point(field: Field = QQ) -> ParamPoint:
 
 
 def _poly_from_coeffs(field: Field, degree: int, coeffs) -> HomogPoly:
-    terms = {m: c for m, c in zip(monomials_of_degree(N, degree), coeffs) if c}
+    terms = {m: c.value for m, c in zip(monomials_of_degree(N, degree), coeffs)}
     return HomogPoly(field, N, degree, terms)
 
 

@@ -12,11 +12,11 @@ the monomials of a fixed degree is lexicographic with x0 > x1 > ... >
 xn, descending; every matrix and printed polynomial uses it, so output
 is bit-stable.
 
-Coefficients are FieldElements, but the arithmetic (products, sums and
-composites of forms, and the expression parser) runs on raw values:
-residues mod p, summed unreduced and reduced once, or over Q integer
-numerators over a common denominator.  Each result coefficient is boxed
-once, when the HomogPoly holding it is built and validated.
+Coefficients are stored as the raw values Matrix.row_maps holds:
+residues in [0, p), or reduced Fractions over Q.  The arithmetic (sums,
+products and composites of forms, and the parser) sums residues
+unreduced and reduces once, or over Q works on integer numerators over
+a common denominator.  HomogPoly.coefficients() boxes FieldElements.
 
 The parser reads a term's plain factors (integer and a/b literals, x_i,
 x_i^k) straight into one exponent list and one numerator and
@@ -89,22 +89,21 @@ def monomial_str(m: Monomial) -> str:
 class HomogPoly:
     """A homogeneous form of fixed degree in x0..xn over a field.
 
-    terms maps monomials to nonzero coefficients; the zero form has no
-    terms but still records its degree (which may then be negative, for
-    the forced-zero slots of a graded matrix).
+    terms maps monomials to nonzero raw values, canonicalised by
+    field.coerce (a FieldElement is refused); coefficients() boxes them.
+    The zero form has no terms but still records its degree (which may
+    then be negative, for the forced-zero slots of a graded matrix).
     """
 
     __slots__ = ("field", "n", "degree", "terms")
 
-    def __init__(self, field: Field, n: int, degree: int, terms: dict[Monomial, FieldElement]):
+    def __init__(self, field: Field, n: int, degree: int, terms: dict[Monomial, object]):
         clean = {}
         for m, c in terms.items():
-            if not c:
+            if not (c := field.coerce(c)):
                 continue
             if len(m) != n + 1 or sum(m) != degree or min(m) < 0:
                 raise ValueError(f"monomial {m} is not of degree {degree} on P^{n}")
-            if c.field is not field and c.field != field:
-                raise ValueError("coefficient from the wrong field")
             clean[m] = c
         self.field = field
         self.n = n
@@ -112,9 +111,8 @@ class HomogPoly:
         self.terms = clean
 
     @classmethod
-    def _unchecked(cls, field: Field, n: int, degree: int,
-                   terms: dict[Monomial, FieldElement]) -> "HomogPoly":
-        """A form from terms known to be nonzero, of this field and degree."""
+    def _unchecked(cls, field: Field, n: int, degree: int, terms: dict) -> "HomogPoly":
+        """A form from nonzero canonical raw values on monomials of this degree."""
         self = object.__new__(cls)
         self.field, self.n, self.degree, self.terms = field, n, degree, terms
         return self
@@ -125,17 +123,22 @@ class HomogPoly:
 
     @classmethod
     def constant(cls, field: Field, n: int, value: FieldElement) -> "HomogPoly":
-        return cls(field, n, 0, {(0,) * (n + 1): value})
+        return cls.monomial(field, n, (0,) * (n + 1), value)
 
     @classmethod
     def variable(cls, field: Field, n: int, i: int) -> "HomogPoly":
         exps = [0] * (n + 1)
         exps[i] = 1
-        return cls(field, n, 1, {tuple(exps): field.one})
+        return cls(field, n, 1, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, field: Field, n: int, m: Monomial, coeff: FieldElement | None = None) -> "HomogPoly":
-        return cls(field, n, sum(m), {m: coeff if coeff is not None else field.one})
+        one = cls(field, n, sum(m), {m: 1})
+        return one if coeff is None else one.scale(coeff)
+
+    def coefficients(self) -> dict[Monomial, FieldElement]:
+        """The nonzero coefficients, boxed, by monomial."""
+        return {m: FieldElement(self.field, c) for m, c in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -147,28 +150,26 @@ class HomogPoly:
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         self._compatible(other)
         if self.is_zero():
-            return HomogPoly(self.field, self.n, other.degree, dict(other.terms))
+            return HomogPoly._unchecked(self.field, self.n, other.degree, dict(other.terms))
         if other.is_zero():
-            return HomogPoly(self.field, self.n, self.degree, dict(self.terms))
+            return HomogPoly._unchecked(self.field, self.n, self.degree, dict(self.terms))
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
         p = _modulus(self.field)
-        da, num = _raw(self, p)
+        da, a = _raw(self, p)
         db, b = _raw(other, p)
         den = lcm(da, db)
-        if den != da:
-            s = den // da
-            num = {m: v * s for m, v in num.items()}
+        s = den // da
+        num = {m: v * s for m, v in a.items()} if s != 1 else dict(a)
         s = den // db
         for m, v in b.items():
             num[m] = num.get(m, 0) + v * s
-        return _boxed(self.field, self.n, self.degree, p, num, den)
+        return _from_numerators(self.field, self.n, self.degree, p, num, den)
 
     def __neg__(self) -> "HomogPoly":
-        field = self.field
-        neg = field.neg
-        return HomogPoly(field, self.n, self.degree,
-                         {m: FieldElement(field, neg(c.value)) for m, c in self.terms.items()})
+        neg = self.field.neg
+        return HomogPoly._unchecked(self.field, self.n, self.degree,
+                                    {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
@@ -180,17 +181,15 @@ class HomogPoly:
         db, b = _raw(other, p)
         num: dict[Monomial, int] = {}
         _mul_into(num, a, b, 1)
-        return _boxed(self.field, self.n, self.degree + other.degree, p, num, da * db)
+        return _from_numerators(self.field, self.n, self.degree + other.degree, p, num, da * db)
 
     def scale(self, c: FieldElement) -> "HomogPoly":
-        if not c:
-            return HomogPoly.zero(self.field, self.n, self.degree)
         field = self.field
         if c.field is not field and c.field != field:
             raise FieldError(f"field mismatch: {c.field} vs {field}")
         mul, x = field.mul, c.value
-        return HomogPoly(field, self.n, self.degree,
-                         {m: FieldElement(field, mul(x, v.value)) for m, v in self.terms.items()})
+        return HomogPoly._unchecked(field, self.n, self.degree,
+                                    {m: mul(x, v) for m, v in self.terms.items()} if x else {})
 
     def __eq__(self, other):
         # Zero forms are equal whatever their recorded degree.
@@ -210,7 +209,7 @@ class HomogPoly:
             return "0"
         out = []
         for m in sorted(terms, reverse=True):
-            cs = str(terms[m].value)
+            cs = str(terms[m])
             mono = monomial_str(m)
             neg = cs[0] == "-"
             mag = cs[1:] if neg else cs
@@ -235,12 +234,13 @@ class HomogPoly:
 
 
 def _raw(poly: HomogPoly, p: int) -> tuple[int, dict[Monomial, int]]:
-    """poly as (den, numerators); p is the modulus, 0 over Q."""
+    """poly as (den, numerators); p is the modulus, 0 over Q.  Over F_p
+    the numerators are poly.terms itself, which callers must not mutate."""
+    terms = poly.terms
     if p:
-        return 1, {m: c.value for m, c in poly.terms.items()}
-    den = lcm(*(c.value.denominator for c in poly.terms.values()))
-    return den, {m: c.value.numerator * (den // c.value.denominator)
-                 for m, c in poly.terms.items()}
+        return 1, terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
 
 
 def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int], b: dict[Monomial, int],
@@ -254,14 +254,14 @@ def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int], b: dict[Monomial
             out[m] = get(m, 0) + ca * cb
 
 
-def _boxed(field: Field, n: int, degree: int, p: int, num: dict[Monomial, int],
-           den: int) -> HomogPoly:
-    """The form sum num[m] * m / den, one FieldElement per nonzero term."""
+def _from_numerators(field: Field, n: int, degree: int, p: int, num: dict[Monomial, int],
+                     den: int) -> HomogPoly:
+    """The form sum num[m] * m / den over monomials of this degree, reduced."""
     if p:
-        terms = {m: FieldElement(field, r) for m, v in num.items() if (r := v % p)}
+        terms = {m: r for m, v in num.items() if (r := v % p)}
     else:
-        terms = {m: FieldElement(field, Fraction(v, den)) for m, v in num.items() if v}
-    return HomogPoly(field, n, degree, terms)
+        terms = {m: Fraction(v, den) for m, v in num.items() if v}
+    return HomogPoly._unchecked(field, n, degree, terms)
 
 
 # Largest constant power the parser evaluates over Q, in bits.
@@ -511,9 +511,9 @@ def parse_poly(src: str, field: Field, n: int, degree: int | None = None) -> Hom
     d = degrees.pop()
     if degree is not None and d != degree:
         raise ParseError(f"expected degree {degree}, got {d} in {src!r}")
-    box = field.coerce
-    return HomogPoly._unchecked(field, n, d, {m: FieldElement(field, box(c))
-                                              for m, c in raw.items()})
+    if not parser.p:
+        raw = {m: Fraction(c) for m, c in raw.items()}
+    return HomogPoly._unchecked(field, n, d, raw)
 
 
 @dataclass(frozen=True)
@@ -676,7 +676,7 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             num: dict[Monomial, int] = {}
             for (dx, x), (dy, y) in pairs:
                 _mul_into(num, x, y, den // (dx * dy))
-            row.append(_boxed(field, n, f - e, p, num, den))
+            row.append(_from_numerators(field, n, f - e, p, num, den))
         ent.append(row)
     return GradedMatrix(field, b.source, a.target, ent)
 
@@ -721,7 +721,7 @@ def sections_matrix(m: GradedMatrix, t: int) -> Matrix:
             for cu, u in enumerate(src_monos):
                 col = src_off[j] + cu
                 for v, coef in p.terms.items():
-                    row_maps[tgt_off[i] + index[monomial_mul(u, v)]][col] = coef.value
+                    row_maps[tgt_off[i] + index[monomial_mul(u, v)]][col] = coef
     return Matrix.from_row_maps(m.field, rows, cols, row_maps)
 
 
@@ -734,10 +734,9 @@ def random_poly(field: Field, n: int, degree: int, rng: Random,
     for m in monomials_of_degree(n, degree):
         if density < 1.0 and rng.random() >= density:
             continue
-        c = random_scalar(field, rng)
-        if c:
+        if c := random_scalar(field, rng).value:
             terms[m] = c
-    return HomogPoly(field, n, degree, terms)
+    return HomogPoly._unchecked(field, n, degree, terms)
 
 
 def random_scalar(field: Field, rng: Random) -> FieldElement:

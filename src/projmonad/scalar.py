@@ -15,16 +15,30 @@ class FieldError(ValueError):
     """Mixing fields, bad modulus, or a malformed scalar literal."""
 
 
+# Miller-Rabin with these bases is exact below 3,215,031,751 > 2^31.
+_WITNESSES = (2, 3, 5, 7)
+
+
 def _is_prime(p: int) -> bool:
+    """Primality for 0 <= p < 2^31 by deterministic Miller-Rabin."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -131,10 +145,11 @@ class PrimeField(Field):
     def __new__(cls, p: int):
         inst = cls._cache.get(p)
         if inst is None:
+            # the size check comes first: _is_prime is exact only below 2^31
+            if isinstance(p, int) and p >= 1 << 31:
+                raise FieldError(f"modulus {p} exceeds 2^31")
             if not isinstance(p, int) or not _is_prime(p):
                 raise FieldError(f"modulus {p!r} is not prime")
-            if p >= 1 << 31:
-                raise FieldError(f"modulus {p} exceeds 2^31")
             inst = super().__new__(cls)
             inst.p = p
             inst._zero = FieldElement(inst, 0)

@@ -8,7 +8,9 @@ cohomology of line bundles on a line is written down in closed form.
 The Hilbert window oracle keeps the heuristic window start that the
 regularity bound replaced.  The polynomial oracles multiply, compose and
 parse forms one boxed FieldElement operation at a time, as projmonad.polymat
-did before its arithmetic moved onto raw values.  The graded inverse
+did before its arithmetic moved onto raw values; they read coefficients
+through HomogPoly.coefficients() and hand raw values back only when
+they build a form (poly_from_boxed).  The graded inverse
 oracle sums the finite Neumann series that the degree induction of
 projmonad.autgroup replaced.  The printing oracle builds every monomial's
 text afresh for each term, as HomogPoly.__str__ did before it reused them.
@@ -140,31 +142,38 @@ def _monomial_mul_oracle(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def poly_from_boxed(field, n: int, degree: int, terms) -> HomogPoly:
+    """The form with FieldElement coefficients terms, each checked to lie
+    in field; zero coefficients are dropped by the constructor."""
+    assert all(c.field == field for c in terms.values()), "coefficient from the wrong field"
+    return HomogPoly(field, n, degree, {m: c.value for m, c in terms.items()})
+
+
 def poly_add_oracle(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     """Sum of two forms of one degree (or zero), coefficient by coefficient."""
     if not a.terms:
-        return HomogPoly(a.field, a.n, b.degree, dict(b.terms))
+        return poly_from_boxed(a.field, a.n, b.degree, b.coefficients())
     if not b.terms:
-        return HomogPoly(a.field, a.n, a.degree, dict(a.terms))
+        return poly_from_boxed(a.field, a.n, a.degree, a.coefficients())
     if a.degree != b.degree:
         raise ValueError("cannot add forms of different degrees")
-    terms = dict(a.terms)
-    for m, c in b.terms.items():
+    terms = a.coefficients()
+    for m, c in b.coefficients().items():
         s = terms.get(m)
         terms[m] = c if s is None else s + c
-    return HomogPoly(a.field, a.n, a.degree, terms)
+    return poly_from_boxed(a.field, a.n, a.degree, terms)
 
 
 def poly_mul_oracle(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     """Product of two forms, one FieldElement product and sum per pair of terms."""
     terms = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for ma, ca in a.coefficients().items():
+        for mb, cb in b.coefficients().items():
             m = _monomial_mul_oracle(ma, mb)
             c = ca * cb
             s = terms.get(m)
             terms[m] = c if s is None else s + c
-    return HomogPoly(a.field, a.n, a.degree + b.degree, terms)
+    return poly_from_boxed(a.field, a.n, a.degree + b.degree, terms)
 
 
 def compose_oracle(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -374,7 +383,7 @@ def parse_poly_oracle(src: str, field, n: int, degree=None) -> HomogPoly:
     d = degrees.pop()
     if degree is not None and d != degree:
         raise ParseError(f"expected degree {degree}, got {d} in {src!r}")
-    return HomogPoly(field, n, d, terms)
+    return poly_from_boxed(field, n, d, terms)
 
 
 # Cells the fuzz and grammar tests mix into generated texts.
@@ -394,11 +403,12 @@ def _monomial_str_oracle(m) -> str:
 
 def poly_str_oracle(p: HomogPoly) -> str:
     """str(p), each term's monomial text built on the spot."""
-    if not p.terms:
+    terms = p.coefficients()
+    if not terms:
         return "0"
     out = []
-    for m in sorted(p.terms, reverse=True):
-        c = p.terms[m]
+    for m in sorted(terms, reverse=True):
+        c = terms[m]
         mono = _monomial_str_oracle(m)
         cs = str(c)
         neg = cs.startswith("-")

@@ -278,6 +278,26 @@ def test_cli_round_trip_dualize_twice(capsys, cubic_file, tmp_path):
     assert twice.read_text() == open(cubic_file).read()
 
 
+@pytest.mark.parametrize("command", ["monad validate", "p3 demo"])
+def test_large_prime_modulus_is_refused_at_once(capsys, tmp_path, command):
+    # 2^61 - 1 is prime: refused for its size before any primality test
+    p = 2**61 - 1
+    if command == "monad validate":
+        path = tmp_path / "big.monad"
+        path.write_text(f"P 2 over F{p}\nterm 0: [0]\ncodim 1\ncohomology_at 0\n")
+        argv = ["monad", "validate", "--in", str(path)]
+    else:
+        argv = ["p3", "demo", "--field", f"Fp:{p}", "--json"]
+    start = time.perf_counter()
+    rc = run(argv)
+    assert time.perf_counter() - start < 1.0
+    # a modulus the program cannot use is a bad field token, like F4
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "parse", "message": f"modulus {p} exceeds 2^31"}
+    _check(payload, "error")
+
+
 @pytest.fixture
 def koszul_file(tmp_path):
     path = tmp_path / "koszul.monad"

@@ -30,7 +30,8 @@ ERROR_SCHEMA = json.loads(
     resources.files("projmonad.schemas").joinpath("error.schema.json").read_text())
 
 FIELDS = ["Q", "F101", "F7", "F2147483647"]
-JUNK_FIELDS = ["F4", "F1", "R", "Fp:x"]
+# F2305843009213693951 is the prime 2^61 - 1, too large for the program
+JUNK_FIELDS = ["F4", "F1", "R", "Fp:x", "F2305843009213693951", "F2147483648"]
 CONSTANTS = ["1", "-1", "2", "3/2", "100", "0"]
 COEFFICIENTS = ["", "2*", "-", "3/2*", "100*", "-7*"]
 JUNK_LINES = ["diff 0:", "block 0:", "term 0: [", "term x: [0]", "codim", "cohomology_at 9",

@@ -9,6 +9,7 @@ from conftest import (
     compose_oracle,
     parse_poly_oracle,
     poly_add_oracle,
+    poly_from_boxed,
     poly_mul_oracle,
     poly_str_oracle,
     random_valid_monad,
@@ -39,7 +40,7 @@ from projmonad.polymat import (
     random_scalar,
     sections_matrix,
 )
-from projmonad.scalar import GF, QQ
+from projmonad.scalar import GF, QQ, FieldError
 
 F7 = GF(7)
 
@@ -259,8 +260,9 @@ ORACLE_FIELDS = [QQ, GF(101), GF(2**31 - 1)]
 def _same_poly(p, q):
     """Equal field, space, recorded degree and coefficients, raw types included."""
     assert (p.field, p.n, p.degree) == (q.field, q.n, q.degree)
-    assert p.terms == q.terms
-    assert all(type(c.value) is type(q.terms[m].value) for m, c in p.terms.items())
+    pc, qc = p.coefficients(), q.coefficients()
+    assert pc == qc
+    assert all(type(c.value) is type(qc[m].value) for m, c in pc.items())
 
 
 def _same_matrix(a, b):
@@ -274,7 +276,7 @@ def _fraction_poly(field, n, degree, rng):
     """A random form with non-integer coefficients over Q."""
     terms = {m: field.element(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
              for m in monomials_of_degree(n, degree) if rng.random() < 0.7}
-    return HomogPoly(field, n, degree, terms)
+    return poly_from_boxed(field, n, degree, terms)
 
 
 def _random_sheaf(rng, n, lo, hi, max_rank=3):
@@ -295,15 +297,16 @@ def test_poly_arithmetic_matches_boxed_oracle(field):
             b = random_poly(field, n, db, rng, 0.6)
         _same_poly(a * b, poly_mul_oracle(a, b))
         _same_poly(b * a, poly_mul_oracle(b, a))
-        _same_poly(-a, HomogPoly(field, n, a.degree, {m: -c for m, c in a.terms.items()}))
+        _same_poly(-a, poly_from_boxed(field, n, a.degree,
+                                       {m: -c for m, c in a.coefficients().items()}))
         _same_poly(a - a, HomogPoly.zero(field, n, a.degree))
         c = random_scalar(field, rng)
-        _same_poly(a.scale(c), HomogPoly(field, n, a.degree,
-                                         {m: c * v for m, v in a.terms.items()}))
+        _same_poly(a.scale(c), poly_from_boxed(field, n, a.degree,
+                                               {m: c * v for m, v in a.coefficients().items()}))
         b = random_poly(field, n, a.degree, rng, 0.6)
         _same_poly(a + b, poly_add_oracle(a, b))
-        _same_poly(a - b, poly_add_oracle(a, HomogPoly(
-            field, n, b.degree, {m: -c for m, c in b.terms.items()})))
+        _same_poly(a - b, poly_add_oracle(a, poly_from_boxed(
+            field, n, b.degree, {m: -c for m, c in b.coefficients().items()})))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -356,7 +359,8 @@ def test_graded_inverse_round_trip_matches_boxed_oracle(field):
         g = random_automorphism(field, sheaf, rng, density=0.7)
         g_inv = graded_inverse(g)
         fractional += any(field == QQ and c.value.denominator > 1
-                          for row in g_inv.entries for p in row for c in p.terms.values())
+                          for row in g_inv.entries for p in row
+                          for c in p.coefficients().values())
         for a, b in ((g, g_inv), (g_inv, g), (g_inv, g_inv)):
             _same_matrix(compose(a, b), compose_oracle(a, b))
             for p, q in zip(a.entries[0], b.entries[0]):
@@ -366,6 +370,57 @@ def test_graded_inverse_round_trip_matches_boxed_oracle(field):
         _same_matrix(compose(g_inv, g), one)
     # over Q the inverses carry non-integer coefficients
     assert fractional > 5 if field == QQ else fractional == 0
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_constructor_canonicalises_raw_values(field):
+    x0, x1, x2 = (0, 1), (1, 0), (2, 0)  # monomials on P^1 (x2 is degree 2)
+    if field == QQ:
+        p = HomogPoly(field, 1, 1, {x0: 3, x1: Fraction(-4, 6)})
+        assert p.terms == {x0: Fraction(3), x1: Fraction(-2, 3)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+    else:
+        q = field.p
+        p = HomogPoly(field, 1, 1, {x0: -1, x1: q + 5})
+        assert p.terms == {x0: q - 1, x1: 5}
+        assert all(type(c) is int for c in p.terms.values())
+        assert HomogPoly(field, 1, 1, {x0: q, x1: -2 * q}).is_zero()
+    assert p == parse_poly(str(p), field, 1, 1)
+    assert p.coefficients() == {m: field.element(c) for m, c in p.terms.items()}
+    for bad in (field.one, GF(7).one, 1.0, 0.5, "1"):
+        with pytest.raises(FieldError):
+            HomogPoly(field, 1, 1, {x0: bad})
+    with pytest.raises(ValueError):
+        HomogPoly(field, 1, 1, {x2: 1})
+
+
+def test_equal_raw_values_over_different_fields_differ():
+    terms = {(1, 0): 1, (0, 1): 3}
+    over_q, over_f = HomogPoly(QQ, 1, 1, terms), HomogPoly(GF(101), 1, 1, terms)
+    assert over_q.terms == over_f.terms
+    assert over_q != over_f and over_f != over_q
+    assert len({over_q, over_f}) == 2
+    assert over_q.coefficients() != over_f.coefficients()
+    with pytest.raises(FieldError):
+        over_q.scale(GF(101).one)
+    with pytest.raises(FieldError):
+        HomogPoly.constant(QQ, 1, GF(101).one)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_terms_hold_the_raw_type_of_section_matrices(field):
+    rng = Random(16)
+    a = random_graded_matrix(field, FreeSheaf(2, (-2, -1)), FreeSheaf(2, (0, 1)), rng)
+    if field == QQ:
+        a = GradedMatrix(field, a.source, a.target,
+                         [[_fraction_poly(field, 2, f - e, rng) for e in a.source.twists]
+                          for f in a.target.twists])
+    raw_type = Fraction if field == QQ else int
+    term_types = {type(c) for row in a.entries for p in row for c in p.terms.values()}
+    entries = [v for row in sections_matrix(a, 2).row_maps for v in row.values()]
+    assert term_types == {type(v) for v in entries} == {raw_type}
+    coefficients = {c for row in a.entries for p in row for c in p.terms.values()}
+    assert set(entries) == coefficients
 
 
 def _parse_outcome(parse, src, field, n, degree):

@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from projmonad.scalar import GF, QQ, FieldError, field_arithmetic
+from projmonad.scalar import GF, QQ, FieldError, _is_prime, field_arithmetic
 
 F7 = GF(7)
 F101 = GF(101)
@@ -70,6 +71,45 @@ def test_bad_moduli_rejected():
         GF(1)
     with pytest.raises(FieldError):
         GF((1 << 31) + 11)  # prime, but too large
+
+
+def _is_prime_by_trial_division(p: int) -> bool:
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+# Strong pseudoprimes to bases 2; 2, 3; 2, 3, 5 (the smallest of each),
+# Carmichael numbers, and primes and composites just below 2^31.
+HARD_CASES = [2047, 3277, 4033, 1373653, 25326001, 561, 1105, 1729, 2465, 62745,
+              2**31 - 1, 2147483629, 2147483587, 2**31 - 3, 46337**2, 46337 * 46327,
+              65521 * 32749]
+
+
+def test_is_prime_matches_trial_division():
+    for p in range(-3, 20000):
+        assert _is_prime(p) == _is_prime_by_trial_division(p), p
+    rng = Random(5)
+    for p in HARD_CASES + [rng.randrange(1 << 30, 1 << 31) for _ in range(200)]:
+        assert _is_prime(p) == _is_prime_by_trial_division(p), p
+
+
+def test_large_modulus_refused_before_primality():
+    start = time.perf_counter()
+    for p in (2**61 - 1, 2**89 - 1, 10**40 + 1, 1 << 31):
+        with pytest.raises(FieldError, match="exceeds 2\\^31"):
+            GF(p)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(FieldError):
+        GF(2.0**31)
+    assert GF(2**31 - 1).p == 2**31 - 1
 
 
 def test_immutability():
