@@ -2,7 +2,7 @@
 dualization, Bott numbers, Hilbert polynomials, term automorphisms, and
 the 3m+1 parameter space on P^3."""
 
-from .scalar import GF, QQ, Field, FieldElement, FieldError, PrimeField, RationalField, field_arithmetic
+from .scalar import GF, QQ, Field, FieldElement, FieldError, PrimeField, RationalField
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
@@ -29,7 +29,6 @@ from .monad import (
     hilbert_poly_of_cohomology,
     minimality_check,
     parse_monad,
-    regularity_bound,
     sheaf_cohomology,
     validate,
 )

@@ -31,7 +31,6 @@ from .polymat import (
     compose,
     dual_hom,
     random_poly,
-    random_scalar,
 )
 from .scalar import Field
 
@@ -206,7 +205,7 @@ def random_automorphism(field: Field, sheaf: FreeSheaf, rng: Random,
             for s in range(k):
                 gap = sheaf.twists[r] - sheaf.twists[s]
                 if gap == 0:
-                    row.append(HomogPoly.constant(field, n, random_scalar(field, rng)))
+                    row.append(random_poly(field, n, 0, rng))
                 elif gap > 0:
                     row.append(random_poly(field, n, gap, rng, density))
                 else:

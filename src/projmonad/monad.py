@@ -7,14 +7,15 @@ reindexes so that a complex resolving a codimension-c sheaf again has
 its cohomology at the marked spot; on the underlying data it is an
 exact involution.
 
-Hilbert functions of the cohomology sheaf are computed degreewise: in
-twist t the cohomology of the section complex at the marked position is
-dim ker - rank of adjacent multiplication matrices.  For a resolution
-F <- L_0 <- ... <- L_{-k} with k <= n, that proxy equals h^0(F(t)) = chi(F(t))
-from the Castelnuovo-Mumford bound max_ij (a_ij - i) on (regularity_bound);
-other shapes start at the heuristic (n+1) + max |twist| (default_window).
-Either way the values are only trusted where they reproduce the Euler
-polynomial, which hilbert_poly_of_cohomology enforces.
+Hilbert functions and sheaf cohomology are read off one computation:
+the row-0 section complex, whose value at position q in twist t is
+h^0(L_q(t)) minus the ranks of the adjacent multiplication matrices.
+With L_q = sum_j O(-a_qj), every H^n(L_q(t)) vanishes for
+t >= t_n = max a_qj - n, so on a complex exact away from its marked
+position p the value at q is h^{q-p}(F(t)).  hilbert_poly_of_cohomology
+slides a window up from t_n until every q > p reads 0 and insists that
+the values at p reproduce the Euler polynomial; sheaf_cohomology reads
+row 0 at t and row n as row 0 of the dual complex at -t.
 """
 
 from __future__ import annotations
@@ -138,23 +139,29 @@ def _sections_rank(d: GradedMatrix, t: int) -> int:
     return rank(sections_matrix(d, t))
 
 
-def cohomology_hilbert_function(m: Monad, position: int, t_range) -> list[int]:
-    """Degreewise cohomology dimensions at one position across twists.
+def _section_values(terms, diffs, positions, t: int) -> dict[int, int]:
+    """Row-0 section-complex values at the given positions in twist t:
+    h^0(L_q(t)) minus the ranks of the section matrices next to q, each
+    ranked once (a missing differential counts as zero)."""
+    ranks = {}
+    values = {}
+    for q in positions:
+        value = terms[q].sections_dim(t)
+        for i in (q - 1, q):
+            if i not in ranks:
+                d = diffs.get(i)
+                ranks[i] = _sections_rank(d, t) if d is not None else 0
+            value -= ranks[i]
+        values[q] = value
+    return values
 
-    For each t: dim ker of the outgoing section matrix minus the rank
-    of the incoming one; missing maps at the boundary count as zero.
-    """
+
+def cohomology_hilbert_function(m: Monad, position: int, t_range) -> list[int]:
+    """Degreewise cohomology dimensions at one position across twists:
+    the row-0 section-complex value of _section_values at each t."""
     if not m.lo <= position <= m.hi:
         raise ValueError(f"position {position} outside [{m.lo}, {m.hi}]")
-    out = []
-    for t in t_range:
-        dim = m.terms[position].sections_dim(t)
-        d_out = m.diffs.get(position)
-        kdim = dim - _sections_rank(d_out, t) if d_out is not None else dim
-        d_in = m.diffs.get(position - 1)
-        r_in = _sections_rank(d_in, t) if d_in is not None else 0
-        out.append(kdim - r_in)
-    return out
+    return [_section_values(m.terms, m.diffs, (position,), t)[position] for t in t_range]
 
 
 def default_window(m: Monad) -> range:
@@ -163,80 +170,79 @@ def default_window(m: Monad) -> range:
     return range(t0, t0 + m.n + 2)
 
 
-def regularity_bound(m: Monad) -> int | None:
-    """max_ij (a_ij - i) for L_{p-i} = sum_j O(-a_ij), p the marked position.
-
-    Defined only when p is the right end and the complex has length
-    k = p - lo <= n (and some term is nonzero); None otherwise.  If the
-    complex resolves F = H^p, F is Castelnuovo-Mumford regular in this
-    degree (Eisenbud, The Geometry of Syzygies, ch. 4).
-    """
-    p = m.cohomology_position
-    if p != m.hi or p - m.lo > m.n:
-        return None
-    return max((-e - (p - q) for q in range(m.lo, p + 1) for e in m.terms[q].twists),
-               default=None)
-
-
 def hilbert_poly_of_cohomology(m: Monad) -> IntPoly:
-    """Hilbert polynomial of the cohomology sheaf, window checked.
+    """Hilbert polynomial of the cohomology sheaf F = H^p, p the marked
+    position: the degreewise values at p on n+2 twists, interpolated with
+    degree bound n - c, must equal the Euler polynomial (with the sign p
+    dictates); otherwise WindowDisagreementError.
 
-    Samples the degreewise Hilbert function on [T, T+n+1], interpolates
-    with degree bound n - c, and insists the result match the Euler
-    polynomial (with the sign that the marked position dictates).  One
-    retry on a window n+2 wider, then the disagreement is reported as an
-    error; so the result is that polynomial or an exception.
+    Why the window is right when the complex is exact away from p; write
+    L_q = sum_j O(-a_qj) (Eisenbud, The Geometry of Syzygies, ch. 4):
 
-    T is reg = regularity_bound(m) when the shape qualifies, and the
-    heuristic (n+1) + max |twist| of default_window otherwise; reg never
-    exceeds the heuristic, since each a_ij - i <= max |twist|.  Why reg
-    is enough, assuming the complex is exact away from p = hi, i.e.
-    that 0 -> L_{-k} -> ... -> L_0 -> F -> 0 is exact, with k <= n:
+    - Hypercohomology of L(t) gives E_1^{q,r} = H^r(L_q(t)) =>
+      H^{q+r-p}(F(t)).  Line bundles have no middle cohomology, so only
+      the rows r = 0 and r = n are nonzero.
+    - H^n(O(t - a)) = 0 once t - a >= -n, so for t >= t_n = max a_qj - n
+      row n vanishes and the section complex at q computes h^{q-p}(F(t)).
+    - So where every q > p reads 0, all higher cohomology of F(t)
+      vanishes, and the value at p is h^0(F(t)) = chi(F(t)).  A nonzero
+      value at some q < p proves that the complex resolves no sheaf at p;
+      the error names the first such q.
 
-    - Hypercohomology of L(t) gives E_1^{-i,q} = H^q(L_{-i}(t)) =>
-      H^{q-i}(F(t)).  Line bundles have no middle cohomology, so only the
-      rows q = 0 and q = n are nonzero.
-    - Total degree 0 is fed by E^{0,0} and E^{-n,n}.  E_2^{0,0} is the
-      cokernel of H^0(L_{-1}(t)) -> H^0(L_0(t)), the sampled value.  No
-      later differential reaches or leaves it: one from row n would
-      need column -n-1, past the left end.
-    - E^{-n,n} exists only for k = n, and H^n(O(t - a_kj)) = 0 once
-      t - a_kj >= -n, which holds for t >= reg >= a_kj - k.  So the
-      sampled value is h^0(F(t)) for t >= reg.
-    - The same resolution makes F reg-regular, so H^q(F(t)) = 0 for
-      q > 0 and t >= reg - q, and h^0(F(t)) = chi(F(t)), the Hilbert
-      polynomial, on the whole window.
-
-    A complex that is not such a resolution gets no guarantee from this
-    start; it is caught, as before, by the comparison with the Euler
-    polynomial.  The whole window, retry included, passes
-    _check_window_size before any section matrix is built.
+    The window starts at t_n, never above the Castelnuovo-Mumford bound
+    max (a_qj - (p - q)) of a resolution (p - q <= n), and slides up one
+    twist at a time to the first n+2 twists on which every q > p reads 0:
+    after 2(n+2) twists from the heuristic start T of default_window on,
+    if not past it, and up to T + 2(n+2), the end of the old window and
+    its retry.  Each stretch passes _check_window_size at q >= p before
+    it is entered, the positions q < p just before they are ranked.
     """
     target = euler_poly(m)
-    if m.cohomology_position % 2:
+    p = m.cohomology_position
+    if p % 2:
         target = -target
-    t0 = regularity_bound(m)
-    if t0 is None:
-        t0 = default_window(m).start
-    width = m.n + 2
-    _check_window_size(m, [m.cohomology_position], range(t0, t0 + 2 * width))
-    for extra in (0, m.n + 2):
-        window = range(t0, t0 + width + extra)
-        values = cohomology_hilbert_function(m, m.cohomology_position, window)
-        try:
-            poly = interpolate(values, t0, m.n - m.c)
-        except InterpolationError:
-            continue
-        if poly == target:
-            return poly
-    raise WindowDisagreementError(
-        f"window disagreement: degreewise values do not match {target}")
+    n, width = m.n, m.n + 2
+    t_n = max((-e for s in m.terms.values() for e in s.twists), default=0) - n
+    heuristic = default_window(m).start
+    stop = heuristic + 2 * width
+    ahead = range(p, m.hi + 1)
+    _check_window_size(m, ahead, range(t_n, t_n + 2 * width))
+    start = t = t_n
+    while p < m.hi and t < start + width:
+        if t == t_n + 2 * width:
+            if t < heuristic:
+                start = t = heuristic
+            _check_window_size(m, ahead, range(t, stop))
+        if t == stop:
+            raise _disagreement(m, target, t_n)
+        if any(_section_values(m.terms, m.diffs, ahead[1:], t).values()):
+            start = t + 1
+        t += 1
+    values = cohomology_hilbert_function(m, p, range(start, start + width))
+    try:
+        if interpolate(values, start, n - m.c) == target:
+            return target
+    except InterpolationError:
+        pass
+    raise _disagreement(m, target, t_n)
 
 
-# Most entries (rows x cols) allowed in one section matrix of a window:
-# 5 times the largest one the test suite builds (11700 x 15600, in the
-# heuristic-window retry of an Omega resolution on P^3).  The benchmark
-# workloads stay under 630 x 700.
+def _disagreement(m: Monad, target: IntPoly, t_n: int) -> WindowDisagreementError:
+    """The error, naming the first q < p that reads nonzero on [t_n, t_n+n+1]."""
+    p = m.cohomology_position
+    earlier, window = range(m.lo, p), range(t_n, t_n + m.n + 2)
+    _check_window_size(m, earlier, window)
+    rows = [_section_values(m.terms, m.diffs, earlier, t) for t in window]
+    bad = [q for q in earlier if any(row[q] for row in rows)]
+    cause = f"; position {bad[0]} is not exact, so no sheaf is resolved at {p}" if bad else ""
+    return WindowDisagreementError(
+        f"window disagreement: degreewise values do not match {target}{cause}")
+
+
+# Most entries (rows x cols) allowed in one section matrix: 5 times the
+# largest the test suite builds (11700 x 15600), now only in the old-window
+# oracle of tests/conftest.py, on an Omega resolution of P^3.  Shipped
+# windows of those stay under 140 x 120, the benchmark's under 630 x 700.
 MAX_SECTION_ENTRIES = 10 ** 9
 
 # Most rows, and most columns, allowed in one section matrix: 12 times
@@ -245,8 +251,8 @@ MAX_SECTION_ENTRIES = 10 ** 9
 # empty: a window that tops out at 125800 x 165 peaks near 200 MB.
 MAX_SECTION_SIDE = 200_000
 
-# Most twists allowed in one window test: 1000 times the widest window
-# any shipped computation samples (the 2(n+2) = 10 twist retry on P^3).
+# Most twists allowed in one window test: 1000 times the 2(n+2) = 10
+# twists that a Hilbert window on P^3 checks up front.
 MAX_WINDOW_TWISTS = 10 ** 4
 
 
@@ -284,11 +290,18 @@ def exactness_check(m: Monad, positions, t_range) -> dict[int, bool]:
     """Window test: a position passes when its Hilbert data vanishes.
 
     Vanishing on a window is evidence, not proof, of exactness there.
-    The window passes _check_window_size first.
+    The window passes _check_window_size first; each twist ranks only
+    the differentials next to the positions asked for.
     """
     _check_window_size(m, positions, t_range)
-    ts = list(t_range)
-    return {pos: not any(cohomology_hilbert_function(m, pos, ts)) for pos in positions}
+    if bad := [q for q in positions if not m.lo <= q <= m.hi]:
+        raise ValueError(f"position {bad[0]} outside [{m.lo}, {m.hi}]")
+    exact = dict.fromkeys(positions, True)
+    for t in t_range:
+        for q, value in _section_values(m.terms, m.diffs, exact, t).items():
+            if value:
+                exact[q] = False
+    return exact
 
 
 def minimality_check(m: Monad) -> bool:
@@ -305,24 +318,21 @@ def minimality_check(m: Monad) -> bool:
 def sheaf_cohomology(m: Monad, t: int = 0) -> list[int]:
     """All of h^0..h^n of the cohomology sheaf twisted by t.
 
-    Works with the section complexes in degrees 0 and n of every term
-    (line bundles have no middle cohomology); the two rows cannot
-    interact as long as no top-row class sits n+1 steps left of a
-    bottom-row class, which is checked.  Requires the monad to be exact
-    away from its marked position.
+    Line bundles have no middle cohomology, so the section complexes in
+    degrees 0 and n suffice: row 0 is _section_values at t, row n the
+    same on the dual terms and transposed differentials at -t (Serre
+    duality).  The rows cannot interact as long as no top-row class sits
+    n+1 steps left of a bottom-row class, which is checked.  Requires the
+    monad to be exact away from its marked position.
     """
     n = m.n
-    rank0 = {i: _sections_rank(d, t) for i, d in m.diffs.items()}
-    rankn = {i: _sections_rank(dual_hom(d), -t) for i, d in m.diffs.items()}
-    row0, rown = {}, {}
-    for j in range(m.lo, m.hi + 1):
-        row0[j] = (m.terms[j].sections_dim(t)
-                   - rank0.get(j, 0) - rank0.get(j - 1, 0))
-        rown[j] = (m.terms[j].dual().sections_dim(-t)
-                   - rankn.get(j, 0) - rankn.get(j - 1, 0))
+    positions = range(m.lo, m.hi + 1)
+    row0 = _section_values(m.terms, m.diffs, positions, t)
+    rown = _section_values({j: s.dual() for j, s in m.terms.items()},
+                           {i: dual_hom(d) for i, d in m.diffs.items()}, positions, -t)
     if m.hi - m.lo >= n + 1:
-        for j in range(m.lo, m.hi + 1):
-            if rown.get(j) and row0.get(j + n + 1):
+        for j in positions:
+            if rown[j] and row0.get(j + n + 1):
                 raise ValueError(
                     "section rows may interact; cohomology not determined by ranks")
     pos = m.cohomology_position

@@ -727,22 +727,18 @@ def sections_matrix(m: GradedMatrix, t: int) -> Matrix:
 
 def random_poly(field: Field, n: int, degree: int, rng: Random,
                 density: float = 1.0) -> HomogPoly:
-    """A random form; each monomial appears with the given density."""
+    """A random form; each monomial appears with the given density, with a
+    raw coefficient rng.randrange(p) over F_p or rng.randint(-9, 9) over Q."""
     if degree < 0:
         return HomogPoly.zero(field, n, degree)
+    prime = field.p if isinstance(field, PrimeField) else 0
     terms = {}
     for m in monomials_of_degree(n, degree):
         if density < 1.0 and rng.random() >= density:
             continue
-        if c := random_scalar(field, rng).value:
+        if c := rng.randrange(prime) if prime else Fraction(rng.randint(-9, 9)):
             terms[m] = c
     return HomogPoly._unchecked(field, n, degree, terms)
-
-
-def random_scalar(field: Field, rng: Random) -> FieldElement:
-    if isinstance(field, PrimeField):
-        return field.element(rng.randrange(field.p))
-    return field.element(rng.randint(-9, 9))
 
 
 def random_graded_matrix(field: Field, source: FreeSheaf, target: FreeSheaf,

@@ -258,15 +258,3 @@ QQ = RationalField()
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
-
-def field_arithmetic(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Combine two elements of the same field; op is add, sub, mul or div."""
-    table = {
-        "add": FieldElement.__add__,
-        "sub": FieldElement.__sub__,
-        "mul": FieldElement.__mul__,
-        "div": FieldElement.__truediv__,
-    }
-    if op not in table:
-        raise ValueError(f"unknown op {op!r}")
-    return table[op](a, b)

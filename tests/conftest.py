@@ -426,6 +426,22 @@ def poly_str_oracle(p: HomogPoly) -> str:
     return " ".join(out)
 
 
+def regularity_bound(m: Monad) -> int | None:
+    """The window start hilbert_poly_of_cohomology used before t_n:
+    max_ij (a_ij - i) for L_{p-i} = sum_j O(-a_ij), p the marked position.
+
+    Defined only when p is the right end and the complex has length
+    k = p - lo <= n (and some term is nonzero); None otherwise.  If the
+    complex resolves F = H^p, F is Castelnuovo-Mumford regular in this
+    degree (Eisenbud, The Geometry of Syzygies, ch. 4).
+    """
+    p = m.cohomology_position
+    if p != m.hi or p - m.lo > m.n:
+        return None
+    return max((-e - (p - q) for q in range(m.lo, p + 1) for e in m.terms[q].twists),
+               default=None)
+
+
 def hilbert_poly_heuristic_window(m: Monad):
     """hilbert_poly_of_cohomology on the window it used before the
     regularity bound: always start at T = (n+1) + max |twist|."""

@@ -315,6 +315,18 @@ def _fresh_run(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("args", [["3"], ["4", "-6", "6"]])
+def test_bott_grid_script_agrees(args):
+    import projmonad
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(projmonad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "bott_grid.py"), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all entries agree"
+
+
 def test_cached_parser_leaks_no_state_between_runs(capsys, koszul_file, tmp_path):
     bott = ["bott", "--n", "3", "--p", "1", "--q", "1", "--t", "0"]
     calls = [
@@ -441,6 +453,27 @@ def test_monad_hilbert_deep_twist_is_domain_error(capsys, tmp_path, k, reason):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "domain"
     assert "section matrix" in payload["error"]["message"]
+    assert reason in payload["error"]["message"]
+    _check(payload, "error")
+
+
+@pytest.mark.parametrize("body, reason", [
+    # zero map into O(10^9): position 1 reads nonzero from t = -10^9 on
+    ("term 0: [1000000000]\nterm 1: [1000000000]\n", "section matrix"),
+    # position 1 reads nonzero from t = -1 on, and the old window sat near 2000
+    ("term 0: [0]\nterm 1: [2000,2000]\ndiff 0:\nx0^2000\nx1^2000\n",
+     "window disagreement"),
+], ids=["zero_map_far_up", "slide_past_t_n"])
+def test_monad_hilbert_slide_is_bounded(capsys, tmp_path, body, reason):
+    # a window sliding one twist at a time to the old window's end would
+    # rank 2 * 10^9, or about 2000, twists before giving up
+    path = tmp_path / "far_right.monad"
+    path.write_text(f"P 1 over F101\n{body}codim 1\ncohomology_at 0\n")
+    start = time.perf_counter()
+    assert run(["monad", "hilbert", "--in", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "domain"
     assert reason in payload["error"]["message"]
     _check(payload, "error")
 

@@ -9,7 +9,9 @@ from conftest import (
     line_cohomology_table,
     random_monad,
     random_valid_monad,
+    regularity_bound,
 )
+from projmonad import monad
 from projmonad.complexes import (
     augment_with_identity,
     direct_sum,
@@ -24,6 +26,7 @@ from projmonad.monad import (
     WindowDisagreementError,
     beilinson_shape,
     cohomology_hilbert_function,
+    default_window,
     dual_beilinson_table,
     dual_table_index,
     dualize,
@@ -32,7 +35,6 @@ from projmonad.monad import (
     hilbert_poly_of_cohomology,
     minimality_check,
     parse_monad,
-    regularity_bound,
     sheaf_cohomology,
     validate,
 )
@@ -163,7 +165,7 @@ def test_window_disagreement_on_fake_complex():
     terms = {-1: FreeSheaf(2, (-1,)), 0: FreeSheaf(2, (0,))}
     fake = Monad(QQ, 2, terms, {}, 1, 0)  # zero differential, nonzero terms
     assert regularity_bound(fake) == 0  # the shape qualifies; it is no resolution
-    with pytest.raises(WindowDisagreementError):
+    with pytest.raises(WindowDisagreementError, match="position -1 is not exact"):
         hilbert_poly_of_cohomology(fake)
 
 
@@ -182,6 +184,90 @@ def test_regularity_bound_values():
     assert long.hi - long.lo == 3 and regularity_bound(long) is None  # longer than n
     empty = Monad(QQ, 2, {0: FreeSheaf(2, ())}, {}, 1, 0)
     assert regularity_bound(empty) is None
+
+
+def _first_window_start(monkeypatch, m):
+    starts = []
+    real = monad.cohomology_hilbert_function
+
+    def spy(mm, position, t_range):
+        starts.append(t_range.start)
+        return real(mm, position, t_range)
+
+    monkeypatch.setattr(monad, "cohomology_hilbert_function", spy)
+    try:
+        hilbert_poly_of_cohomology(m)
+    except WindowDisagreementError:
+        pass
+    monkeypatch.undo()
+    return starts[0]
+
+
+def test_window_starts_at_t_n_never_above_the_old_start(monkeypatch):
+    # every complex here is marked at its right end, so nothing slides
+    monads = [m for m in _acceptance_complexes() if m.cohomology_position == m.hi]
+    assert len(monads) > 80
+    for m in monads:
+        t_n = max((-e for s in m.terms.values() for e in s.twists), default=0) - m.n
+        start = _first_window_start(monkeypatch, m)
+        assert start == t_n, m
+        reg = regularity_bound(m)
+        assert start <= (reg if reg is not None else default_window(m).start), m
+
+
+# O(-2)^2 -> O(-1)^3 -> O on P^2 with cohomology O_L(-2), L = {x0 = 0}:
+# the image of the first map is the part of the Euler kernel Omega that
+# degenerates on L.  Position 1 reads h^1(O_L(-2)) = 1 at t = t_n = 0.
+_MIDDLE_MARKED = """P 2 over Q
+term -1: [-2,-2]
+term 0: [-1,-1,-1]
+term 1: [0]
+diff -1:
+x1; x2
+-x0; 0
+0; -x0
+diff 0:
+x0; x1; x2
+codim 1
+cohomology_at 0
+"""
+
+
+def test_window_slides_past_higher_cohomology(monkeypatch):
+    m = parse_monad(_MIDDLE_MARKED)
+    assert validate(m) == []
+    assert cohomology_hilbert_function(m, 1, range(0, 5)) == [1, 0, 0, 0, 0]
+    assert cohomology_hilbert_function(m, 0, range(0, 5)) == [0, 0, 1, 2, 3]
+    assert _first_window_start(monkeypatch, m) == 1  # t_n = 0 reads nonzero at q = 1
+    assert hilbert_poly_of_cohomology(m) == IntPoly([-1, 1])
+    _assert_windows_agree([m, dualize(m)])
+
+
+def test_omega_windows_build_small_section_matrices(monkeypatch):
+    largest = []
+    real = monad.sections_matrix
+
+    def spy(d, t):
+        mat = real(d, t)
+        largest.append(mat.rows * mat.cols)
+        return mat
+
+    monkeypatch.setattr(monad, "sections_matrix", spy)
+    monad._sections_rank.cache_clear()
+    for n in (1, 2, 3):
+        for p in range(n + 1):
+            for t in range(-6, 7):
+                # the declared codimension 1 bounds the degree below that
+                # of Omega^p(t), so every window disagrees
+                with pytest.raises(WindowDisagreementError):
+                    hilbert_poly_of_cohomology(omega_resolution(QQ, n, p, t))
+    monad._sections_rank.cache_clear()
+    assert largest and max(largest) <= 10 ** 5
+
+
+def test_line_windows_start_low_without_refusal():
+    for a in (100, 1000):
+        assert hilbert_poly_of_cohomology(line_monad(QQ, 3, a)) == IntPoly([a + 1, 1])
 
 
 def _window_outcome(fn, m):
