@@ -28,13 +28,14 @@ def _contraction(field: Field, n: int, variables: tuple[int, ...], k: int,
     tgt_pos = {s: i for i, s in enumerate(tgt_sets)}
     source = FreeSheaf(n, (twist - k,) * len(src_sets))
     target = FreeSheaf(n, (twist - k + 1,) * len(tgt_sets))
-    ent = [[HomogPoly.zero(field, n, 1) for _ in src_sets] for _ in tgt_sets]
-    one = field.one
+    zero = HomogPoly.zero(field, n, 1)
+    ent = [[zero] * len(src_sets) for _ in tgt_sets]
+    signs = (field.coerce(1), field.coerce(-1))
+    units = {v: tuple(int(i == v) for i in range(n + 1)) for v in variables}
     for j, s in enumerate(src_sets):
         for pos, v in enumerate(s):
             rest = s[:pos] + s[pos + 1:]
-            coeff = one if pos % 2 == 0 else -one
-            ent[tgt_pos[rest]][j] = HomogPoly.variable(field, n, v).scale(coeff)
+            ent[tgt_pos[rest]][j] = HomogPoly(field, n, 1, {units[v]: signs[pos % 2]})
     return GradedMatrix(field, source, target, ent)
 
 

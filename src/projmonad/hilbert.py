@@ -156,8 +156,9 @@ def bott_h(n: int, p: int, q: int, t: int) -> int:
 
     Nonzero only in three regimes: global sections for t > p, the
     one-dimensional diagonal h^p(Omega^p) at t = 0, and top cohomology
-    for t < p - n.
+    for t < p - n.  n above MAX_DIMENSION is refused before any work.
     """
+    check_dimension(n)
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"(p, q) = ({p}, {q}) out of range for P^{n}")
     if q == 0 and t > p:

@@ -72,7 +72,8 @@ class Monad:
         self.lo = lo
         self.hi = hi
         self.terms = dict(terms)
-        self.diffs = {i: diffs.get(i, GradedMatrix.zero(field, terms[i], terms[i + 1]))
+        self.diffs = {i: diffs[i] if i in diffs
+                      else GradedMatrix.zero(field, terms[i], terms[i + 1])
                       for i in range(lo, hi)}
         self.c = c
         self.cohomology_position = cohomology_position

@@ -201,7 +201,7 @@ class HomogPoly:
 
     def __hash__(self):
         key = self.degree if self.terms else None
-        return hash((self.field, self.n, key, tuple(sorted(self.terms.items()))))
+        return hash((self.field, self.n, key, frozenset(self.terms.items())))
 
     def __str__(self):
         terms = self.terms
@@ -576,7 +576,7 @@ class GradedMatrix:
             for j in range(cols):
                 p = entries[i][j]
                 want = target.twists[i] - source.twists[j]
-                if p.field != field or p.n != source.n:
+                if (p.field is not field and p.field != field) or p.n != source.n:
                     raise ValueError("entry on the wrong space or field")
                 if p.degree != want:
                     raise ValueError(
@@ -619,17 +619,25 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
+    # The twists fix every entry's field, n and degree, so two matrices with
+    # the same field, source and target are equal when their term dicts are;
+    # zero forms of any recorded degree then compare and hash alike.
+
+    def _term_dicts(self) -> list[dict]:
+        return [p.terms for row in self.entries for p in row]
+
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)
             and other.field == self.field
             and other.source == self.source
             and other.target == self.target
-            and other.entries == self.entries
+            and other._term_dicts() == self._term_dicts()
         )
 
     def __hash__(self):
-        return hash((self.field, self.source, self.target, self.entries))
+        return hash((self.field, self.source, self.target,
+                     tuple(frozenset(terms.items()) for terms in self._term_dicts())))
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         if other.source != self.source or other.target != self.target:

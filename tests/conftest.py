@@ -14,9 +14,14 @@ they build a form (poly_from_boxed).  The graded inverse
 oracle sums the finite Neumann series that the degree induction of
 projmonad.autgroup replaced.  The printing oracle builds every monomial's
 text afresh for each term, as HomogPoly.__str__ did before it reused them.
+The contraction oracle builds the Koszul differential the way
+projmonad.complexes did before it shared one zero form per matrix: a
+validated zero form per slot and every signed variable scaled by a boxed
++-1.
 """
 
 import re
+from itertools import combinations
 from math import comb
 from random import Random
 
@@ -191,6 +196,24 @@ def compose_oracle(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             row.append(acc)
         ent.append(row)
     return GradedMatrix(a.field, b.source, a.target, ent)
+
+
+def contraction_oracle(field, n: int, variables: tuple[int, ...], k: int,
+                       twist: int) -> GradedMatrix:
+    """Lambda^k -> Lambda^{k-1} of the span of the given coordinates."""
+    src_sets = list(combinations(variables, k))
+    tgt_sets = list(combinations(variables, k - 1))
+    tgt_pos = {s: i for i, s in enumerate(tgt_sets)}
+    source = FreeSheaf(n, (twist - k,) * len(src_sets))
+    target = FreeSheaf(n, (twist - k + 1,) * len(tgt_sets))
+    ent = [[HomogPoly.zero(field, n, 1) for _ in src_sets] for _ in tgt_sets]
+    one = field.one
+    for j, s in enumerate(src_sets):
+        for pos, v in enumerate(s):
+            rest = s[:pos] + s[pos + 1:]
+            coeff = one if pos % 2 == 0 else -one
+            ent[tgt_pos[rest]][j] = HomogPoly.variable(field, n, v).scale(coeff)
+    return GradedMatrix(field, source, target, ent)
 
 
 def lift_constants(field, sheaf: FreeSheaf, m: Matrix) -> GradedMatrix:

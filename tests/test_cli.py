@@ -11,7 +11,7 @@ import pytest
 
 from projmonad.cli import run
 from projmonad.complexes import koszul_monad
-from projmonad.hilbert import MAX_DIMENSION
+from projmonad.hilbert import MAX_DIMENSION, bott_h
 from projmonad.modp3 import forbidden_form_point, format_point, twisted_cubic_point
 from projmonad.monad import MAX_WINDOW_TWISTS, format_monad, parse_monad
 from projmonad.polymat import MAX_PAREN_DEPTH
@@ -482,6 +482,9 @@ def test_dimension_bound(capsys, tmp_path, cubic_f101_file):
     rc, payload = _run_json(capsys, ["hilb", "--n", str(MAX_DIMENSION), "--e", "0", "--json"])
     assert rc == 0
     _check(payload, "poly")
+    rc, payload = _run_json(capsys, ["bott", "--n", str(MAX_DIMENSION), "--p", "1", "--q", "0",
+                                     "--t", "3", "--json"])
+    assert rc == 0 and payload == {"h": bott_h(MAX_DIMENSION, 1, 0, 3)}
     start = time.perf_counter()
     assert run(["hilb", "--n", str(MAX_DIMENSION + 1), "--e", "0"]) == 1
     assert time.perf_counter() - start < 1.0
@@ -513,6 +516,8 @@ def test_dimension_bound(capsys, tmp_path, cubic_f101_file):
         ["group", "random", "--monad", str(monad_path), "--seed", "0"],
         ["group", "act", "--monad", cubic_f101_file, "--element", str(element_path)],
         ["group", "dual", "--element", str(element_path), "--codim", "1"],
+        # unbounded, this binomial coefficient takes minutes
+        ["bott", "--n", str(n), "--p", "3", "--q", "0", "--t", str(n), "--json"],
     ]
     for argv in commands:
         start = time.perf_counter()

@@ -1,9 +1,12 @@
 import re
+from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from conftest import (
+    contraction_oracle,
     h_p1,
     hilbert_poly_heuristic_window,
     line_cohomology_table,
@@ -11,7 +14,7 @@ from conftest import (
     random_valid_monad,
     regularity_bound,
 )
-from projmonad import monad
+from projmonad import complexes, monad
 from projmonad.complexes import (
     augment_with_identity,
     direct_sum,
@@ -19,7 +22,7 @@ from projmonad.complexes import (
     line_monad,
     omega_resolution,
 )
-from projmonad.hilbert import IntPoly, euler_poly
+from projmonad.hilbert import IntPoly, bott_h, euler_poly
 from projmonad.monad import (
     CohTable,
     Monad,
@@ -556,3 +559,77 @@ def test_direct_sum_shapes():
     assert validate(s) == []
     assert s.terms[0].twists == (0, -1)
     assert euler_poly(s) == euler_poly(a) + euler_poly(b)
+
+
+# --- builders and the section-rank cache ---------------------------------
+
+
+def _builder_complexes(field, n: int) -> list[Monad]:
+    everything = tuple(range(n + 1))
+    koszul = [koszul_monad(field, n, v, twist=twist) for k in range(1, n + 2)
+              for v in combinations(everything, k) for twist in (-1, 2)]
+    omega = [omega_resolution(field, n, p, t) for p in range(n + 1) for t in (-2, 0, 3)]
+    sums = [direct_sum(koszul[-1], omega[-1]), direct_sum(omega[0], koszul[0]),
+            direct_sum(omega[n // 2], omega[-1])]
+    return koszul + omega + sums
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=repr)
+def test_builders_match_contraction_oracle(field, monkeypatch):
+    raw_type = Fraction if field == QQ else int
+    for n in range(1, 5):
+        built = _builder_complexes(field, n)
+        with monkeypatch.context() as patched:
+            patched.setattr(complexes, "_contraction", contraction_oracle)
+            oracle = _builder_complexes(field, n)
+        assert len(built) == len(oracle)
+        for m, o in zip(built, oracle):
+            assert m == o and hash(m) == hash(o)
+            for i, d in m.diffs.items():
+                # entrywise HomogPoly equality, which also compares degrees
+                assert d.entries == o.diffs[i].entries
+                assert all(type(v) is raw_type
+                           for row in d.entries for p in row for v in p.terms.values())
+                rebuilt = GradedMatrix(d.field, d.source, d.target, d.entries)
+                assert rebuilt == d and hash(rebuilt) == hash(d)
+            assert validate(m) == []
+
+
+def test_monad_builds_zero_only_for_missing_differentials(monkeypatch):
+    calls = []
+    real = GradedMatrix.zero.__func__
+
+    def spy(cls, field, source, target):
+        calls.append((source, target))
+        return real(cls, field, source, target)
+
+    monkeypatch.setattr(GradedMatrix, "zero", classmethod(spy))
+    for field in (QQ, F101):
+        calls.clear()
+        k = koszul_monad(field, 3, [0, 1, 2])
+        assert calls == []
+        kept = {-3: k.diffs[-3], -1: k.diffs[-1]}
+        m = Monad(field, 3, k.terms, kept, k.c, 0)
+        assert calls == [(k.terms[-2], k.terms[-1])]
+        assert m.diffs[-3] is kept[-3] and m.diffs[-1] is kept[-1]
+        assert m.diffs[-2].is_zero()
+        calls.clear()
+        bare = Monad(field, 3, k.terms, {}, k.c, 0)
+        assert calls == [(k.terms[i], k.terms[i + 1]) for i in (-3, -2, -1)]
+        assert all(d.is_zero() for d in bare.diffs.values())
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=repr)
+def test_bott_grid_section_rank_cache(field):
+    # the p-forms of one twist share contraction matrices, so a key that
+    # told equal matrices apart would turn hits into misses
+    monad._sections_rank.cache_clear()
+    try:
+        for p in range(5):
+            for t in range(-6, 7):
+                got = sheaf_cohomology(omega_resolution(field, 4, p, t), 0)
+                assert got == [bott_h(4, p, q, t) for q in range(5)], (p, t)
+        info = monad._sections_rank.cache_info()
+    finally:
+        monad._sections_rank.cache_clear()
+    assert (info.hits, info.misses) == (156, 104)

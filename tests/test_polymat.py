@@ -12,6 +12,7 @@ from conftest import (
     poly_from_boxed,
     poly_mul_oracle,
     poly_str_oracle,
+    random_monad,
     random_valid_monad,
 )
 from projmonad.autgroup import (
@@ -23,7 +24,14 @@ from projmonad.autgroup import (
     random_element,
 )
 from projmonad.linalg import rank
-from projmonad.monad import format_blocks, format_monad, parse_block, parse_monad, read_blocks
+from projmonad.monad import (
+    Monad,
+    format_blocks,
+    format_monad,
+    parse_block,
+    parse_monad,
+    read_blocks,
+)
 from projmonad.polymat import (
     FreeSheaf,
     GradedMatrix,
@@ -115,6 +123,72 @@ def test_ring_laws_randomized():
 
 def test_zero_polynomials_compare_equal_across_degrees():
     assert HomogPoly.zero(QQ, 2, -1) == HomogPoly.zero(QQ, 2, 3)
+
+
+def _assert_same(a, b):
+    assert a == b and b == a and hash(a) == hash(b)
+
+
+def _bump_one_coefficient(m: Monad, rng: Random) -> tuple[int, int, int, HomogPoly] | None:
+    spots = [(i, r, c) for i, d in sorted(m.diffs.items())
+             for r, row in enumerate(d.entries) for c, p in enumerate(row) if p.terms]
+    if not spots:
+        return None
+    i, r, c = rng.choice(spots)
+    p = m.diffs[i].entries[r][c]
+    terms = dict(p.terms)
+    mono = rng.choice(sorted(terms))
+    terms[mono] += 1  # over F_p the constructor reduces, possibly to a dropped term
+    return i, r, c, HomogPoly(p.field, p.n, p.degree, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_hash_and_equality_contract(field):
+    rng = Random(37)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        src = FreeSheaf(n, tuple(rng.randint(-3, 1) for _ in range(rng.randint(0, 3))))
+        tgt = FreeSheaf(n, tuple(rng.randint(-1, 3) for _ in range(rng.randint(0, 3))))
+        a = random_graded_matrix(field, src, tgt, rng, rng.choice((0.3, 1.0)))
+        # the same terms inserted in the opposite order
+        ent = [[HomogPoly(field, n, p.degree, dict(reversed(p.terms.items()))) for p in row]
+               for row in a.entries]
+        for row, row_back in zip(a.entries, ent):
+            for p, q in zip(row, row_back):
+                _assert_same(p, q)
+        _assert_same(a, GradedMatrix(field, src, tgt, ent))
+    bumped = 0
+    for _ in range(80):
+        m = random_monad(rng, field)
+        back = parse_monad(format_monad(m))
+        _assert_same(m, back)
+        for i, d in m.diffs.items():
+            _assert_same(d, back.diffs[i])
+            for row, row_back in zip(d.entries, back.diffs[i].entries):
+                for p, q in zip(row, row_back):
+                    _assert_same(p, q)
+        change = _bump_one_coefficient(m, rng)
+        if change is None:
+            continue
+        i, r, c, q = change
+        d = m.diffs[i]
+        assert q != d.entries[r][c] and d.entries[r][c] != q
+        ent = [list(row) for row in d.entries]
+        ent[r][c] = q
+        e = GradedMatrix(field, d.source, d.target, ent)
+        assert e != d and d != e
+        other = Monad(field, m.n, m.terms, {**m.diffs, i: e}, m.c, m.cohomology_position)
+        assert other != m and m != other
+        bumped += 1
+    assert bumped >= 20
+    for lo, hi in ((-3, 0), (-1, 2), (0, 5)):
+        _assert_same(HomogPoly.zero(field, 3, lo), HomogPoly.zero(field, 3, hi))
+    # the same raw values over the other field are a different matrix
+    other_field = GF(101) if field == QQ else QQ
+    src, tgt = FreeSheaf(1, (0,)), FreeSheaf(1, (1,))
+    x = [[HomogPoly(field, 1, 1, {(1, 0): 1, (0, 1): 3})]]
+    y = [[HomogPoly(other_field, 1, 1, {(1, 0): 1, (0, 1): 3})]]
+    assert GradedMatrix(field, src, tgt, x) != GradedMatrix(other_field, src, tgt, y)
 
 
 # --- graded matrices ----------------------------------------------------
