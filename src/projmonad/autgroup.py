@@ -18,16 +18,14 @@ from __future__ import annotations
 from math import lcm
 from random import Random
 
-from .linalg import Matrix, _modulus, inverse as matrix_inverse, rank
+from .linalg import Matrix, inverse as matrix_inverse, rank
 from .monad import Monad, format_blocks, parse_block, read_blocks
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
     HomogPoly,
     ParseError,
-    _from_numerators,
     _mul_into,
-    _raw,
     compose,
     dual_hom,
     random_poly,
@@ -77,18 +75,18 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
     except ValueError as exc:
         raise ValueError("not an automorphism: constant part is singular") from exc
     field, sheaf, n = g.field, g.source, g.n
-    p = _modulus(field)
+    p = field.p
     twists = sheaf.twists
     k = sheaf.rank
     levels = sorted(set(twists))
     level = [levels.index(e) for e in twists]
     members = [[a for a in range(k) if level[a] == j] for j in range(len(levels))]
-    raw = [[_raw(q, p) for q in row] for row in g.entries]
+    raw = [[field.integral(q.terms) for q in row] for row in g.entries]
     den_g = lcm(*(d for row in raw for d, _ in row))
     big = [[{m: v * (den_g // d) for m, v in num.items()} for d, num in row] for row in raw]
-    den_0 = lcm(*(v.denominator for row in g0_inv.row_maps for v in row.values()))
-    small = [{a: v.numerator * (den_0 // v.denominator) for a, v in row.items()}
-             for row in g0_inv.row_maps]
+    # small[r, a]: numerators of (g0^{-1})_ra over den_0
+    den_0, small = field.integral({(r, a): v for r, row in enumerate(g0_inv.row_maps)
+                                   for a, v in row.items()})
     step = den_0 * den_g
     const = (0,) * (n + 1)
     ent = [[None] * k for _ in range(k)]
@@ -97,7 +95,7 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
         # col[b]: numerators of X_bs over den_0 * step^(level[b] - base)
         col: list[dict | None] = [None] * k
         for r in members[base]:
-            c = small[r].get(s)
+            c = small.get((r, s))
             col[r] = {const: c} if c else {}
         for j in range(base + 1, len(levels)):
             sums = []
@@ -113,7 +111,7 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
                 out: dict = {}
                 get = out.get
                 for a, acc in zip(members[j], sums):
-                    c = small[r].get(a)
+                    c = small.get((r, a))
                     if c:
                         for m, v in acc.items():
                             out[m] = get(m, 0) - c * v
@@ -122,8 +120,8 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
             gap = twists[r] - twists[s]
             x = col[r]
             ent[r][s] = (HomogPoly.zero(field, n, gap) if x is None
-                         else _from_numerators(field, n, gap, p, x,
-                                               den_0 * step ** (level[r] - base)))
+                         else HomogPoly._unchecked(field, n, gap, field.reduce(
+                             x, den_0 * step ** (level[r] - base))))
     return GradedMatrix(field, sheaf, sheaf, ent)
 
 

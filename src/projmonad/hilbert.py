@@ -125,7 +125,9 @@ MAX_DIMENSION = 40
 
 
 def check_dimension(n: int):
-    """Refuse a projective dimension above MAX_DIMENSION."""
+    """Refuse a negative projective dimension or one above MAX_DIMENSION."""
+    if n < 0:
+        raise ValueError(f"dimension {n} is negative")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension {n} is larger than {MAX_DIMENSION}")
 
@@ -135,9 +137,10 @@ def binomial_poly(shift: int, k: int) -> IntPoly:
     """C(m + shift, k) as a polynomial in m: (m+shift)...(m+shift-k+1)/k!.
 
     The polynomial extension is what makes evaluation at negative
-    arguments meaningful.  k above MAX_DIMENSION is refused before any
-    work.  Results are cached: IntPoly is immutable, and one Euler
-    polynomial or interpolation asks for the same few keys many times.
+    arguments meaningful.  A negative k, or k above MAX_DIMENSION, is
+    refused before any work.  Results are cached: IntPoly is immutable,
+    and one Euler polynomial or interpolation asks for the same few keys
+    many times.
     """
     check_dimension(k)
     acc = IntPoly.constant(1)
@@ -156,7 +159,8 @@ def bott_h(n: int, p: int, q: int, t: int) -> int:
 
     Nonzero only in three regimes: global sections for t > p, the
     one-dimensional diagonal h^p(Omega^p) at t = 0, and top cohomology
-    for t < p - n.  n above MAX_DIMENSION is refused before any work.
+    for t < p - n.  A negative n, or n above MAX_DIMENSION, is refused
+    before any work.
     """
     check_dimension(n)
     if not (0 <= p <= n and 0 <= q <= n):

@@ -5,7 +5,10 @@ matrices with hundreds of rows and a few percent nonzeros (they are
 multiplication matrices).  A Matrix therefore stores each row as a dict
 {column: raw value} of its nonzero entries (residues in [0, p) over F_p,
 reduced Fractions over Q), and rank, rref, kernel_basis and inverse all
-run one sparse elimination routine, _echelon.
+run one sparse elimination routine, _echelon.  The field owns that raw
+format: field.integral scales a Q row to integers and field.reduce takes
+sums back to raw values; only _echelon's inner loop and _normalized
+work inline on residues or numerators, switched by field.p.
 
 Pivoting is deterministic: rows are reduced sparsest first (ties in row
 order), each against the pivots found so far from its leftmost column
@@ -19,9 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
 
-from .scalar import Field, FieldElement, PrimeField
+from .scalar import Field, FieldElement
 
 
 class Matrix:
@@ -100,14 +102,13 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or self.cols != other.rows:
             raise ValueError("matrix product shape/field mismatch")
-        p = _modulus(self.field)
         out = []
         for row in self.row_maps:
             acc: dict = {}
             for k, a in row.items():
                 for j, b in other.row_maps[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append(_clean(acc, p))
+            out.append(self.field.reduce(acc))
         return Matrix.from_row_maps(self.field, self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
@@ -126,24 +127,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
 
-def _modulus(field: Field) -> int:
-    """p over F_p, 0 over Q."""
-    return field.p if isinstance(field, PrimeField) else 0
-
-
-def _clean(row: dict, p: int) -> dict:
-    """Reduce mod p (when p) and drop the zero entries."""
-    if p:
-        return {k: r for k, v in row.items() if (r := v % p)}
-    return {k: Fraction(v) for k, v in row.items() if v}
-
-
-def _integral(row: dict) -> dict:
-    """A Q row scaled to integer entries; scaling keeps the row space."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in row.items()}
-
-
 def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
     """Sparse Gaussian elimination: pivot column -> pivot row tail.
 
@@ -157,7 +140,8 @@ def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
     each row is first scaled to integers, so that rows meeting only unit
     pivots never touch Fraction arithmetic.
     """
-    p = _modulus(m.field)
+    field = m.field
+    p = field.p
     pivots: dict[int, dict] = {}
     limit = min(m.rows, m.cols)
     for row in sorted(m.row_maps, key=len):
@@ -165,7 +149,7 @@ def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
             break
         if not row:
             continue
-        acc = dict(row) if p else _integral(row)
+        acc = dict(row) if p else field.integral(row)[1]
         heap = sorted(acc)
         while heap:
             c = heappop(heap)
@@ -192,7 +176,7 @@ def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
                 x = tail.pop(k)
                 for j, v in pivots[k].items():
                     tail[j] = tail.get(j, 0) - x * v
-            pivots[c] = _clean(tail, p)
+            pivots[c] = field.reduce(tail)
     return pivots
 
 

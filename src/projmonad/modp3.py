@@ -39,7 +39,7 @@ from .polymat import (
     random_poly,
     sections_matrix,
 )
-from .scalar import QQ, Field, PrimeField
+from .scalar import QQ, Field
 
 N = 3
 SOURCE = FreeSheaf(N, (-3, -3))
@@ -232,7 +232,7 @@ def sample_wss_stats(seed: int, field: Field,
     Refuses Q: the rejection loop is only meant for prime fields, where
     dense draws are cheap and generic.
     """
-    if not isinstance(field, PrimeField):
+    if not field.p:
         raise ValueError("sampling requires a prime field; Q points are check-only")
     rng = Random(seed)
     for attempt in range(1, max_tries + 1):

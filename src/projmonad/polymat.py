@@ -14,9 +14,10 @@ is bit-stable.
 
 Coefficients are stored as the raw values Matrix.row_maps holds:
 residues in [0, p), or reduced Fractions over Q.  The arithmetic (sums,
-products and composites of forms, and the parser) sums residues
-unreduced and reduces once, or over Q works on integer numerators over
-a common denominator.  HomogPoly.coefficients() boxes FieldElements.
+products and composites of forms, and the parser) takes them to integer
+numerators over a common denominator with field.integral, sums and
+multiplies those unreduced, and turns the result back into raw values
+once with field.reduce.  HomogPoly.coefficients() boxes FieldElements.
 
 The parser reads a term's plain factors (integer and a/b literals, x_i,
 x_i^k) straight into one exponent list and one numerator and
@@ -36,8 +37,8 @@ from math import comb, lcm
 from operator import add
 from random import Random
 
-from .linalg import Matrix, _modulus
-from .scalar import Field, FieldElement, FieldError, PrimeField
+from .linalg import Matrix
+from .scalar import Field, FieldElement, FieldError
 
 Monomial = tuple[int, ...]
 
@@ -155,41 +156,41 @@ class HomogPoly:
             return HomogPoly._unchecked(self.field, self.n, self.degree, dict(self.terms))
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        p = _modulus(self.field)
-        da, a = _raw(self, p)
-        db, b = _raw(other, p)
+        field = self.field
+        da, a = field.integral(self.terms)
+        db, b = field.integral(other.terms)
         den = lcm(da, db)
         s = den // da
         num = {m: v * s for m, v in a.items()} if s != 1 else dict(a)
         s = den // db
         for m, v in b.items():
             num[m] = num.get(m, 0) + v * s
-        return _from_numerators(self.field, self.n, self.degree, p, num, den)
+        return HomogPoly._unchecked(field, self.n, self.degree, field.reduce(num, den))
 
     def __neg__(self) -> "HomogPoly":
-        neg = self.field.neg
         return HomogPoly._unchecked(self.field, self.n, self.degree,
-                                    {m: neg(c) for m, c in self.terms.items()})
+                                    self.field.reduce({m: -c for m, c in self.terms.items()}))
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._compatible(other)
-        p = _modulus(self.field)
-        da, a = _raw(self, p)
-        db, b = _raw(other, p)
+        field = self.field
+        da, a = field.integral(self.terms)
+        db, b = field.integral(other.terms)
         num: dict[Monomial, int] = {}
         _mul_into(num, a, b, 1)
-        return _from_numerators(self.field, self.n, self.degree + other.degree, p, num, da * db)
+        return HomogPoly._unchecked(field, self.n, self.degree + other.degree,
+                                    field.reduce(num, da * db))
 
     def scale(self, c: FieldElement) -> "HomogPoly":
         field = self.field
         if c.field is not field and c.field != field:
             raise FieldError(f"field mismatch: {c.field} vs {field}")
-        mul, x = field.mul, c.value
+        x = c.value
         return HomogPoly._unchecked(field, self.n, self.degree,
-                                    {m: mul(x, v) for m, v in self.terms.items()} if x else {})
+                                    field.reduce({m: x * v for m, v in self.terms.items()}))
 
     def __eq__(self, other):
         # Zero forms are equal whatever their recorded degree.
@@ -228,19 +229,11 @@ class HomogPoly:
     __repr__ = __str__
 
 
-# Raw arithmetic.  A form travels as (den, {monomial: int}) and stands for
-# sum num[m] * m / den: over F_p den is 1 and num holds residues, possibly
-# unreduced; over Q num holds the numerators over a common denominator.
-
-
-def _raw(poly: HomogPoly, p: int) -> tuple[int, dict[Monomial, int]]:
-    """poly as (den, numerators); p is the modulus, 0 over Q.  Over F_p
-    the numerators are poly.terms itself, which callers must not mutate."""
-    terms = poly.terms
-    if p:
-        return 1, terms
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+# Raw arithmetic.  field.integral(poly.terms) gives a form as
+# (den, {monomial: int}), standing for sum num[m] * m / den: over F_p den
+# is 1 and num holds residues, possibly unreduced; over Q num holds the
+# numerators over a common denominator.  field.reduce(num, den) turns the
+# result back into the nonzero raw values of a form.
 
 
 def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int], b: dict[Monomial, int],
@@ -254,22 +247,18 @@ def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int], b: dict[Monomial
             out[m] = get(m, 0) + ca * cb
 
 
-def _from_numerators(field: Field, n: int, degree: int, p: int, num: dict[Monomial, int],
-                     den: int) -> HomogPoly:
-    """The form sum num[m] * m / den over monomials of this degree, reduced."""
-    if p:
-        terms = {m: r for m, v in num.items() if (r := v % p)}
-    else:
-        terms = {m: Fraction(v, den) for m, v in num.items() if v}
-    return HomogPoly._unchecked(field, n, degree, terms)
-
-
 # Largest constant power the parser evaluates over Q, in bits.
 _MAX_POWER_BITS = 1 << 16
 
 # Deepest parenthesis nesting the parser accepts: each level costs four
 # stack frames, so this stays far inside the interpreter's recursion limit.
 MAX_PAREN_DEPTH = 100
+
+# Most term products the parser multiplies out for one expression, about
+# a second at 1 us each.  Powers of sums grow fast: (x0+x1+x2+x3)^90 has
+# a legal degree but needs 2.2e8.  The test suite reaches at most 100
+# (a hundred nested parentheses), and the bench workloads none.
+MAX_PARSE_PRODUCTS = 10**6
 
 _TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|x\d+|[-+*^()])")
 # A whole string of _TOKEN matches.  The lookaheads stop a digit run from
@@ -295,14 +284,15 @@ def _tokenize(src: str) -> list[str]:
 class _PolyParser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
-    Works on plain {monomial: raw coefficient} dicts (residues in (0, p),
-    or over Q nonzero ints and Fractions) so mixed-degree intermediates
-    are allowed; homogeneity is checked at the end.  A term folds its
+    Works on plain {monomial: nonzero raw value} dicts (residues in
+    (0, p), or reduced Fractions) so mixed-degree intermediates are
+    allowed; homogeneity is checked at the end.  A term folds its
     plain factors (literals, x_i and x_i^k) into one exponent list and one
     numerator and denominator; only parenthesised factors and powers of
     literals go through power().  A power whose degree would pass the
     expected degree, or a constant power over Q larger than
-    _MAX_POWER_BITS, is refused before it is expanded; parentheses nested
+    _MAX_POWER_BITS, is refused before it is expanded, as is a product
+    past MAX_PARSE_PRODUCTS term products in all; parentheses nested
     deeper than MAX_PAREN_DEPTH are refused.
     """
 
@@ -310,12 +300,13 @@ class _PolyParser:
         self.toks = toks + [None]
         self.i = 0
         self.field = field
-        self.p = _modulus(field)
+        self.p = field.p
         self.n = n
         self.degree = degree
         self.const = (0,) * (n + 1)
         self.variables: dict[str, int] = {}  # variable token -> index
         self.depth = 0  # open parentheses
+        self.products = 0  # term products multiplied so far
 
     def peek(self):
         return self.toks[self.i]
@@ -328,19 +319,14 @@ class _PolyParser:
 
     def expr(self) -> dict:
         toks, p = self.toks, self.p
-        sign = 1
+        neg = False
         if toks[self.i] in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        acc = self.term()
-        if sign < 0:
-            acc = {m: p - c if p else -c for m, c in acc.items()}
+            neg = self.take() == "-"
+        acc = self.term(neg)
         get = acc.get
         while (op := toks[self.i]) in ("+", "-"):
             self.i += 1
-            neg = op == "-"
-            for m, c in self.term().items():
-                if neg:
-                    c = p - c if p else -c
+            for m, c in self.term(op == "-").items():
                 v = get(m)
                 if v is None:
                     acc[m] = c
@@ -354,10 +340,11 @@ class _PolyParser:
                     del acc[m]
         return acc
 
-    def term(self) -> dict:
+    def term(self, neg: bool) -> dict:
+        """The next term, negated when neg: the sign goes into its numerator."""
         toks, p, variables = self.toks, self.p, self.variables
         exps = [0] * (self.n + 1)
-        num = den = 1
+        num, den = -1 if neg else 1, 1
         rest = None  # product of the factors that went through power()
         i = self.i
         while True:
@@ -463,9 +450,9 @@ class _PolyParser:
 
     def _value(self, num: int, den: int):
         """The raw coefficient num / den."""
-        if den == 1:
-            return num
         p = self.p
+        if den == 1:
+            return num % p if p else Fraction(num)
         return num * pow(den, p - 2, p) % p if p else Fraction(num, den)
 
     def _exponent(self, e: str | None, top: int) -> int:
@@ -479,22 +466,15 @@ class _PolyParser:
         return e
 
     def _mul(self, a: dict, b: dict) -> dict:
-        """The product with its zero terms dropped."""
-        p = self.p
-        if len(a) == 1 and len(b) == 1:
-            (ma, ca), = a.items()
-            (mb, cb), = b.items()
-            v = ca * cb % p if p else ca * cb
-            return {monomial_mul(ma, mb): v} if v else {}
+        """The product with its zero terms dropped, refused before it is
+        expanded if the expression's term products would pass
+        MAX_PARSE_PRODUCTS."""
+        self.products += len(a) * len(b)
+        if self.products > MAX_PARSE_PRODUCTS:
+            raise ParseError(f"expression needs more than {MAX_PARSE_PRODUCTS} term products")
         out: dict = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = monomial_mul(ma, mb)
-                out[m] = get(m, 0) + ca * cb
-        if p:
-            return {m: r for m, v in out.items() if (r := v % p)}
-        return {m: v for m, v in out.items() if v}
+        _mul_into(out, a, b, 1)
+        return self.field.reduce(out)
 
 
 def parse_poly(src: str, field: Field, n: int, degree: int | None = None) -> HomogPoly:
@@ -511,8 +491,6 @@ def parse_poly(src: str, field: Field, n: int, degree: int | None = None) -> Hom
     d = degrees.pop()
     if degree is not None and d != degree:
         raise ParseError(f"expected degree {degree}, got {d} in {src!r}")
-    if not parser.p:
-        raw = {m: Fraction(c) for m, c in raw.items()}
     return HomogPoly._unchecked(field, n, d, raw)
 
 
@@ -671,9 +649,8 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     if a.source != b.target:
         raise ValueError(f"composition mismatch: {a.source} vs {b.target}")
     field, n = a.field, a.n
-    p = _modulus(field)
-    raw_a = [[_raw(q, p) for q in row] for row in a.entries]
-    raw_b = [[_raw(q, p) for q in row] for row in b.entries]
+    raw_a = [[field.integral(q.terms) for q in row] for row in a.entries]
+    raw_b = [[field.integral(q.terms) for q in row] for row in b.entries]
     cols_b = [[row[j] for row in raw_b] for j in range(b.cols)]
     ent = []
     for f, row_a in zip(a.target.twists, raw_a):
@@ -684,7 +661,7 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             num: dict[Monomial, int] = {}
             for (dx, x), (dy, y) in pairs:
                 _mul_into(num, x, y, den // (dx * dy))
-            row.append(_from_numerators(field, n, f - e, p, num, den))
+            row.append(HomogPoly._unchecked(field, n, f - e, field.reduce(num, den)))
         ent.append(row)
     return GradedMatrix(field, b.source, a.target, ent)
 
@@ -739,7 +716,7 @@ def random_poly(field: Field, n: int, degree: int, rng: Random,
     raw coefficient rng.randrange(p) over F_p or rng.randint(-9, 9) over Q."""
     if degree < 0:
         return HomogPoly.zero(field, n, degree)
-    prime = field.p if isinstance(field, PrimeField) else 0
+    prime = field.p
     terms = {}
     for m in monomials_of_degree(n, degree):
         if density < 1.0 and rng.random() >= density:

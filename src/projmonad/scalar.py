@@ -1,14 +1,19 @@
 """Exact scalars: the rationals and prime fields F_p.
 
-Every value is a FieldElement tagged with its field; elements of
-different fields never combine.  Rationals are arbitrary precision and
-always stored reduced (via fractions.Fraction), prime-field residues are
-canonical representatives in [0, p).
+Every public value is a FieldElement tagged with its field; elements of
+different fields never combine.  Inside matrices and forms the same
+values travel unboxed as raw values: reduced Fractions over Q, residues
+in [0, p) over F_p.  The fields own that format, and no other module
+tests a field's type: they give p (the modulus, 0 over Q), coerce (an
+int or raw value to canonical form), inv, integral (raw values to
+integer numerators over a common denominator) and reduce (numerators
+back to nonzero raw values).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -45,11 +50,16 @@ def _is_prime(p: int) -> bool:
 class Field:
     """Base class for the two supported fields, Q and F_p.
 
-    Subclasses implement arithmetic on raw values (Fraction for Q, int
-    residue for F_p); FieldElement wraps a raw value together with its
-    field.  The raw layer exists so that the elimination kernels can
-    work on unboxed values.
+    FieldElement wraps a raw value together with its field.  Arithmetic
+    on raw values goes through integral and reduce: integral turns a
+    dict of raw values into (den, numerators) with integer numerators
+    (den is always 1 over F_p), the caller adds and multiplies plain
+    ints, and reduce(numerators, den) turns the result back into a dict
+    of the nonzero raw values numerators[k] / den.  With den 1, reduce
+    also takes raw values mixed with the ints.
     """
+
+    p = 0  # the modulus over F_p, 0 over Q
 
     def element(self, value) -> "FieldElement":
         return FieldElement(self, self.coerce(value))
@@ -105,27 +115,19 @@ class RationalField(Field):
             return Fraction(value)
         raise FieldError(f"cannot coerce {value!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
         return 1 / a
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return a / b
+    def integral(self, values: dict) -> tuple[int, dict]:
+        den = lcm(*(v.denominator for v in values.values()))
+        return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+    def reduce(self, numerators: dict, den: int = 1) -> dict:
+        if den == 1:
+            return {k: Fraction(v) for k, v in numerators.items() if v}
+        return {k: Fraction(v, den) for k, v in numerators.items() if v}
 
     def __repr__(self):
         return "Q"
@@ -162,25 +164,20 @@ class PrimeField(Field):
             return value % self.p
         raise FieldError(f"cannot coerce {value!r} into F_{self.p}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def integral(self, values: dict) -> tuple[int, dict]:
+        """(1, values): residues are integers already.  The dict returned
+        is the argument itself, which callers must not mutate."""
+        return 1, values
+
+    def reduce(self, numerators: dict, den: int = 1) -> dict:
+        """Residues of the numerators; den is 1 here, as integral gives it."""
+        p = self.p
+        return {k: r for k, v in numerators.items() if (r := v % p)}
 
     def __repr__(self):
         return f"F{self.p}"
@@ -212,22 +209,22 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
+        return self.field.element(self.value + other.value)
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
+        return self.field.element(self.value - other.value)
 
     def __mul__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
+        return self.field.element(self.value * other.value)
 
     def __truediv__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field.div(self.value, other.value))
+        return self.field.element(self.value * self.field.inv(other.value))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
+        return self.field.element(-self.value)
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.field, self.field.inv(self.value))

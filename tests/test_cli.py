@@ -14,7 +14,7 @@ from projmonad.complexes import koszul_monad
 from projmonad.hilbert import MAX_DIMENSION, bott_h
 from projmonad.modp3 import forbidden_form_point, format_point, twisted_cubic_point
 from projmonad.monad import MAX_WINDOW_TWISTS, format_monad, parse_monad
-from projmonad.polymat import MAX_PAREN_DEPTH
+from projmonad.polymat import MAX_PAREN_DEPTH, MAX_PARSE_PRODUCTS
 from projmonad.scalar import GF, QQ
 
 
@@ -401,6 +401,39 @@ def test_paren_nesting_bound(capsys, tmp_path, depth, code):
         _check(payload, "error")
     else:
         assert payload == {"ok": True, "violations": []}
+
+
+def test_power_of_a_sum_is_refused_by_product_count(capsys, tmp_path):
+    # degree 90 is legal here, but multiplying the power out takes 2.2e8
+    # term products (minutes); the count stops it
+    path = tmp_path / "power.monad"
+    path.write_text("P 3 over F101\nterm 0: [0]\nterm 1: [90]\ndiff 0:\n"
+                    "(x0+x1+x2+x3)^90\ncodim 1\ncohomology_at 1\n")
+    start = time.perf_counter()
+    assert run(["monad", "validate", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {
+        "kind": "parse", "message": f"expression needs more than {MAX_PARSE_PRODUCTS} term products"}
+    _check(payload, "error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilb", "--n", "-5", "--e", "0"], ["monad", "validate", "--in"], ["monad", "hilbert", "--in"],
+], ids=["hilb", "monad_validate", "monad_hilbert"])
+def test_negative_dimension_is_domain_error(capsys, tmp_path, argv):
+    dim = -5
+    if argv[0] == "monad":
+        dim = -1
+        path = tmp_path / "negative.monad"
+        path.write_text(f"P {dim} over Q\nterm 0: [0]\ncodim 1\ncohomology_at 0\n")
+        argv = argv + [str(path)]
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "domain", "message": f"dimension {dim} is negative"}
+    _check(payload, "error")
 
 
 def test_empty_group_element_is_parse_error(capsys, tmp_path):

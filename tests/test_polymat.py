@@ -32,6 +32,7 @@ from projmonad.monad import (
     parse_monad,
     read_blocks,
 )
+from projmonad import polymat
 from projmonad.polymat import (
     FreeSheaf,
     GradedMatrix,
@@ -94,6 +95,21 @@ def test_parse_errors():
         P("x0^-1")
     with pytest.raises(ParseError):
         P("x0", degree=2)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=repr)
+def test_product_count_bound_is_checked_before_multiplying(field, monkeypatch):
+    src = "(x0 + 2*x1)^3*(x0 - x2)*3/2 + (x1 + x2)^2*(x0 + x1)^2"
+    parser = polymat._PolyParser(polymat._tokenize(src), field, 2)
+    parser.expr()
+    needed = parser.products
+    assert needed > 20
+    monkeypatch.setattr(polymat, "MAX_PARSE_PRODUCTS", needed)
+    assert parse_poly(src, field, 2) == (P("(x0 + 2*x1)^3*(x0 - x2)*3/2", n=2, field=field)
+                                        + P("(x1 + x2)^2*(x0 + x1)^2", n=2, field=field))
+    monkeypatch.setattr(polymat, "MAX_PARSE_PRODUCTS", needed - 1)
+    with pytest.raises(ParseError, match=f"more than {needed - 1} term products"):
+        parse_poly(src, field, 2)
 
 
 def test_prime_field_coefficients():

@@ -149,11 +149,101 @@ def test_inverse_law(field):
         seen += 1
 
 
-@given(st.fractions(), st.fractions())
-def test_q_sub_matches_fraction_arithmetic(x, y):
-    assert (QQ.element(x) - QQ.element(y)).value == x - y
+OPS = ["+", "-", "*", "/", "neg"]
 
 
-@given(st.integers(), st.integers())
-def test_f101_add_matches_residues(x, y):
-    assert (F101.element(x) + F101.element(y)).value == (x + y) % 101
+def _apply(op, a, b):
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b
+    return -a
+
+
+@given(st.fractions(), st.fractions(), st.sampled_from(OPS))
+def test_q_sub_matches_fraction_arithmetic(x, y, op):
+    a, b = QQ.element(x), QQ.element(y)
+    if op == "/" and y == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        return
+    got = _apply(op, a, b)
+    assert got.field is QQ and type(got.value) is Fraction
+    assert got.value == _apply(op, x, y)
+
+
+@given(st.integers(), st.integers(), st.sampled_from(OPS))
+def test_f101_add_matches_residues(x, y, op):
+    a, b = F101.element(x), F101.element(y)
+    if op == "/" and y % 101 == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        return
+    want = (x * pow(y, -1, 101) if op == "/" else _apply(op, x, y)) % 101
+    got = _apply(op, a, b)
+    assert got.field is F101 and type(got.value) is int and got.value == want
+
+
+# --- the raw-value codec: Field.p, integral and reduce -------------------
+
+CODEC_FIELDS = [QQ, F101, GF(2**31 - 1)]
+
+
+def _raw_values(field):
+    """Canonical raw values: reduced Fractions over Q, residues in [1, p)."""
+    if field.p:
+        return st.integers(1, field.p - 1)
+    return st.fractions().filter(bool)
+
+
+def _is_canonical(field, v) -> bool:
+    if field.p:
+        return type(v) is int and 0 < v < field.p
+    return type(v) is Fraction and v != 0
+
+
+def test_modulus_is_zero_over_q():
+    assert QQ.p == 0 and F101.p == 101
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=repr)
+@given(data=st.data())
+def test_integral_then_reduce_is_the_identity(field, data):
+    values = data.draw(st.dictionaries(st.integers(0, 30), _raw_values(field), max_size=12))
+    den, num = field.integral(values)
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int for v in num.values())
+    if field.p:
+        assert den == 1 and num is values
+    else:
+        assert all(Fraction(num[k], den) == v for k, v in values.items())
+    back = field.reduce(num, den)
+    assert back == values
+    assert all(_is_canonical(field, v) for v in back.values())
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=repr)
+@given(data=st.data())
+def test_reduce_drops_zeros_and_returns_canonical_values(field, data):
+    num = data.draw(st.dictionaries(st.integers(0, 30), st.integers(-10**30, 10**30)
+                                    | st.sampled_from([0, field.p, -field.p]), max_size=12))
+    # integral gives den 1 over F_p, so only Q is asked to divide
+    for den in (1, data.draw(st.integers(1, 10**12))) if not field.p else (1,):
+        out = field.reduce(num, den)
+        if field.p:
+            want = {k: v % field.p for k, v in num.items() if v % field.p}
+        else:
+            want = {k: Fraction(v, den) for k, v in num.items() if v}
+        assert out == want
+        assert all(_is_canonical(field, v) for v in out.values())
+
+
+def test_q_reduce_takes_mixed_ints_and_fractions_at_den_one():
+    # sparse elimination hands back pivot tails holding both
+    out = QQ.reduce({0: Fraction(1, 2), 1: 0, 2: 3, 3: Fraction(0)})
+    assert out == {0: Fraction(1, 2), 2: Fraction(3)}
+    assert all(type(v) is Fraction for v in out.values())
