@@ -24,6 +24,7 @@ from .polymat import (
     FreeSheaf,
     GradedMatrix,
     HomogPoly,
+    ParseBudget,
     ParseError,
     _mul_into,
     compose,
@@ -41,7 +42,7 @@ def constant_part(g: GradedMatrix) -> Matrix:
     twists = g.source.twists
     rows = [{s: c for s, p in enumerate(row) if twists[s] == e and (c := p.terms.get(const))}
             for e, row in zip(twists, g.entries)]
-    return Matrix.from_row_maps(g.field, g.rows, g.rows, rows)
+    return Matrix(g.field, g.rows, g.rows, rows)
 
 
 def is_automorphism(g: GradedMatrix) -> bool:
@@ -238,5 +239,6 @@ def parse_group_element(text: str) -> GroupElement:
             raise ParseError(f"block {idx} without term {idx}")
     if not sheaves:
         raise ParseError("group element file has no term line")
-    return GroupElement({i: parse_block(f"block {i}", raw.get(i, []), field, n, sheaf, sheaf)
-                         for i, sheaf in sheaves.items()})
+    budget = ParseBudget()
+    return GroupElement({i: parse_block(f"block {i}", raw.get(i, []), field, n, sheaf, sheaf,
+                                        budget) for i, sheaf in sheaves.items()})

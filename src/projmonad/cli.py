@@ -193,6 +193,8 @@ def _cmd_beilinson_dualtable(args) -> int:
 
 
 def _cmd_group_random(args) -> int:
+    if not 0 <= args.density <= 1:  # NaN fails both comparisons
+        raise _CliParseError(f"density must lie in [0, 1], got {args.density}")
     m = parse_monad(_read(args.monad))
     g = random_element(m.field, m, seed=args.seed, density=args.density)
     _write(args.out, format_group_element(g))
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = grp.add_parser("random", help="seeded random group element for a monad")
     p.add_argument("--monad", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.7)
+    p.add_argument("--density", type=float, default=0.7, help="a number in [0, 1]")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_group_random)
 

@@ -4,8 +4,11 @@ rank() is the hot path: the degree-window computations feed it section
 matrices with hundreds of rows and a few percent nonzeros (they are
 multiplication matrices).  A Matrix therefore stores each row as a dict
 {column: raw value} of its nonzero entries (residues in [0, p) over F_p,
-reduced Fractions over Q), and rank, rref, kernel_basis and inverse all
-run one sparse elimination routine, _echelon.  The field owns that raw
+reduced Fractions over Q); its one constructor wraps such rows, and
+kernel_basis returns its vectors in the same sparse raw format.  rank,
+rref, kernel_basis and inverse all run one sparse elimination routine,
+_echelon.  Matrix.data is the one boxed reader, kept for the bench
+tracer, which counts nonzeros with it.  The field owns that raw
 format: field.integral scales a Q row to integers and field.reduce takes
 sums back to raw values; only _echelon's inner loop and _normalized
 work inline on residues or numerators, switched by field.p.
@@ -35,46 +38,9 @@ class Matrix:
 
     __slots__ = ("field", "rows", "cols", "row_maps")
 
-    def __init__(self, field: Field, rows: int, cols: int, data: list[FieldElement]):
-        """A matrix from its rows*cols entries in row-major order."""
-        if len(data) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(data)}")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.row_maps = [{j: v for j in range(cols) if (v := data[i * cols + j].value)}
-                         for i in range(rows)]
-
-    @classmethod
-    def from_row_maps(cls, field: Field, rows: int, cols: int,
-                      row_maps: list[dict]) -> "Matrix":
+    def __init__(self, field: Field, rows: int, cols: int, row_maps: list[dict]):
         """Wrap sparse rows of nonzero raw values without copying them."""
-        m = cls.__new__(cls)
-        m.field = field
-        m.rows = rows
-        m.cols = cols
-        m.row_maps = row_maps
-        return m
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: list[list]) -> "Matrix":
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        flat = []
-        for r in rows:
-            if len(r) != nc:
-                raise ValueError("ragged rows")
-            for x in r:
-                flat.append(x if isinstance(x, FieldElement) else field.element(x))
-        return cls(field, nr, nc, flat)
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls.from_row_maps(field, rows, cols, [{} for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls.from_row_maps(field, n, n, [{i: field.one.value} for i in range(n)])
+        self.field, self.rows, self.cols, self.row_maps = field, rows, cols, row_maps
 
     @property
     def data(self) -> list[FieldElement]:
@@ -84,20 +50,6 @@ class Matrix:
             for j, v in row.items():
                 out[i * self.cols + j] = FieldElement(self.field, v)
         return out
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        v = self.row_maps[i].get(j)
-        return self.field.zero if v is None else FieldElement(self.field, v)
-
-    def row(self, i: int) -> list[FieldElement]:
-        return [self.entry(i, j) for j in range(self.cols)]
-
-    def transpose(self) -> "Matrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.row_maps):
-            for j, v in row.items():
-                out[j][i] = v
-        return Matrix.from_row_maps(self.field, self.cols, self.rows, out)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or self.cols != other.rows:
@@ -109,7 +61,7 @@ class Matrix:
                 for j, b in other.row_maps[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             out.append(self.field.reduce(acc))
-        return Matrix.from_row_maps(self.field, self.rows, other.cols, out)
+        return Matrix(self.field, self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
         return not any(self.row_maps)
@@ -206,34 +158,27 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """
     pivots = _echelon(m, reduced=True)
     cols = sorted(pivots)
-    one = m.field.one.value
+    one = m.field.coerce(1)
     rows = [{c: one, **pivots[c]} for c in cols]
     rows.extend({} for _ in range(m.rows - len(cols)))
-    return Matrix.from_row_maps(m.field, m.rows, m.cols, rows), cols
+    return Matrix(m.field, m.rows, m.cols, rows), cols
 
 
-def kernel_basis(m: Matrix) -> list[list[FieldElement]]:
-    """A basis of the right kernel, one column vector per free column."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [_unit_vector(m.field, m.cols, j) for j in range(m.cols)]
+def kernel_basis(m: Matrix) -> list[dict]:
+    """A basis of the right kernel: per free column j, the sparse raw row
+    {column: value} that is 1 at j and -rref[c][j] at each pivot column c."""
     red, pivots = rref(m)
+    field = m.field
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = _unit_vector(m.field, m.cols, j)
-        for k, pc in enumerate(pivots):
-            v[pc] = -red.entry(k, j)
-        basis.append(v)
-    return basis
-
-
-def _unit_vector(field: Field, size: int, j: int) -> list[FieldElement]:
-    v = [field.zero] * size
-    v[j] = field.one
-    return v
+    basis = {j: {} for j in range(m.cols) if j not in pivot_set}
+    for c, row in zip(pivots, red.row_maps):
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = field.coerce(-x)
+    one = field.coerce(1)
+    for j, v in basis.items():
+        v[j] = one
+    return list(basis.values())
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -241,12 +186,10 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices invert")
     n = m.rows
-    one = m.field.one.value
-    aug = Matrix.from_row_maps(m.field, n, 2 * n,
-                               [{**row, n + i: one} for i, row in enumerate(m.row_maps)])
+    one = m.field.coerce(1)
+    aug = Matrix(m.field, n, 2 * n, [{**row, n + i: one} for i, row in enumerate(m.row_maps)])
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_row_maps(m.field, n, n,
-                                [{j - n: v for j, v in row.items() if j >= n}
-                                 for row in red.row_maps])
+    return Matrix(m.field, n, n, [{j - n: v for j, v in row.items() if j >= n}
+                                  for row in red.row_maps])

@@ -105,7 +105,7 @@ class Membership:
 def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> Matrix:
     monos = monomials_of_degree(N, 1)
     rows = [{j: c for j, m in enumerate(monos) if (c := f.terms.get(m))} for f in forms]
-    return Matrix.from_row_maps(field, len(forms), len(monos), rows)
+    return Matrix(field, len(forms), len(monos), rows)
 
 
 def wss_membership(pt: ParamPoint) -> Membership:
@@ -182,11 +182,6 @@ def forbidden_form_point(field: Field = QQ) -> ParamPoint:
     return ParamPoint(psi=psi, phi=phi)
 
 
-def _poly_from_coeffs(field: Field, degree: int, coeffs) -> HomogPoly:
-    terms = {m: c.value for m, c in zip(monomials_of_degree(N, degree), coeffs)}
-    return HomogPoly(field, N, degree, terms)
-
-
 def _determinantal_phi(field: Field, rng: Random) -> GradedMatrix:
     """phi with quadric row the signed minors of a random 2x3 linear matrix.
 
@@ -201,23 +196,31 @@ def _determinantal_phi(field: Field, rng: Random) -> GradedMatrix:
     q2 = a[2] * b[0] - a[0] * b[2]
     q3 = a[0] * b[1] - a[1] * b[0]
     zero1 = HomogPoly.zero(field, N, 1)
-    one = HomogPoly.constant(field, N, field.one)
+    one = HomogPoly.constant(field, N, 1)
     return GradedMatrix(field, MIDDLE, TARGET,
                         [[zero1, q1, q2, q3],
                          [one, zero1, zero1, zero1]])
 
 
 def _psi_from_kernel(phi: GradedMatrix) -> GradedMatrix | None:
-    """Solve phi psi = 0: psi columns span the twist-3 section kernel."""
+    """Solve phi psi = 0: psi columns span the twist-3 section kernel.
+
+    The kernel's columns run over the monomials of psi's rows in turn,
+    quadrics in the first row and linear forms in the other three.
+    """
     kernel = kernel_basis(sections_matrix(phi, SECTION_TWIST))
     if len(kernel) != 2:
         return None
     field = phi.field
+    degrees = [SECTION_TWIST + e for e in MIDDLE.twists]
+    slots = [(r, m) for r, d in enumerate(degrees) for m in monomials_of_degree(N, d)]
     columns = []
     for v in kernel:
-        quad = _poly_from_coeffs(field, 2, v[:10])
-        lins = [_poly_from_coeffs(field, 1, v[10 + 4 * j:14 + 4 * j]) for j in range(3)]
-        columns.append([quad] + lins)
+        terms = [{} for _ in degrees]
+        for c, x in v.items():
+            r, m = slots[c]
+            terms[r][m] = x
+        columns.append([HomogPoly(field, N, d, t) for d, t in zip(degrees, terms)])
     return GradedMatrix(field, SOURCE, MIDDLE,
                         [[columns[0][r], columns[1][r]] for r in range(4)])
 

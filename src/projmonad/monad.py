@@ -28,6 +28,7 @@ from .linalg import rank
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
+    ParseBudget,
     ParseError,
     dual_hom,
     parse_poly,
@@ -516,9 +517,10 @@ def read_blocks(text: str, what: str, word: str, keys: tuple[str, ...] = ()):
     return n, field, terms, raw_rows, key_values
 
 
-def parse_block(label: str, rows: list[str], field: Field, n: int,
-                src: FreeSheaf, tgt: FreeSheaf) -> GradedMatrix:
-    """A row per target summand, cells at degree tgt.twists[r] - src.twists[s]."""
+def parse_block(label: str, rows: list[str], field: Field, n: int, src: FreeSheaf,
+                tgt: FreeSheaf, budget: ParseBudget) -> GradedMatrix:
+    """A row per target summand, cells at degree tgt.twists[r] - src.twists[s];
+    every cell spends its term products from the file's budget."""
     if len(rows) != tgt.rank:
         raise ParseError(f"{label}: expected {tgt.rank} rows, got {len(rows)}")
     entries = []
@@ -526,7 +528,7 @@ def parse_block(label: str, rows: list[str], field: Field, n: int,
         cells = row.split(";")
         if len(cells) != src.rank:
             raise ParseError(f"{label} row {r}: expected {src.rank} entries")
-        entries.append([parse_poly(cell, field, n, tgt.twists[r] - src.twists[s])
+        entries.append([parse_poly(cell, field, n, tgt.twists[r] - src.twists[s], budget)
                         for s, cell in enumerate(cells)])
     try:
         return GradedMatrix(field, src, tgt, entries)
@@ -539,11 +541,12 @@ def parse_monad(text: str) -> Monad:
         text, "monad", "diff", ("codim", "cohomology_at"))
     if len(keys) != 2:
         raise ParseError("missing codim or cohomology_at")
-    diffs = {}
+    diffs, budget = {}, ParseBudget()
     for idx, rows in raw_diffs.items():
         if idx not in terms or idx + 1 not in terms:
             raise ParseError(f"diff {idx} without surrounding terms")
-        diffs[idx] = parse_block(f"diff {idx}", rows, field, n, terms[idx], terms[idx + 1])
+        diffs[idx] = parse_block(f"diff {idx}", rows, field, n, terms[idx], terms[idx + 1],
+                                 budget)
     try:
         return Monad(field, n, terms, diffs, keys["codim"], keys["cohomology_at"])
     except ValueError as exc:

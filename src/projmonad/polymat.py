@@ -123,19 +123,14 @@ class HomogPoly:
         return cls(field, n, degree, {})
 
     @classmethod
-    def constant(cls, field: Field, n: int, value: FieldElement) -> "HomogPoly":
-        return cls.monomial(field, n, (0,) * (n + 1), value)
+    def constant(cls, field: Field, n: int, value) -> "HomogPoly":
+        return cls(field, n, 0, {(0,) * (n + 1): value})
 
     @classmethod
     def variable(cls, field: Field, n: int, i: int) -> "HomogPoly":
         exps = [0] * (n + 1)
         exps[i] = 1
         return cls(field, n, 1, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, field: Field, n: int, m: Monomial, coeff: FieldElement | None = None) -> "HomogPoly":
-        one = cls(field, n, sum(m), {m: 1})
-        return one if coeff is None else one.scale(coeff)
 
     def coefficients(self) -> dict[Monomial, FieldElement]:
         """The nonzero coefficients, boxed, by monomial."""
@@ -254,10 +249,10 @@ _MAX_POWER_BITS = 1 << 16
 # stack frames, so this stays far inside the interpreter's recursion limit.
 MAX_PAREN_DEPTH = 100
 
-# Most term products the parser multiplies out for one expression, about
-# a second at 1 us each.  Powers of sums grow fast: (x0+x1+x2+x3)^90 has
-# a legal degree but needs 2.2e8.  The test suite reaches at most 100
-# (a hundred nested parentheses), and the bench workloads none.
+# Most term products the parser multiplies out for all expressions of one
+# file, about a second at 1 us each.  Powers of sums grow fast:
+# (x0+x1+x2+x3)^90 has a legal degree but needs 2.2e8.  Per file, the test
+# suite reaches at most 100 (a hundred nested parentheses), the bench none.
 MAX_PARSE_PRODUCTS = 10**6
 
 _TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|x\d+|[-+*^()])")
@@ -281,6 +276,11 @@ def _tokenize(src: str) -> list[str]:
     return toks
 
 
+class ParseBudget:
+    """The term products that one file's expressions have multiplied out."""
+    products = 0
+
+
 class _PolyParser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
@@ -292,11 +292,12 @@ class _PolyParser:
     literals go through power().  A power whose degree would pass the
     expected degree, or a constant power over Q larger than
     _MAX_POWER_BITS, is refused before it is expanded, as is a product
-    past MAX_PARSE_PRODUCTS term products in all; parentheses nested
-    deeper than MAX_PAREN_DEPTH are refused.
+    past MAX_PARSE_PRODUCTS on the budget one file's expressions share;
+    parentheses nested deeper than MAX_PAREN_DEPTH are refused.
     """
 
-    def __init__(self, toks: list[str], field: Field, n: int, degree: int | None = None):
+    def __init__(self, toks: list[str], field: Field, n: int, degree: int | None = None,
+                 budget: ParseBudget | None = None):
         self.toks = toks + [None]
         self.i = 0
         self.field = field
@@ -306,7 +307,7 @@ class _PolyParser:
         self.const = (0,) * (n + 1)
         self.variables: dict[str, int] = {}  # variable token -> index
         self.depth = 0  # open parentheses
-        self.products = 0  # term products multiplied so far
+        self.budget = budget or ParseBudget()
 
     def peek(self):
         return self.toks[self.i]
@@ -467,19 +468,20 @@ class _PolyParser:
 
     def _mul(self, a: dict, b: dict) -> dict:
         """The product with its zero terms dropped, refused before it is
-        expanded if the expression's term products would pass
+        expanded if the budget's term products would pass
         MAX_PARSE_PRODUCTS."""
-        self.products += len(a) * len(b)
-        if self.products > MAX_PARSE_PRODUCTS:
+        self.budget.products += len(a) * len(b)
+        if self.budget.products > MAX_PARSE_PRODUCTS:
             raise ParseError(f"expression needs more than {MAX_PARSE_PRODUCTS} term products")
         out: dict = {}
         _mul_into(out, a, b, 1)
         return self.field.reduce(out)
 
 
-def parse_poly(src: str, field: Field, n: int, degree: int | None = None) -> HomogPoly:
+def parse_poly(src: str, field: Field, n: int, degree: int | None = None,
+               budget: ParseBudget | None = None) -> HomogPoly:
     """Parse a homogeneous form; degree, when given, pins the zero form too."""
-    parser = _PolyParser(_tokenize(src), field, n, degree)
+    parser = _PolyParser(_tokenize(src), field, n, degree, budget)
     raw = parser.expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input near token {parser.peek()!r}")
@@ -586,7 +588,7 @@ class GradedMatrix:
 
     @classmethod
     def identity(cls, field: Field, sheaf: FreeSheaf) -> "GradedMatrix":
-        ent = [[HomogPoly.constant(field, sheaf.n, field.one) if i == j
+        ent = [[HomogPoly.constant(field, sheaf.n, 1) if i == j
                 else HomogPoly.zero(field, sheaf.n, sheaf.twists[i] - sheaf.twists[j])
                 for j in range(sheaf.rank)] for i in range(sheaf.rank)]
         return cls(field, sheaf, sheaf, ent)
@@ -707,7 +709,7 @@ def sections_matrix(m: GradedMatrix, t: int) -> Matrix:
                 col = src_off[j] + cu
                 for v, coef in p.terms.items():
                     row_maps[tgt_off[i] + index[monomial_mul(u, v)]][col] = coef
-    return Matrix.from_row_maps(m.field, rows, cols, row_maps)
+    return Matrix(m.field, rows, cols, row_maps)
 
 
 def random_poly(field: Field, n: int, degree: int, rng: Random,

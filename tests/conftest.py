@@ -17,7 +17,9 @@ text afresh for each term, as HomogPoly.__str__ did before it reused them.
 The contraction oracle builds the Koszul differential the way
 projmonad.complexes did before it shared one zero form per matrix: a
 validated zero form per slot and every signed variable scaled by a boxed
-+-1.
++-1.  linalg takes and returns sparse raw rows only; matrix_from_boxed
+and boxed_rows convert between those and the dense rows of
+FieldElements that the oracles and the older tests work on.
 """
 
 import re
@@ -41,7 +43,7 @@ from projmonad.polymat import (
     compose,
     random_graded_matrix,
 )
-from projmonad.scalar import GF, QQ, PrimeField
+from projmonad.scalar import GF, QQ, FieldElement, PrimeField
 
 
 def det_oracle(field, rows):
@@ -111,6 +113,22 @@ def rank_oracle(field, rows, cols_count):
                 if det_oracle(field, [[rows[i][j] for j in ci] for i in ri]):
                     return k
     return 0
+
+
+def matrix_from_boxed(field, rows, cols=None) -> Matrix:
+    """A Matrix from dense rows of FieldElements, ints or Fractions; cols
+    is needed only when there are no rows."""
+    cols = len(rows[0]) if cols is None else cols
+    if any(len(r) != cols for r in rows):
+        raise ValueError("ragged rows")
+    raw = [[(x if isinstance(x, FieldElement) else field.element(x)).value for x in r]
+           for r in rows]
+    return Matrix(field, len(rows), cols, [{j: v for j, v in enumerate(r) if v} for r in raw])
+
+
+def boxed_rows(m: Matrix) -> list[list[FieldElement]]:
+    """The rows of m as dense lists of FieldElements."""
+    return [[m.field.element(row.get(j, 0)) for j in range(m.cols)] for row in m.row_maps]
 
 
 def rref_oracle(field, rows, cols_count):
@@ -226,7 +244,7 @@ def lift_constants(field, sheaf: FreeSheaf, m: Matrix) -> GradedMatrix:
         row = []
         for s in range(k):
             gap = sheaf.twists[r] - sheaf.twists[s]
-            c = m.entry(r, s)
+            c = m.row_maps[r].get(s)
             if gap == 0 and c:
                 row.append(HomogPoly.constant(field, n, c))
             else:

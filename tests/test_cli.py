@@ -418,6 +418,49 @@ def test_power_of_a_sum_is_refused_by_product_count(capsys, tmp_path):
     _check(payload, "error")
 
 
+POWER_CELL = "(x0+x1+x2+x3)^30"  # 7e5 term products: under the bound alone
+
+
+@pytest.mark.parametrize("kind", ["monad", "element"])
+def test_product_bound_is_shared_by_the_cells_of_a_file(capsys, tmp_path, kind):
+    # ten cells each under MAX_PARSE_PRODUCTS took seconds when every cell
+    # had a bound of its own; one budget per file refuses them together
+    if kind == "monad":
+        path = tmp_path / "ten.monad"
+        path.write_text("P 3 over F101\nterm 0: [0]\nterm 1: [" + ",".join(["30"] * 10)
+                        + "]\ndiff 0:\n" + f"{POWER_CELL}\n" * 10
+                        + "codim 1\ncohomology_at 1\n")
+        argv = ["monad", "validate", "--in", str(path)]
+    else:
+        rows = [";".join(["0"] * r + ["1"] + ["0"] * (9 - r) + [POWER_CELL]) for r in range(10)]
+        path = tmp_path / "ten.element"
+        path.write_text("P 3 over F101\nterm 0: [" + ",".join(["30"] * 10) + ",0]\nblock 0:\n"
+                        + "".join(f"{row}\n" for row in rows) + "0;" * 10 + "1\n")
+        argv = ["group", "dual", "--element", str(path), "--codim", "1"]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {
+        "kind": "parse", "message": f"expression needs more than {MAX_PARSE_PRODUCTS} term products"}
+    _check(payload, "error")
+
+
+@pytest.mark.parametrize("density, rc", [
+    ("nan", 2), ("inf", 2), ("-0.5", 2), ("1.5", 2), ("0", 0), ("1", 0)])
+def test_group_random_density_must_lie_in_unit_interval(capsys, cubic_f101_file, density, rc):
+    assert run(["group", "random", "--monad", cubic_f101_file, "--seed", "4",
+                "--density", density]) == rc
+    out = capsys.readouterr().out
+    if rc == 0:
+        assert out.startswith("P 3 over F101\n")
+        return
+    payload = json.loads(out)
+    assert payload["error"] == {
+        "kind": "parse", "message": f"density must lie in [0, 1], got {float(density)}"}
+    _check(payload, "error")
+
+
 @pytest.mark.parametrize("argv", [
     ["hilb", "--n", "-5", "--e", "0"], ["monad", "validate", "--in"], ["monad", "hilbert", "--in"],
 ], ids=["hilb", "monad_validate", "monad_hilbert"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     JUNK_CELLS,
+    boxed_rows,
     compose_oracle,
     parse_poly_oracle,
     poly_add_oracle,
@@ -37,6 +38,7 @@ from projmonad.polymat import (
     FreeSheaf,
     GradedMatrix,
     HomogPoly,
+    ParseBudget,
     ParseError,
     compose,
     dual_hom,
@@ -102,7 +104,7 @@ def test_product_count_bound_is_checked_before_multiplying(field, monkeypatch):
     src = "(x0 + 2*x1)^3*(x0 - x2)*3/2 + (x1 + x2)^2*(x0 + x1)^2"
     parser = polymat._PolyParser(polymat._tokenize(src), field, 2)
     parser.expr()
-    needed = parser.products
+    needed = parser.budget.products
     assert needed > 20
     monkeypatch.setattr(polymat, "MAX_PARSE_PRODUCTS", needed)
     assert parse_poly(src, field, 2) == (P("(x0 + 2*x1)^3*(x0 - x2)*3/2", n=2, field=field)
@@ -300,7 +302,8 @@ def test_sections_multiplication_by_x0_on_p1():
     m = _p1_matrix("x0", -1, 0)
     s = sections_matrix(m, 1)
     assert (s.rows, s.cols) == (2, 1)
-    values = [s.entry(0, 0), s.entry(1, 0)]
+    rows = boxed_rows(s)
+    values = [rows[0][0], rows[1][0]]
     assert sum(1 for v in values if v) == 1 and values[0] == QQ.one
 
 
@@ -654,7 +657,7 @@ def _format_matrix(a: GradedMatrix) -> str:
 
 def _parse_matrix(text: str) -> GradedMatrix:
     n, field, terms, raw, _ = read_blocks(text, "matrix", "diff")
-    return parse_block("diff 0", raw.get(0, []), field, n, terms[0], terms[1])
+    return parse_block("diff 0", raw.get(0, []), field, n, terms[0], terms[1], ParseBudget())
 
 
 def _assert_printer_matches_oracle(matrices):
