@@ -2,7 +2,7 @@
 dualization, Bott numbers, Hilbert polynomials, term automorphisms, and
 the 3m+1 parameter space on P^3."""
 
-from .scalar import GF, QQ, Field, FieldElement, FieldError, PrimeField, RationalField
+from .scalar import GF, QQ, Field, FieldError, PrimeField, RationalField
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
@@ -45,7 +45,7 @@ from .modp3 import (
     ParamPoint,
     point_monad,
     point_of,
-    sample_wss,
+    sample_wss_stats,
     twisted_cubic_point,
     wss_membership,
 )

@@ -155,18 +155,6 @@ class GroupElement:
         return f"GroupElement(indices {sorted(self.blocks)})"
 
 
-def identity_element(m: Monad) -> GroupElement:
-    return GroupElement({i: GradedMatrix.identity(m.field, m.terms[i])
-                         for i in m.terms})
-
-
-def compose_elements(g: GroupElement, h: GroupElement) -> GroupElement:
-    """(g h)_i = g_i . h_i blockwise."""
-    if set(g.blocks) != set(h.blocks):
-        raise ValueError("elements indexed by different terms")
-    return GroupElement({i: compose(g.blocks[i], h.blocks[i]) for i in g.blocks})
-
-
 def act(g: GroupElement, m: Monad) -> Monad:
     """Twist every differential: d_i -> g_{i+1} d_i g_i^{-1}."""
     for i in range(m.lo, m.hi + 1):

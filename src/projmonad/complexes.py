@@ -112,26 +112,3 @@ def direct_sum(a: Monad, b: Monad) -> Monad:
         diffs[i] = GradedMatrix(field, src, tgt, ent)
     return Monad(field, n, terms, diffs, a.c, a.cohomology_position)
 
-
-def identity_summand(field: Field, n: int, i: int, twist: int, c: int,
-                     position: int = 0) -> Monad:
-    """The acyclic two-term complex O(twist) = O(twist) at positions i, i+1."""
-    sheaf = FreeSheaf(n, (twist,))
-    terms = {i: sheaf, i + 1: sheaf}
-    diffs = {i: GradedMatrix.identity(field, sheaf)}
-    lo, hi = min(i, position), max(i + 1, position)
-    for j in range(lo, hi + 1):
-        terms.setdefault(j, FreeSheaf(n, ()))
-    return Monad(field, n, terms, diffs, c, position)
-
-
-def augment_with_identity(m: Monad, i: int, twist: int) -> Monad:
-    """Direct-sum an O(twist) identity block onto positions i, i+1.
-
-    The result has the same cohomology but fails minimality: the new
-    block is a nonzero constant between equal twists.
-    """
-    if not m.lo <= i < m.hi:
-        raise ValueError("identity block must sit on an existing differential")
-    piece = identity_summand(m.field, m.n, i, twist, m.c, m.cohomology_position)
-    return direct_sum(m, piece)

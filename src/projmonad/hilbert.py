@@ -11,7 +11,6 @@ integer valued on the integers; it carries Hilbert polynomials such as
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -76,10 +75,6 @@ class IntPoly:
         """The polynomial m -> p(-m)."""
         return IntPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
 
-    def is_integer_valued(self) -> bool:
-        # Integrality at deg+1 consecutive integers forces it everywhere.
-        return all(self(k).denominator == 1 for k in range(len(self.coeffs) + 1))
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and other.coeffs == self.coeffs
 
@@ -110,12 +105,6 @@ class IntPoly:
 
     __repr__ = __str__
 
-    def to_json(self) -> str:
-        return json.dumps([str(c) for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntPoly":
-        return cls([Fraction(s) for s in json.loads(text)])
 
 
 # Largest k binomial_poly expands, so the largest projective dimension:

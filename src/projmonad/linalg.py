@@ -7,11 +7,12 @@ multiplication matrices).  A Matrix therefore stores each row as a dict
 reduced Fractions over Q); its one constructor wraps such rows, and
 kernel_basis returns its vectors in the same sparse raw format.  rank,
 rref, kernel_basis and inverse all run one sparse elimination routine,
-_echelon.  Matrix.data is the one boxed reader, kept for the bench
-tracer, which counts nonzeros with it.  The field owns that raw
-format: field.integral scales a Q row to integers and field.reduce takes
-sums back to raw values; only _echelon's inner loop and _normalized
-work inline on residues or numerators, switched by field.p.
+_echelon.  Matrix.data is the one reader that pairs values with their
+field, as FieldElement records; the bench tracer counts nonzeros with
+it.  The field owns that raw format: field.integral scales a Q row to
+integers and field.reduce takes sums back to raw values; only
+_echelon's inner loop and _normalized work inline on residues or
+numerators, switched by field.p.
 
 Pivoting is deterministic: rows are reduced sparsest first (ties in row
 order), each against the pivots found so far from its leftmost column
@@ -45,7 +46,7 @@ class Matrix:
     @property
     def data(self) -> list[FieldElement]:
         """All rows*cols entries in row-major order."""
-        out = [self.field.zero] * (self.rows * self.cols)
+        out = [FieldElement(self.field, self.field.coerce(0))] * (self.rows * self.cols)
         for i, row in enumerate(self.row_maps):
             for j, v in row.items():
                 out[i * self.cols + j] = FieldElement(self.field, v)

@@ -255,10 +255,6 @@ def sample_wss_stats(seed: int, field: Field,
     raise SampleExhaustedError(f"exhausted max_tries = {max_tries}")
 
 
-def sample_wss(seed: int, field: Field, max_tries: int = 32) -> ParamPoint:
-    return sample_wss_stats(seed, field, max_tries)[0]
-
-
 def format_point(pt: ParamPoint) -> str:
     return format_monad(point_monad(pt))
 

@@ -17,7 +17,7 @@ residues in [0, p), or reduced Fractions over Q.  The arithmetic (sums,
 products and composites of forms, and the parser) takes them to integer
 numerators over a common denominator with field.integral, sums and
 multiplies those unreduced, and turns the result back into raw values
-once with field.reduce.  HomogPoly.coefficients() boxes FieldElements.
+once with field.reduce.
 
 The parser reads a term's plain factors (integer and a/b literals, x_i,
 x_i^k) straight into one exponent list and one numerator and
@@ -38,7 +38,7 @@ from operator import add
 from random import Random
 
 from .linalg import Matrix
-from .scalar import Field, FieldElement, FieldError
+from .scalar import Field
 
 Monomial = tuple[int, ...]
 
@@ -91,7 +91,7 @@ class HomogPoly:
     """A homogeneous form of fixed degree in x0..xn over a field.
 
     terms maps monomials to nonzero raw values, canonicalised by
-    field.coerce (a FieldElement is refused); coefficients() boxes them.
+    field.coerce, which refuses anything but an int or a raw value.
     The zero form has no terms but still records its degree (which may
     then be negative, for the forced-zero slots of a graded matrix).
     """
@@ -125,16 +125,6 @@ class HomogPoly:
     @classmethod
     def constant(cls, field: Field, n: int, value) -> "HomogPoly":
         return cls(field, n, 0, {(0,) * (n + 1): value})
-
-    @classmethod
-    def variable(cls, field: Field, n: int, i: int) -> "HomogPoly":
-        exps = [0] * (n + 1)
-        exps[i] = 1
-        return cls(field, n, 1, {tuple(exps): 1})
-
-    def coefficients(self) -> dict[Monomial, FieldElement]:
-        """The nonzero coefficients, boxed, by monomial."""
-        return {m: FieldElement(self.field, c) for m, c in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -178,14 +168,6 @@ class HomogPoly:
         _mul_into(num, a, b, 1)
         return HomogPoly._unchecked(field, self.n, self.degree + other.degree,
                                     field.reduce(num, da * db))
-
-    def scale(self, c: FieldElement) -> "HomogPoly":
-        field = self.field
-        if c.field is not field and c.field != field:
-            raise FieldError(f"field mismatch: {c.field} vs {field}")
-        x = c.value
-        return HomogPoly._unchecked(field, self.n, self.degree,
-                                    field.reduce({m: x * v for m, v in self.terms.items()}))
 
     def __eq__(self, other):
         # Zero forms are equal whatever their recorded degree.
@@ -472,7 +454,7 @@ class _PolyParser:
         MAX_PARSE_PRODUCTS."""
         self.budget.products += len(a) * len(b)
         if self.budget.products > MAX_PARSE_PRODUCTS:
-            raise ParseError(f"expression needs more than {MAX_PARSE_PRODUCTS} term products")
+            raise ParseError(f"input needs more than {MAX_PARSE_PRODUCTS} term products")
         out: dict = {}
         _mul_into(out, a, b, 1)
         return self.field.reduce(out)
@@ -586,16 +568,6 @@ class GradedMatrix:
                 for j in range(source.rank)] for i in range(target.rank)]
         return cls(field, source, target, ent)
 
-    @classmethod
-    def identity(cls, field: Field, sheaf: FreeSheaf) -> "GradedMatrix":
-        ent = [[HomogPoly.constant(field, sheaf.n, 1) if i == j
-                else HomogPoly.zero(field, sheaf.n, sheaf.twists[i] - sheaf.twists[j])
-                for j in range(sheaf.rank)] for i in range(sheaf.rank)]
-        return cls(field, sheaf, sheaf, ent)
-
-    def entry(self, i: int, j: int) -> HomogPoly:
-        return self.entries[i][j]
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
@@ -618,20 +590,6 @@ class GradedMatrix:
     def __hash__(self):
         return hash((self.field, self.source, self.target,
                      tuple(frozenset(terms.items()) for terms in self._term_dicts())))
-
-    def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
-        if other.source != self.source or other.target != self.target:
-            raise ValueError("shape mismatch in graded sum")
-        ent = [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-               for i in range(self.rows)]
-        return GradedMatrix(self.field, self.source, self.target, ent)
-
-    def __neg__(self) -> "GradedMatrix":
-        ent = [[-p for p in row] for row in self.entries]
-        return GradedMatrix(self.field, self.source, self.target, ent)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         return compose(self, other)
@@ -727,9 +685,3 @@ def random_poly(field: Field, n: int, degree: int, rng: Random,
             terms[m] = c
     return HomogPoly._unchecked(field, n, degree, terms)
 
-
-def random_graded_matrix(field: Field, source: FreeSheaf, target: FreeSheaf,
-                         rng: Random, density: float = 1.0) -> GradedMatrix:
-    ent = [[random_poly(field, source.n, target.twists[i] - source.twists[j], rng, density)
-            for j in range(source.rank)] for i in range(target.rank)]
-    return GradedMatrix(field, source, target, ent)

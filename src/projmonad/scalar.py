@@ -1,13 +1,12 @@
 """Exact scalars: the rationals and prime fields F_p.
 
-Every public value is a FieldElement tagged with its field; elements of
-different fields never combine.  Inside matrices and forms the same
-values travel unboxed as raw values: reduced Fractions over Q, residues
-in [0, p) over F_p.  The fields own that format, and no other module
-tests a field's type: they give p (the modulus, 0 over Q), coerce (an
-int or raw value to canonical form), inv, integral (raw values to
+Matrices and forms hold scalars as raw values: reduced Fractions over Q,
+residues in [0, p) over F_p.  The fields own that format, and no other
+module tests a field's type: they give p (the modulus, 0 over Q), coerce
+(an int or raw value to canonical form), inv, integral (raw values to
 integer numerators over a common denominator) and reduce (numerators
-back to nonzero raw values).
+back to nonzero raw values).  FieldElement is only the record that
+Matrix.data yields: a raw value next to its field, with no arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from math import lcm
 
 
 class FieldError(ValueError):
-    """Mixing fields, bad modulus, or a malformed scalar literal."""
+    """A bad modulus, or a value that is not a scalar of the field."""
 
 
 # Miller-Rabin with these bases is exact below 3,215,031,751 > 2^31.
@@ -50,47 +49,18 @@ def _is_prime(p: int) -> bool:
 class Field:
     """Base class for the two supported fields, Q and F_p.
 
-    FieldElement wraps a raw value together with its field.  Arithmetic
-    on raw values goes through integral and reduce: integral turns a
-    dict of raw values into (den, numerators) with integer numerators
-    (den is always 1 over F_p), the caller adds and multiplies plain
-    ints, and reduce(numerators, den) turns the result back into a dict
-    of the nonzero raw values numerators[k] / den.  With den 1, reduce
-    also takes raw values mixed with the ints.
+    Arithmetic on raw values goes through integral and reduce: integral
+    turns a dict of raw values into (den, numerators) with integer
+    numerators (den is always 1 over F_p), the caller adds and
+    multiplies plain ints, and reduce(numerators, den) turns the result
+    back into a dict of the nonzero raw values numerators[k] / den.
+    With den 1, reduce also takes raw values mixed with the ints.
     """
 
     p = 0  # the modulus over F_p, 0 over Q
 
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.coerce(value))
-
     def coerce(self, value):
         raise NotImplementedError
-
-    def parse(self, text: str) -> "FieldElement":
-        """Parse a scalar literal: optional sign, integer, optional '/' integer."""
-        s = text.strip()
-        neg = False
-        if s.startswith(("+", "-")):
-            neg = s[0] == "-"
-            s = s[1:]
-        num, slash, den = s.partition("/")
-        if not num.isdigit() or (slash and not den.isdigit()):
-            raise FieldError(f"bad scalar literal {text!r}")
-        n = int(num)
-        if neg:
-            n = -n
-        if slash:
-            return self.element(n) / self.element(int(den))
-        return self.element(n)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        return self._one
 
 
 class RationalField(Field):
@@ -102,11 +72,6 @@ class RationalField(Field):
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def __init__(self):
-        if not hasattr(self, "_zero"):
-            self._zero = FieldElement(self, Fraction(0))
-            self._one = FieldElement(self, Fraction(1))
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -154,8 +119,6 @@ class PrimeField(Field):
                 raise FieldError(f"modulus {p!r} is not prime")
             inst = super().__new__(cls)
             inst.p = p
-            inst._zero = FieldElement(inst, 0)
-            inst._one = FieldElement(inst, 1 % p)
             cls._cache[p] = inst
         return inst
 
@@ -190,63 +153,12 @@ class PrimeField(Field):
 
 
 class FieldElement:
-    """An immutable scalar: a raw value together with its field."""
+    """A raw value next to its field, as Matrix.data yields it."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FieldElement is immutable")
-
-    def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {other!r}")
-        if other.field != self.field:
-            raise FieldError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other):
-        self._check(other)
-        return self.field.element(self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self.field.element(self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return self.field.element(self.value * other.value)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self.field.element(self.value * self.field.inv(other.value))
-
-    def __neg__(self):
-        return self.field.element(-self.value)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"{self.value!s}"
-
-    def __str__(self):
-        return str(self.value)
+        self.field, self.value = field, value
 
 
 QQ = RationalField()

@@ -3,14 +3,14 @@
 The oracles here deliberately avoid the elimination code in
 projmonad.linalg: determinants come from a subset DP over column
 choices, ranks from a largest-nonzero-minor search, reduced row echelon
-forms from a dense Gauss-Jordan on boxed field elements, and the catalog
+forms from a dense Gauss-Jordan on boxed scalars, and the catalog
 cohomology of line bundles on a line is written down in closed form.
 The Hilbert window oracle keeps the heuristic window start that the
 regularity bound replaced.  The polynomial oracles multiply, compose and
-parse forms one boxed FieldElement operation at a time, as projmonad.polymat
+parse forms one boxed scalar operation at a time, as projmonad.polymat
 did before its arithmetic moved onto raw values; they read coefficients
-through HomogPoly.coefficients() and hand raw values back only when
-they build a form (poly_from_boxed).  The graded inverse
+through boxed_coefficients and hand raw values back only when they
+build a form (poly_from_boxed).  The graded inverse
 oracle sums the finite Neumann series that the degree induction of
 projmonad.autgroup replaced.  The printing oracle builds every monomial's
 text afresh for each term, as HomogPoly.__str__ did before it reused them.
@@ -18,8 +18,14 @@ The contraction oracle builds the Koszul differential the way
 projmonad.complexes did before it shared one zero form per matrix: a
 validated zero form per slot and every signed variable scaled by a boxed
 +-1.  linalg takes and returns sparse raw rows only; matrix_from_boxed
-and boxed_rows convert between those and the dense rows of
-FieldElements that the oracles and the older tests work on.
+and boxed_rows convert between those and the dense rows of boxed
+scalars that the oracles and the older tests work on.
+
+projmonad keeps one scalar representation, the raw values.  Boxed, the
+scalar the oracles compute with, lives here with its literal reader
+(parse_scalar), as do the graded-matrix helpers only tests use: sums,
+the identity, random matrices and the identity augmentation of a
+complex.
 """
 
 import re
@@ -41,9 +47,156 @@ from projmonad.polymat import (
     HomogPoly,
     ParseError,
     compose,
-    random_graded_matrix,
+    random_poly,
 )
-from projmonad.scalar import GF, QQ, FieldElement, PrimeField
+from projmonad.scalar import GF, QQ, FieldError, PrimeField
+
+
+class Boxed:
+    """An immutable scalar: a raw value together with its field.
+
+    The constructor canonicalises the value with field.coerce; every
+    operation checks that both operands lie in one field.
+    """
+
+    __slots__ = ("field", "value")
+
+    def __init__(self, field, value):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "value", field.coerce(value))
+
+    def __setattr__(self, name, val):
+        raise AttributeError("Boxed is immutable")
+
+    def _check(self, other: "Boxed"):
+        if not isinstance(other, Boxed):
+            raise TypeError(f"expected Boxed, got {other!r}")
+        if other.field != self.field:
+            raise FieldError(f"field mismatch: {self.field} vs {other.field}")
+
+    def __add__(self, other):
+        self._check(other)
+        return Boxed(self.field, self.value + other.value)
+
+    def __sub__(self, other):
+        self._check(other)
+        return Boxed(self.field, self.value - other.value)
+
+    def __mul__(self, other):
+        self._check(other)
+        return Boxed(self.field, self.value * other.value)
+
+    def __truediv__(self, other):
+        self._check(other)
+        return Boxed(self.field, self.value * self.field.inv(other.value))
+
+    def __neg__(self):
+        return Boxed(self.field, -self.value)
+
+    def inverse(self) -> "Boxed":
+        return Boxed(self.field, self.field.inv(self.value))
+
+    def __bool__(self):
+        return self.value != 0
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Boxed)
+            and other.field == self.field
+            and other.value == self.value
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.value))
+
+    def __repr__(self):
+        return str(self.value)
+
+
+def parse_scalar(field, text: str) -> Boxed:
+    """Parse a scalar literal: optional sign, integer, optional '/' integer."""
+    s = text.strip()
+    neg = False
+    if s.startswith(("+", "-")):
+        neg = s[0] == "-"
+        s = s[1:]
+    num, slash, den = s.partition("/")
+    if not num.isdigit() or (slash and not den.isdigit()):
+        raise FieldError(f"bad scalar literal {text!r}")
+    n = int(num)
+    if neg:
+        n = -n
+    if slash:
+        return Boxed(field, n) / Boxed(field, int(den))
+    return Boxed(field, n)
+
+
+def boxed_coefficients(p: HomogPoly) -> dict:
+    """The nonzero coefficients of p, boxed, by monomial."""
+    return {m: Boxed(p.field, c) for m, c in p.terms.items()}
+
+
+def poly_variable(field, n: int, i: int) -> HomogPoly:
+    exps = [0] * (n + 1)
+    exps[i] = 1
+    return HomogPoly(field, n, 1, {tuple(exps): 1})
+
+
+def poly_scale(p: HomogPoly, c: Boxed) -> HomogPoly:
+    """c * p, one boxed product per coefficient."""
+    return poly_from_boxed(p.field, p.n, p.degree,
+                           {m: c * v for m, v in boxed_coefficients(p).items()})
+
+
+def graded_identity(field, sheaf: FreeSheaf) -> GradedMatrix:
+    ent = [[HomogPoly.constant(field, sheaf.n, 1) if i == j
+            else HomogPoly.zero(field, sheaf.n, sheaf.twists[i] - sheaf.twists[j])
+            for j in range(sheaf.rank)] for i in range(sheaf.rank)]
+    return GradedMatrix(field, sheaf, sheaf, ent)
+
+
+def graded_add(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    if b.source != a.source or b.target != a.target:
+        raise ValueError("shape mismatch in graded sum")
+    ent = [[a.entries[i][j] + b.entries[i][j] for j in range(a.cols)]
+           for i in range(a.rows)]
+    return GradedMatrix(a.field, a.source, a.target, ent)
+
+
+def graded_neg(a: GradedMatrix) -> GradedMatrix:
+    ent = [[-p for p in row] for row in a.entries]
+    return GradedMatrix(a.field, a.source, a.target, ent)
+
+
+def random_graded_matrix(field, source: FreeSheaf, target: FreeSheaf,
+                         rng: Random, density: float = 1.0) -> GradedMatrix:
+    ent = [[random_poly(field, source.n, target.twists[i] - source.twists[j], rng, density)
+            for j in range(source.rank)] for i in range(target.rank)]
+    return GradedMatrix(field, source, target, ent)
+
+
+def identity_summand(field, n: int, i: int, twist: int, c: int,
+                     position: int = 0) -> Monad:
+    """The acyclic two-term complex O(twist) = O(twist) at positions i, i+1."""
+    sheaf = FreeSheaf(n, (twist,))
+    terms = {i: sheaf, i + 1: sheaf}
+    diffs = {i: graded_identity(field, sheaf)}
+    lo, hi = min(i, position), max(i + 1, position)
+    for j in range(lo, hi + 1):
+        terms.setdefault(j, FreeSheaf(n, ()))
+    return Monad(field, n, terms, diffs, c, position)
+
+
+def augment_with_identity(m: Monad, i: int, twist: int) -> Monad:
+    """Direct-sum an O(twist) identity block onto positions i, i+1.
+
+    The result has the same cohomology but fails minimality: the new
+    block is a nonzero constant between equal twists.
+    """
+    if not m.lo <= i < m.hi:
+        raise ValueError("identity block must sit on an existing differential")
+    piece = identity_summand(m.field, m.n, i, twist, m.c, m.cohomology_position)
+    return direct_sum(m, piece)
 
 
 def det_oracle(field, rows):
@@ -116,29 +269,29 @@ def rank_oracle(field, rows, cols_count):
 
 
 def matrix_from_boxed(field, rows, cols=None) -> Matrix:
-    """A Matrix from dense rows of FieldElements, ints or Fractions; cols
+    """A Matrix from dense rows of boxed scalars, ints or Fractions; cols
     is needed only when there are no rows."""
     cols = len(rows[0]) if cols is None else cols
     if any(len(r) != cols for r in rows):
         raise ValueError("ragged rows")
-    raw = [[(x if isinstance(x, FieldElement) else field.element(x)).value for x in r]
+    raw = [[(x if isinstance(x, Boxed) else Boxed(field, x)).value for x in r]
            for r in rows]
     return Matrix(field, len(rows), cols, [{j: v for j, v in enumerate(r) if v} for r in raw])
 
 
-def boxed_rows(m: Matrix) -> list[list[FieldElement]]:
-    """The rows of m as dense lists of FieldElements."""
-    return [[m.field.element(row.get(j, 0)) for j in range(m.cols)] for row in m.row_maps]
+def boxed_rows(m: Matrix) -> list[list[Boxed]]:
+    """The rows of m as dense lists of boxed scalars."""
+    return [[Boxed(m.field, row.get(j, 0)) for j in range(m.cols)] for row in m.row_maps]
 
 
 def rref_oracle(field, rows, cols_count):
-    """Reduced row echelon form by dense Gauss-Jordan on FieldElements.
+    """Reduced row echelon form by dense Gauss-Jordan on boxed scalars.
 
     Pivots on the first nonzero entry of each column, rows scanned top
     down.  Returns the reduced rows (zero rows last) and the pivot
     columns; the RREF is unique, so any exact elimination must agree.
     """
-    one = field.one
+    one = Boxed(field, 1)
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -166,7 +319,7 @@ def _monomial_mul_oracle(a, b):
 
 
 def poly_from_boxed(field, n: int, degree: int, terms) -> HomogPoly:
-    """The form with FieldElement coefficients terms, each checked to lie
+    """The form with boxed coefficients terms, each checked to lie
     in field; zero coefficients are dropped by the constructor."""
     assert all(c.field == field for c in terms.values()), "coefficient from the wrong field"
     return HomogPoly(field, n, degree, {m: c.value for m, c in terms.items()})
@@ -175,23 +328,23 @@ def poly_from_boxed(field, n: int, degree: int, terms) -> HomogPoly:
 def poly_add_oracle(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     """Sum of two forms of one degree (or zero), coefficient by coefficient."""
     if not a.terms:
-        return poly_from_boxed(a.field, a.n, b.degree, b.coefficients())
+        return poly_from_boxed(a.field, a.n, b.degree, boxed_coefficients(b))
     if not b.terms:
-        return poly_from_boxed(a.field, a.n, a.degree, a.coefficients())
+        return poly_from_boxed(a.field, a.n, a.degree, boxed_coefficients(a))
     if a.degree != b.degree:
         raise ValueError("cannot add forms of different degrees")
-    terms = a.coefficients()
-    for m, c in b.coefficients().items():
+    terms = boxed_coefficients(a)
+    for m, c in boxed_coefficients(b).items():
         s = terms.get(m)
         terms[m] = c if s is None else s + c
     return poly_from_boxed(a.field, a.n, a.degree, terms)
 
 
 def poly_mul_oracle(a: HomogPoly, b: HomogPoly) -> HomogPoly:
-    """Product of two forms, one FieldElement product and sum per pair of terms."""
+    """Product of two forms, one boxed product and sum per pair of terms."""
     terms = {}
-    for ma, ca in a.coefficients().items():
-        for mb, cb in b.coefficients().items():
+    for ma, ca in boxed_coefficients(a).items():
+        for mb, cb in boxed_coefficients(b).items():
             m = _monomial_mul_oracle(ma, mb)
             c = ca * cb
             s = terms.get(m)
@@ -225,12 +378,12 @@ def contraction_oracle(field, n: int, variables: tuple[int, ...], k: int,
     source = FreeSheaf(n, (twist - k,) * len(src_sets))
     target = FreeSheaf(n, (twist - k + 1,) * len(tgt_sets))
     ent = [[HomogPoly.zero(field, n, 1) for _ in src_sets] for _ in tgt_sets]
-    one = field.one
+    one = Boxed(field, 1)
     for j, s in enumerate(src_sets):
         for pos, v in enumerate(s):
             rest = s[:pos] + s[pos + 1:]
             coeff = one if pos % 2 == 0 else -one
-            ent[tgt_pos[rest]][j] = HomogPoly.variable(field, n, v).scale(coeff)
+            ent[tgt_pos[rest]][j] = poly_scale(poly_variable(field, n, v), coeff)
     return GradedMatrix(field, source, target, ent)
 
 
@@ -271,7 +424,7 @@ def graded_inverse_neumann_oracle(g: GradedMatrix) -> GradedMatrix:
         raise ValueError("not an automorphism: constant part is singular") from exc
     sheaf = g.source
     lifted_inv = lift_constants(g.field, sheaf, g0_inv)
-    nu = g - lift_constants(g.field, sheaf, g0)
+    nu = graded_add(g, graded_neg(lift_constants(g.field, sheaf, g0)))
     if nu.is_zero():
         return lifted_inv
     neumann_len = len(set(sheaf.twists))
@@ -282,7 +435,7 @@ def graded_inverse_neumann_oracle(g: GradedMatrix) -> GradedMatrix:
     for _ in range(1, neumann_len):
         power = step if power is None else compose(step, power)
         term = compose(power, lifted_inv)
-        acc = acc + (term if sign > 0 else -term)
+        acc = graded_add(acc, term if sign > 0 else graded_neg(term))
         sign = -sign
     return acc
 
@@ -304,7 +457,7 @@ def _tokenize_oracle(src: str) -> list[str]:
 
 
 class _PolyParserOracle:
-    """Recursive descent over {monomial: FieldElement} dicts, token by token."""
+    """Recursive descent over {monomial: Boxed} dicts, token by token."""
 
     def __init__(self, toks, field, n, degree=None):
         self.toks = toks
@@ -332,7 +485,7 @@ class _PolyParserOracle:
             op = self.take()
             t = self.term()
             for m, c in t.items():
-                v = acc.get(m, self.field.zero) + (c if op == "+" else -c)
+                v = acc.get(m, Boxed(self.field, 0)) + (c if op == "+" else -c)
                 if v:
                     acc[m] = v
                 elif m in acc:
@@ -364,7 +517,7 @@ class _PolyParserOracle:
                             for c in base.values()), default=0)
                 if bits * e > _MAX_POWER_BITS:
                     raise ParseError(f"constant power with exponent {e} is too large")
-            out = {(0,) * (self.n + 1): self.field.one}
+            out = {(0,) * (self.n + 1): Boxed(self.field, 1)}
             while e:
                 if e & 1:
                     out = self._mul(out, base)
@@ -389,10 +542,10 @@ class _PolyParserOracle:
                 raise ParseError(f"variable {t} out of range for P^{self.n}")
             exps = [0] * (self.n + 1)
             exps[i] = 1
-            return {tuple(exps): self.field.one}
+            return {tuple(exps): Boxed(self.field, 1)}
         if t[0].isdigit():
             try:
-                return {(0,) * (self.n + 1): self.field.parse(t)}
+                return {(0,) * (self.n + 1): parse_scalar(self.field, t)}
             except Exception as exc:
                 raise ParseError(str(exc)) from exc
         raise ParseError(f"unexpected token {t!r}")
@@ -402,7 +555,7 @@ class _PolyParserOracle:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = _monomial_mul_oracle(ma, mb)
-                v = out.get(m, self.field.zero) + ca * cb
+                v = out.get(m, Boxed(self.field, 0)) + ca * cb
                 if v:
                     out[m] = v
                 elif m in out:
@@ -411,7 +564,7 @@ class _PolyParserOracle:
 
 
 def parse_poly_oracle(src: str, field, n: int, degree=None) -> HomogPoly:
-    """parse_poly with every coefficient operation on FieldElements."""
+    """parse_poly with every coefficient operation on boxed scalars."""
     parser = _PolyParserOracle(_tokenize_oracle(src), field, n, degree)
     terms = {m: c for m, c in parser.expr().items() if c}
     if parser.peek() is not None:
@@ -444,7 +597,7 @@ def _monomial_str_oracle(m) -> str:
 
 def poly_str_oracle(p: HomogPoly) -> str:
     """str(p), each term's monomial text built on the spot."""
-    terms = p.coefficients()
+    terms = boxed_coefficients(p)
     if not terms:
         return "0"
     out = []

@@ -9,9 +9,9 @@ import time
 from pathlib import Path
 from random import Random
 
-from conftest import h_p1, line_cohomology_table, random_monad
+from conftest import augment_with_identity, h_p1, line_cohomology_table, random_monad
 from projmonad.autgroup import act, induced_dual_element, random_element
-from projmonad.complexes import augment_with_identity, koszul_monad, line_monad, omega_resolution
+from projmonad.complexes import koszul_monad, line_monad, omega_resolution
 from projmonad.hilbert import IntPoly, bott_h, euler_poly
 from projmonad.modp3 import (
     forbidden_form_point,

@@ -3,15 +3,20 @@ from random import Random
 
 import pytest
 
-from conftest import graded_inverse_neumann_oracle, lift_constants, random_valid_monad
+from conftest import (
+    graded_add,
+    graded_identity,
+    graded_inverse_neumann_oracle,
+    graded_neg,
+    lift_constants,
+    random_valid_monad,
+)
 from projmonad.autgroup import (
     GroupElement,
     act,
-    compose_elements,
     constant_part,
     format_group_element,
     graded_inverse,
-    identity_element,
     induced_dual_element,
     is_automorphism,
     parse_group_element,
@@ -65,7 +70,7 @@ def test_inverse_of_unipotent():
 
 def test_inverse_of_identity():
     sheaf = FreeSheaf(2, (0, -1, -3))
-    ident = GradedMatrix.identity(QQ, sheaf)
+    ident = graded_identity(QQ, sheaf)
     assert graded_inverse(ident) == ident
 
 
@@ -78,7 +83,7 @@ def test_inverse_two_sided_100_random():
         field = QQ if rng.random() < 0.5 else F101
         g = random_automorphism(field, sheaf, rng)
         inv = graded_inverse(g)
-        ident = GradedMatrix.identity(field, sheaf)
+        ident = graded_identity(field, sheaf)
         assert compose(g, inv) == ident
         assert compose(inv, g) == ident
 
@@ -96,7 +101,7 @@ def _automorphism_cases(field, rng):
         density = (0.3, 0.7, 1.0)[trial % 3]
         cases.append(random_automorphism(field, sheaf, rng, density=density))
     cases.append(GradedMatrix.zero(field, FreeSheaf(2, ()), FreeSheaf(2, ())))
-    cases.append(GradedMatrix.identity(field, FreeSheaf(3, (0, -4, -1, -4, 2))))
+    cases.append(graded_identity(field, FreeSheaf(3, (0, -4, -1, -4, 2))))
     return cases
 
 
@@ -106,7 +111,7 @@ def test_graded_inverse_matches_neumann_oracle(field):
     for g in _automorphism_cases(field, rng):
         inv = graded_inverse(g)
         assert inv == graded_inverse_neumann_oracle(g)
-        ident = GradedMatrix.identity(field, g.source)
+        ident = graded_identity(field, g.source)
         assert compose(g, inv) == ident
         assert compose(inv, g) == ident
 
@@ -144,7 +149,7 @@ def test_positive_part_is_nilpotent():
         sheaf = FreeSheaf(2, twists)
         g = random_automorphism(QQ, sheaf, rng)
         g0 = constant_part(g)
-        nu = g - lift_constants(g.field, sheaf, g0)
+        nu = graded_add(g, graded_neg(lift_constants(g.field, sheaf, g0)))
         power = nu
         for _ in range(len(set(twists)) - 1):
             power = compose(nu, power)
@@ -199,7 +204,8 @@ def test_constant_part_of_inverse_is_matrix_inverse():
 
 def test_identity_acts_trivially():
     m = koszul_monad(QQ, 2, [0, 1])
-    assert act(identity_element(m), m) == m
+    identity = GroupElement({i: graded_identity(m.field, m.terms[i]) for i in m.terms})
+    assert act(identity, m) == m
 
 
 def test_action_preserves_validity_and_hilbert_function():
@@ -218,15 +224,16 @@ def test_action_is_group_action():
     for trial in range(25):
         g = random_element(QQ, m, seed=2000 + trial)
         h = random_element(QQ, m, seed=3000 + trial)
-        assert act(compose_elements(g, h), m) == act(g, act(h, m))
+        gh = GroupElement({i: compose(g.blocks[i], h.blocks[i]) for i in g.blocks})
+        assert act(gh, m) == act(g, act(h, m))
 
 
 def test_induced_dual_of_identity():
     m = koszul_monad(QQ, 2, [0, 1])
-    e = identity_element(m)
+    e = GroupElement({i: graded_identity(m.field, m.terms[i]) for i in m.terms})
     de = induced_dual_element(e, m.c)
     dm = dualize(m)
-    assert de == identity_element(dm)
+    assert de == GroupElement({i: graded_identity(dm.field, dm.terms[i]) for i in dm.terms})
 
 
 def test_unipotent_commuting_square_explicit():
@@ -240,7 +247,7 @@ def test_unipotent_commuting_square_explicit():
     from projmonad.monad import Monad
 
     monad = Monad(field, 1, {-1: m_sheaf_src, 0: g.source}, {-1: d}, 1, 0)
-    element = GroupElement({-1: GradedMatrix.identity(field, m_sheaf_src), 0: g})
+    element = GroupElement({-1: graded_identity(field, m_sheaf_src), 0: g})
     lhs = dualize(act(element, monad))
     rhs = act(induced_dual_element(element, 1), dualize(monad))
     assert lhs == rhs
@@ -261,9 +268,10 @@ def test_induced_dual_is_homomorphism():
     for trial in range(25):
         g = random_element(QQ, m, seed=4000 + trial)
         h = random_element(QQ, m, seed=5000 + trial)
-        lhs = induced_dual_element(compose_elements(g, h), m.c)
-        rhs = compose_elements(induced_dual_element(g, m.c),
-                               induced_dual_element(h, m.c))
+        gh = GroupElement({i: compose(g.blocks[i], h.blocks[i]) for i in g.blocks})
+        dg, dh = induced_dual_element(g, m.c), induced_dual_element(h, m.c)
+        lhs = induced_dual_element(gh, m.c)
+        rhs = GroupElement({i: compose(dg.blocks[i], dh.blocks[i]) for i in dg.blocks})
         assert lhs == rhs
 
 

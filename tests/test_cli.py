@@ -414,7 +414,7 @@ def test_power_of_a_sum_is_refused_by_product_count(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {
-        "kind": "parse", "message": f"expression needs more than {MAX_PARSE_PRODUCTS} term products"}
+        "kind": "parse", "message": f"input needs more than {MAX_PARSE_PRODUCTS} term products"}
     _check(payload, "error")
 
 
@@ -442,7 +442,7 @@ def test_product_bound_is_shared_by_the_cells_of_a_file(capsys, tmp_path, kind):
     assert time.perf_counter() - start < 2.0
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {
-        "kind": "parse", "message": f"expression needs more than {MAX_PARSE_PRODUCTS} term products"}
+        "kind": "parse", "message": f"input needs more than {MAX_PARSE_PRODUCTS} term products"}
     _check(payload, "error")
 
 

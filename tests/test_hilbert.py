@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -85,7 +84,9 @@ def test_twisted_dual_reflection_identity():
 def test_hilbert_polys_are_integer_valued():
     for n in range(1, 5):
         for e in range(-5, 6):
-            assert line_bundle_hilb(n, e).is_integer_valued()
+            # integrality at deg + 1 consecutive integers forces it everywhere
+            p = line_bundle_hilb(n, e)
+            assert all(p(k).denominator == 1 for k in range(n + 2))
 
 
 # --- Euler polynomials ---------------------------------------------------
@@ -163,12 +164,6 @@ def test_intpoly_str_forms():
     assert str(IntPoly([0])) == "0"
     assert str(IntPoly([Fraction(1, 2), 0, 1])) == "m^2 + 1/2"
     assert str(IntPoly([0, -1])) == "-m"
-
-
-def test_intpoly_json_round_trip():
-    p = IntPoly([Fraction(1, 6), Fraction(-1, 2), 2])
-    assert IntPoly.from_json(p.to_json()) == p
-    assert json.loads(p.to_json()) == ["1/6", "-1/2", "2"]
 
 
 def test_intpoly_reflect_and_arithmetic():

@@ -4,8 +4,10 @@ Every other module reaches residues and Fraction numerators through
 Field.p, Field.coerce, Field.inv, Field.integral and Field.reduce, so no
 module outside scalar may name a concrete field class (only the package
 __init__ re-exports them) or import a private helper of linalg or scalar.
-linalg works on raw values only: it names FieldElement nowhere but in its
-import and Matrix.data, the one boxed reader, so both can go together.
+Raw values are the one scalar representation: FieldElement, defined in
+scalar, is only the record Matrix.data yields.  No module names it but
+linalg, in its import and in Matrix.data, so both can go together, and
+the package does not export it.
 """
 
 import ast
@@ -59,17 +61,19 @@ def _violations(path: Path) -> list[str]:
 
 
 def _boxed_outside_matrix_data(path: Path) -> list[str]:
-    """Where a module names FieldElement other than in its scalar import
-    and in the body of Matrix.data."""
+    """Where a module names FieldElement other than in the body of
+    Matrix.data and, in the module that defines it, the scalar import."""
     tree = ast.parse(path.read_text(), str(path))
-    allowed = set()
+    allowed, imports = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == "Matrix":
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and item.name == "data":
                     allowed.update(map(id, ast.walk(item)))
         if isinstance(node, ast.ImportFrom) and _imported_module(node) == "scalar":
-            allowed.update(map(id, node.names))
+            imports.update(map(id, node.names))
+    if allowed:
+        allowed |= imports
     return [f"line {getattr(node, 'lineno', '?')}: names FieldElement"
             for node in ast.walk(tree)
             if _name(node) == "FieldElement" and id(node) not in allowed]
@@ -89,3 +93,13 @@ def test_linalg_boxes_only_in_matrix_data():
     path = PACKAGE / "linalg.py"
     assert "def data" in path.read_text()
     assert _boxed_outside_matrix_data(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalar.py"],
+                         ids=lambda p: p.name)
+def test_only_matrix_data_names_field_element(path):
+    assert _boxed_outside_matrix_data(path) == []
+
+
+def test_package_does_not_export_field_element():
+    assert not hasattr(projmonad, "FieldElement")

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from conftest import (
+    Boxed,
     boxed_rows,
     confirm_rank_by_minors,
     matrix_from_boxed,
@@ -14,7 +15,7 @@ from projmonad.autgroup import act, random_element
 from projmonad.complexes import koszul_monad, omega_resolution
 from projmonad.linalg import Matrix, inverse, kernel_basis, rank, rref
 from projmonad.monad import dualize
-from projmonad.modp3 import point_monad, sample_wss, twisted_cubic_point
+from projmonad.modp3 import point_monad, sample_wss_stats, twisted_cubic_point
 from projmonad.polymat import sections_matrix
 from projmonad.scalar import GF, QQ
 
@@ -30,7 +31,7 @@ def _identity(field, n):
 
 
 def _boxed_kernel(m):
-    """kernel_basis(m) as dense lists of FieldElements."""
+    """kernel_basis(m) as dense lists of boxed scalars."""
     ker = kernel_basis(m)
     return boxed_rows(Matrix(m.field, len(ker), m.cols, ker))
 
@@ -42,10 +43,10 @@ def _random_matrix(field, rng, rows, cols, target_rank=None):
             return _zeros(field, rows, cols)
         return _random_matrix(field, rng, rows, r) * _random_matrix(field, rng, r, cols)
     if field is QQ:
-        data = [[field.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        data = [[Boxed(field, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
                  for _ in range(cols)] for _ in range(rows)]
     else:
-        data = [[field.element(rng.randrange(field.p)) for _ in range(cols)]
+        data = [[Boxed(field, rng.randrange(field.p)) for _ in range(cols)]
                 for _ in range(rows)]
     return matrix_from_boxed(field, data, cols)
 
@@ -97,7 +98,7 @@ def test_rank_nullity_200_random(field):
         assert cols == rank(m) + len(ker)
         entries = boxed_rows(m)
         for v in ker:
-            image = [sum((entries[i][j] * v[j] for j in range(cols)), field.zero)
+            image = [sum((entries[i][j] * v[j] for j in range(cols)), Boxed(field, 0))
                      for i in range(rows)]
             assert not any(image)
 
@@ -123,7 +124,7 @@ def test_rref_idempotent_and_unique():
         shuffled_rows = []
         rows = boxed_rows(m)
         for i in order:
-            s = QQ.element(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            s = Boxed(QQ, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
             shuffled_rows.append([s * x for x in rows[i]])
         shuffled = matrix_from_boxed(QQ, shuffled_rows)
         assert rref(shuffled)[0] == red
@@ -136,7 +137,7 @@ def test_rank_invariant_under_row_scaling():
         scaled_rows = []
         rows = boxed_rows(m)
         for i in range(4):
-            s = QQ.element(Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+            s = Boxed(QQ, Fraction(rng.randint(1, 7), rng.randint(1, 7)))
             scaled_rows.append([s * x for x in rows[i]])
         scaled = matrix_from_boxed(QQ, scaled_rows)
         assert rank(m) == rank(scaled)
@@ -202,11 +203,11 @@ def _sparse_random_matrix(field, rng, rows, cols, density):
         data.append([])
         for _ in range(cols):
             if i in zero_rows or rng.random() >= density:
-                data[-1].append(field.zero)
+                data[-1].append(Boxed(field, 0))
             elif field is QQ:
-                data[-1].append(field.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+                data[-1].append(Boxed(field, Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
             else:
-                data[-1].append(field.element(rng.randrange(field.p)))
+                data[-1].append(Boxed(field, rng.randrange(field.p)))
     return matrix_from_boxed(field, data, cols)
 
 
@@ -216,7 +217,7 @@ def _point(field):
         # Sampling needs a finite field; move the twisted cubic instead.
         m = point_monad(twisted_cubic_point(QQ))
         return act(random_element(QQ, m, seed=5), m)
-    return point_monad(sample_wss(5, field))
+    return point_monad(sample_wss_stats(5, field)[0])
 
 
 def _section_matrices(field):
@@ -243,8 +244,8 @@ def _check_against_rref_oracle(m):
     for j in range(m.cols):
         if j in want_pivots:
             continue
-        v = [field.zero] * m.cols
-        v[j] = field.one
+        v = [Boxed(field, 0)] * m.cols
+        v[j] = Boxed(field, 1)
         for k, pc in enumerate(want_pivots):
             v[pc] = -want[k][j]
         kernel.append(v)
@@ -252,7 +253,7 @@ def _check_against_rref_oracle(m):
     if m.rows != m.cols:
         return
     n = m.rows
-    aug = [row + [field.one if k == i else field.zero for k in range(n)]
+    aug = [row + [Boxed(field, 1) if k == i else Boxed(field, 0) for k in range(n)]
            for i, row in enumerate(rows)]
     aug_red, aug_pivots = rref_oracle(field, aug, 2 * n)
     if aug_pivots[:n] == list(range(n)):

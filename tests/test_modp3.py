@@ -17,7 +17,6 @@ from projmonad.modp3 import (
     parse_point,
     point_monad,
     point_of,
-    sample_wss,
     sample_wss_stats,
     twisted_cubic_point,
     wss_membership,
@@ -118,7 +117,7 @@ def test_dualize_is_involution_on_points():
 
 
 def test_dual_euler_is_3m_minus_1():
-    for pt in (twisted_cubic_point(), sample_wss(11, F101)):
+    for pt in (twisted_cubic_point(), sample_wss_stats(11, F101)[0]):
         assert euler_poly(dualize(point_monad(pt))) == IntPoly([-1, 3])
 
 
@@ -130,7 +129,7 @@ def test_sampling_accepts_within_regression_bound():
 
 
 def test_sampling_galleries_are_deterministic():
-    assert sample_wss(5, F101) == sample_wss(5, F101)
+    assert sample_wss_stats(5, F101)[0] == sample_wss_stats(5, F101)[0]
 
 
 def test_sampling_golden_point_seed_42():
@@ -142,13 +141,13 @@ def test_sampling_golden_point_seed_42():
 
 def test_sampling_guards():
     with pytest.raises(SampleExhaustedError):
-        sample_wss(1, F101, max_tries=0)
+        sample_wss_stats(1, F101, max_tries=0)
     with pytest.raises(ValueError):
-        sample_wss(1, QQ)
+        sample_wss_stats(1, QQ)
 
 
 def test_sampled_point_hilbert_and_exactness():
-    pt = sample_wss(7, F101)
+    pt = sample_wss_stats(7, F101)[0]
     m = point_monad(pt)
     assert hilbert_poly_of_cohomology(m) == IntPoly([1, 3])
     assert exactness_check(m, [-2, -1], range(3, 8)) == {-2: True, -1: True}
@@ -160,7 +159,7 @@ def test_dual_window_hilbert_is_3m_minus_1():
 
 
 def test_membership_invariant_under_group_action():
-    pt = sample_wss(3, F101)
+    pt = sample_wss_stats(3, F101)[0]
     m = point_monad(pt)
     for trial in range(10):
         g = random_element(F101, m, seed=100 + trial)
@@ -191,7 +190,7 @@ def test_clause_d_or_is_the_invariant():
 
 
 def test_duality_action_equivariance():
-    pt = sample_wss(13, F101)
+    pt = sample_wss_stats(13, F101)[0]
     m = point_monad(pt)
     for trial in range(10):
         g = random_element(F101, m, seed=700 + trial)
@@ -202,7 +201,7 @@ def test_duality_action_equivariance():
 
 
 def test_point_file_round_trip():
-    pt = sample_wss(21, F101)
+    pt = sample_wss_stats(21, F101)[0]
     text = format_point(pt)
     assert parse_point(text) == pt
     assert format_point(parse_point(text)) == text

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from conftest import (
+    augment_with_identity,
     contraction_oracle,
     h_p1,
     hilbert_poly_heuristic_window,
@@ -16,7 +17,6 @@ from conftest import (
 )
 from projmonad import complexes, monad
 from projmonad.complexes import (
-    augment_with_identity,
     direct_sum,
     koszul_monad,
     line_monad,

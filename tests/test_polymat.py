@@ -6,13 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     JUNK_CELLS,
+    Boxed,
+    boxed_coefficients,
     boxed_rows,
     compose_oracle,
+    graded_identity,
     parse_poly_oracle,
     poly_add_oracle,
     poly_from_boxed,
     poly_mul_oracle,
     poly_str_oracle,
+    random_graded_matrix,
     random_monad,
     random_valid_monad,
 )
@@ -46,7 +50,6 @@ from projmonad.polymat import (
     monomials_of_degree,
     parse_poly,
     parse_twists,
-    random_graded_matrix,
     random_poly,
     sections_matrix,
 )
@@ -221,8 +224,8 @@ def test_compose_identity_law(rng):
     src = FreeSheaf(2, (-1, -2))
     tgt = FreeSheaf(2, (0, -1, -1))
     b = random_graded_matrix(QQ, src, tgt, rng)
-    assert compose(GradedMatrix.identity(QQ, tgt), b) == b
-    assert compose(b, GradedMatrix.identity(QQ, src)) == b
+    assert compose(graded_identity(QQ, tgt), b) == b
+    assert compose(b, graded_identity(QQ, src)) == b
 
 
 def test_compose_degree_addition_on_p1():
@@ -304,7 +307,7 @@ def test_sections_multiplication_by_x0_on_p1():
     assert (s.rows, s.cols) == (2, 1)
     rows = boxed_rows(s)
     values = [rows[0][0], rows[1][0]]
-    assert sum(1 for v in values if v) == 1 and values[0] == QQ.one
+    assert sum(1 for v in values if v) == 1 and values[0] == Boxed(QQ, 1)
 
 
 def test_sections_empty_when_no_sections():
@@ -352,7 +355,7 @@ ORACLE_FIELDS = [QQ, GF(101), GF(2**31 - 1)]
 def _same_poly(p, q):
     """Equal field, space, recorded degree and coefficients, raw types included."""
     assert (p.field, p.n, p.degree) == (q.field, q.n, q.degree)
-    pc, qc = p.coefficients(), q.coefficients()
+    pc, qc = boxed_coefficients(p), boxed_coefficients(q)
     assert pc == qc
     assert all(type(c.value) is type(qc[m].value) for m, c in pc.items())
 
@@ -366,7 +369,7 @@ def _same_matrix(a, b):
 
 def _fraction_poly(field, n, degree, rng):
     """A random form with non-integer coefficients over Q."""
-    terms = {m: field.element(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+    terms = {m: Boxed(field, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
              for m in monomials_of_degree(n, degree) if rng.random() < 0.7}
     return poly_from_boxed(field, n, degree, terms)
 
@@ -390,15 +393,16 @@ def test_poly_arithmetic_matches_boxed_oracle(field):
         _same_poly(a * b, poly_mul_oracle(a, b))
         _same_poly(b * a, poly_mul_oracle(b, a))
         _same_poly(-a, poly_from_boxed(field, n, a.degree,
-                                       {m: -c for m, c in a.coefficients().items()}))
+                                       {m: -c for m, c in boxed_coefficients(a).items()}))
         _same_poly(a - a, HomogPoly.zero(field, n, a.degree))
-        c = field.element(rng.randint(-9, 9) if field == QQ else rng.randrange(field.p))
-        _same_poly(a.scale(c), poly_from_boxed(field, n, a.degree,
-                                               {m: c * v for m, v in a.coefficients().items()}))
+        c = Boxed(field, rng.randint(-9, 9) if field == QQ else rng.randrange(field.p))
+        _same_poly(a * HomogPoly.constant(field, n, c.value),
+                   poly_from_boxed(field, n, a.degree,
+                                   {m: c * v for m, v in boxed_coefficients(a).items()}))
         b = random_poly(field, n, a.degree, rng, 0.6)
         _same_poly(a + b, poly_add_oracle(a, b))
         _same_poly(a - b, poly_add_oracle(a, poly_from_boxed(
-            field, n, b.degree, {m: -c for m, c in b.coefficients().items()})))
+            field, n, b.degree, {m: -c for m, c in boxed_coefficients(b).items()})))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -452,12 +456,12 @@ def test_graded_inverse_round_trip_matches_boxed_oracle(field):
         g_inv = graded_inverse(g)
         fractional += any(field == QQ and c.value.denominator > 1
                           for row in g_inv.entries for p in row
-                          for c in p.coefficients().values())
+                          for c in boxed_coefficients(p).values())
         for a, b in ((g, g_inv), (g_inv, g), (g_inv, g_inv)):
             _same_matrix(compose(a, b), compose_oracle(a, b))
             for p, q in zip(a.entries[0], b.entries[0]):
                 _same_poly(p * q, poly_mul_oracle(p, q))
-        one = GradedMatrix.identity(field, sheaf)
+        one = graded_identity(field, sheaf)
         _same_matrix(compose(g, g_inv), one)
         _same_matrix(compose(g_inv, g), one)
     # over Q the inverses carry non-integer coefficients
@@ -478,8 +482,8 @@ def test_constructor_canonicalises_raw_values(field):
         assert all(type(c) is int for c in p.terms.values())
         assert HomogPoly(field, 1, 1, {x0: q, x1: -2 * q}).is_zero()
     assert p == parse_poly(str(p), field, 1, 1)
-    assert p.coefficients() == {m: field.element(c) for m, c in p.terms.items()}
-    for bad in (field.one, GF(7).one, 1.0, 0.5, "1"):
+    assert poly_from_boxed(field, 1, 1, boxed_coefficients(p)) == p
+    for bad in (Boxed(field, 1), Boxed(GF(7), 1), 1.0, 0.5, "1"):
         with pytest.raises(FieldError):
             HomogPoly(field, 1, 1, {x0: bad})
     with pytest.raises(ValueError):
@@ -492,11 +496,11 @@ def test_equal_raw_values_over_different_fields_differ():
     assert over_q.terms == over_f.terms
     assert over_q != over_f and over_f != over_q
     assert len({over_q, over_f}) == 2
-    assert over_q.coefficients() != over_f.coefficients()
+    assert boxed_coefficients(over_q) != boxed_coefficients(over_f)
+    with pytest.raises(ValueError, match="different spaces"):
+        over_q * HomogPoly.constant(GF(101), 1, 1)
     with pytest.raises(FieldError):
-        over_q.scale(GF(101).one)
-    with pytest.raises(FieldError):
-        HomogPoly.constant(QQ, 1, GF(101).one)
+        HomogPoly.constant(QQ, 1, Boxed(GF(101), 1))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)

@@ -1,10 +1,13 @@
 import time
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import Boxed, parse_scalar
+from projmonad.polymat import parse_poly
 from projmonad.scalar import GF, QQ, FieldError, _is_prime
 
 F7 = GF(7)
@@ -12,56 +15,65 @@ F101 = GF(101)
 
 
 def test_fraction_addition():
-    assert QQ.parse("1/2") + QQ.parse("1/3") == QQ.parse("5/6")
+    assert parse_scalar(QQ, "1/2") + parse_scalar(QQ, "1/3") == parse_scalar(QQ, "5/6")
 
 
 def test_prime_field_division():
-    assert F7.element(1) / F7.element(3) == F7.element(5)
+    assert Boxed(F7, 1) / Boxed(F7, 3) == Boxed(F7, 5)
+    assert F7.coerce(1 * F7.inv(3)) == 5
 
 
 def test_normalization():
-    assert QQ.element(Fraction(-2, -4)) == QQ.parse("1/2")
-    assert str(QQ.element(Fraction(2, -4))) == "-1/2"
+    assert QQ.coerce(Fraction(-2, -4)) == Fraction(1, 2)
+    assert Boxed(QQ, Fraction(-2, -4)) == parse_scalar(QQ, "1/2")
+    assert str(Boxed(QQ, Fraction(2, -4))) == "-1/2"
 
 
 def test_canonical_form_idempotent():
-    a = QQ.parse("-6/8")
-    again = QQ.element(a.value)
-    assert again == a and again.value == a.value
-    b = F7.element(23)
-    assert F7.element(b.value) == b and 0 <= b.value < 7
+    a = QQ.coerce(Fraction(-6, 8))
+    again = QQ.coerce(a)
+    assert again == a and type(again) is Fraction
+    b = F7.coerce(23)
+    assert F7.coerce(b) == b and 0 <= b < 7
 
 
 @pytest.mark.parametrize("text,num,den", [
     ("3", 3, 1), ("-3/7", -3, 7), ("+2/4", 1, 2), ("0", 0, 1),
 ])
 def test_parse_rational_literals(text, num, den):
-    assert QQ.parse(text).value == Fraction(num, den)
+    assert parse_scalar(QQ, text).value == Fraction(num, den)
+    # the form parser reads the literal to the same raw value
+    assert parse_poly(text, QQ, 0).terms.get((0,), 0) == Fraction(num, den)
 
 
 def test_parse_rejects_garbage():
     for bad in ("", "x", "1/", "/2", "1.5", "--3"):
         with pytest.raises(FieldError):
-            QQ.parse(bad)
+            parse_scalar(QQ, bad)
 
 
 def test_prime_field_parse_uses_inverse():
-    assert F7.parse("1/3") == F7.element(5)
-    assert F7.parse("-1") == F7.element(6)
+    assert parse_scalar(F7, "1/3") == Boxed(F7, 5)
+    assert parse_scalar(F7, "-1") == Boxed(F7, 6)
+    assert parse_poly("1/3", F7, 0).terms == {(0,): 5}
+    assert parse_poly("-1", F7, 0).terms == {(0,): 6}
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        QQ.one / QQ.zero
+        QQ.inv(QQ.coerce(0))
     with pytest.raises(ZeroDivisionError):
-        F7.one / F7.zero
+        F7.inv(F7.coerce(0))
 
 
 def test_modulus_mismatch():
     with pytest.raises(FieldError):
-        F7.element(1) + GF(11).element(1)
+        Boxed(F7, 1) + Boxed(GF(11), 1)
     with pytest.raises(FieldError):
-        QQ.one * F7.one
+        Boxed(QQ, 1) * Boxed(F7, 1)
+    # a raw value of Q is not one of F_7
+    with pytest.raises(FieldError):
+        F7.coerce(Fraction(1, 2))
 
 
 def test_bad_moduli_rejected():
@@ -113,43 +125,57 @@ def test_large_modulus_refused_before_primality():
 
 
 def test_immutability():
-    a = QQ.one
+    a = Boxed(QQ, 1)
     with pytest.raises(AttributeError):
         a.value = Fraction(2)
 
 
-def _random_element(field, rng):
+def _random_value(field, rng):
+    """A raw value: a reduced Fraction over Q, a residue over F_p."""
     if field is QQ:
-        return field.element(Fraction(rng.randint(-50, 50), rng.randint(1, 50)))
-    return field.element(rng.randrange(field.p))
+        return QQ.coerce(Fraction(rng.randint(-50, 50), rng.randint(1, 50)))
+    return field.coerce(rng.randrange(field.p))
+
+
+# Raw arithmetic: the plain operation, then field.coerce back into canonical form.
+RAW_OPS = {
+    "+": lambda f, a, b: f.coerce(a + b),
+    "-": lambda f, a, b: f.coerce(a - b),
+    "*": lambda f, a, b: f.coerce(a * b),
+    "/": lambda f, a, b: f.coerce(a * f.inv(b)),
+    "neg": lambda f, a, b: f.coerce(-a),
+}
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F101])
 def test_field_axioms_1000_triples(field):
     rng = Random(1)
+    add, mul = partial(RAW_OPS["+"], field), partial(RAW_OPS["*"], field)
     for _ in range(1000):
-        a, b, c = (_random_element(field, rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+        a, b, c = (_random_value(field, rng) for _ in range(3))
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F101])
 def test_inverse_law(field):
     rng = Random(2)
+    mul, div = partial(RAW_OPS["*"], field), partial(RAW_OPS["/"], field)
+    one = field.coerce(1)
     seen = 0
     while seen < 200:
-        a = _random_element(field, rng)
+        a = _random_value(field, rng)
         if not a:
             continue
-        assert a * a.inverse() == field.one
-        assert (field.one / a) * a == field.one
+        assert mul(a, field.inv(a)) == one
+        assert mul(div(one, a), a) == one
         seen += 1
 
 
-OPS = ["+", "-", "*", "/", "neg"]
+OPS = list(RAW_OPS)
 
 
 def _apply(op, a, b):
@@ -166,26 +192,26 @@ def _apply(op, a, b):
 
 @given(st.fractions(), st.fractions(), st.sampled_from(OPS))
 def test_q_sub_matches_fraction_arithmetic(x, y, op):
-    a, b = QQ.element(x), QQ.element(y)
+    a, b = QQ.coerce(x), QQ.coerce(y)
     if op == "/" and y == 0:
         with pytest.raises(ZeroDivisionError):
-            a / b
+            RAW_OPS[op](QQ, a, b)
         return
-    got = _apply(op, a, b)
-    assert got.field is QQ and type(got.value) is Fraction
-    assert got.value == _apply(op, x, y)
+    got = RAW_OPS[op](QQ, a, b)
+    assert type(got) is Fraction
+    assert got == _apply(op, x, y)
 
 
 @given(st.integers(), st.integers(), st.sampled_from(OPS))
 def test_f101_add_matches_residues(x, y, op):
-    a, b = F101.element(x), F101.element(y)
+    a, b = F101.coerce(x), F101.coerce(y)
     if op == "/" and y % 101 == 0:
         with pytest.raises(ZeroDivisionError):
-            a / b
+            RAW_OPS[op](F101, a, b)
         return
     want = (x * pow(y, -1, 101) if op == "/" else _apply(op, x, y)) % 101
-    got = _apply(op, a, b)
-    assert got.field is F101 and type(got.value) is int and got.value == want
+    got = RAW_OPS[op](F101, a, b)
+    assert type(got) is int and got == want
 
 
 # --- the raw-value codec: Field.p, integral and reduce -------------------
