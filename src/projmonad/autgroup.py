@@ -21,14 +21,15 @@ from random import Random
 from .linalg import Matrix, inverse as matrix_inverse, rank
 from .monad import Monad, format_blocks, parse_block, read_blocks
 from .polymat import (
+    CONSTANT_MONOMIAL,
     FreeSheaf,
     GradedMatrix,
     HomogPoly,
     ParseBudget,
     ParseError,
-    _mul_into,
     compose,
     dual_hom,
+    mul_into,
     random_poly,
 )
 from .scalar import Field
@@ -38,9 +39,9 @@ def constant_part(g: GradedMatrix) -> Matrix:
     """The scalar matrix of constants between equal twists."""
     if g.source != g.target:
         raise ValueError("endomorphisms only: source and target must agree")
-    const = (0,) * (g.n + 1)
     twists = g.source.twists
-    rows = [{s: c for s, p in enumerate(row) if twists[s] == e and (c := p.terms.get(const))}
+    rows = [{s: c for s, p in enumerate(row)
+             if twists[s] == e and (c := p.coeffs.get(CONSTANT_MONOMIAL))}
             for e, row in zip(twists, g.entries)]
     return Matrix(g.field, g.rows, g.rows, rows)
 
@@ -82,14 +83,13 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
     levels = sorted(set(twists))
     level = [levels.index(e) for e in twists]
     members = [[a for a in range(k) if level[a] == j] for j in range(len(levels))]
-    raw = [[field.integral(q.terms) for q in row] for row in g.entries]
+    raw = [[field.integral(q.coeffs) for q in row] for row in g.entries]
     den_g = lcm(*(d for row in raw for d, _ in row))
     big = [[{m: v * (den_g // d) for m, v in num.items()} for d, num in row] for row in raw]
     # small[r, a]: numerators of (g0^{-1})_ra over den_0
     den_0, small = field.integral({(r, a): v for r, row in enumerate(g0_inv.row_maps)
                                    for a, v in row.items()})
     step = den_0 * den_g
-    const = (0,) * (n + 1)
     ent = [[None] * k for _ in range(k)]
     for s in range(k):
         base = level[s]
@@ -97,7 +97,7 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
         col: list[dict | None] = [None] * k
         for r in members[base]:
             c = small.get((r, s))
-            col[r] = {const: c} if c else {}
+            col[r] = {CONSTANT_MONOMIAL: c} if c else {}
         for j in range(base + 1, len(levels)):
             sums = []
             for a in members[j]:
@@ -106,7 +106,7 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
                 for b in range(k):
                     x = col[b]  # set only below level j
                     if x and row_a[b]:
-                        _mul_into(acc, row_a[b], x, step ** (j - 1 - level[b]))
+                        mul_into(acc, row_a[b], x, step ** (j - 1 - level[b]))
                 sums.append(acc)
             for r in members[j]:
                 out: dict = {}

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .monad import Monad
-from .polymat import FreeSheaf, GradedMatrix, HomogPoly
+from .polymat import FreeSheaf, GradedMatrix, HomogPoly, from_coordinates
 from .scalar import Field
 
 
@@ -30,12 +30,14 @@ def _contraction(field: Field, n: int, variables: tuple[int, ...], k: int,
     target = FreeSheaf(n, (twist - k + 1,) * len(tgt_sets))
     zero = HomogPoly.zero(field, n, 1)
     ent = [[zero] * len(src_sets) for _ in tgt_sets]
-    signs = (field.coerce(1), field.coerce(-1))
-    units = {v: tuple(int(i == v) for i in range(n + 1)) for v in variables}
+    # +x_v and -x_v, shared by the entries (coordinate v of a linear form
+    # is the coefficient of x_v)
+    signed = {v: (from_coordinates(field, n, 1, {v: 1}), from_coordinates(field, n, 1, {v: -1}))
+              for v in variables}
     for j, s in enumerate(src_sets):
         for pos, v in enumerate(s):
             rest = s[:pos] + s[pos + 1:]
-            ent[tgt_pos[rest]][j] = HomogPoly(field, n, 1, {units[v]: signs[pos % 2]})
+            ent[tgt_pos[rest]][j] = signed[v][pos % 2]
     return GradedMatrix(field, source, target, ent)
 
 

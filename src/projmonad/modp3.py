@@ -34,7 +34,9 @@ from .polymat import (
     GradedMatrix,
     HomogPoly,
     compose,
-    monomials_of_degree,
+    coordinates,
+    forms_dimension,
+    from_coordinates,
     parse_poly,
     random_poly,
     sections_matrix,
@@ -103,9 +105,7 @@ class Membership:
 
 
 def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> Matrix:
-    monos = monomials_of_degree(N, 1)
-    rows = [{j: c for j, m in enumerate(monos) if (c := f.terms.get(m))} for f in forms]
-    return Matrix(field, len(forms), len(monos), rows)
+    return Matrix(field, len(forms), forms_dimension(N, 1), [coordinates(f) for f in forms])
 
 
 def wss_membership(pt: ParamPoint) -> Membership:
@@ -213,14 +213,14 @@ def _psi_from_kernel(phi: GradedMatrix) -> GradedMatrix | None:
         return None
     field = phi.field
     degrees = [SECTION_TWIST + e for e in MIDDLE.twists]
-    slots = [(r, m) for r, d in enumerate(degrees) for m in monomials_of_degree(N, d)]
+    slots = [(r, j) for r, d in enumerate(degrees) for j in range(forms_dimension(N, d))]
     columns = []
     for v in kernel:
-        terms = [{} for _ in degrees]
+        coords = [{} for _ in degrees]
         for c, x in v.items():
-            r, m = slots[c]
-            terms[r][m] = x
-        columns.append([HomogPoly(field, N, d, t) for d, t in zip(degrees, terms)])
+            r, j = slots[c]
+            coords[r][j] = x
+        columns.append([from_coordinates(field, N, d, x) for d, x in zip(degrees, coords)])
     return GradedMatrix(field, SOURCE, MIDDLE,
                         [[columns[0][r], columns[1][r]] for r in range(4)])
 

@@ -26,6 +26,7 @@ from functools import lru_cache
 from .hilbert import InterpolationError, IntPoly, check_dimension, euler_poly, interpolate
 from .linalg import rank
 from .polymat import (
+    MAX_DEGREE,
     FreeSheaf,
     GradedMatrix,
     ParseBudget,
@@ -472,7 +473,9 @@ def read_blocks(text: str, what: str, word: str, keys: tuple[str, ...] = ()):
     sheaves by `term` index, row lines by `<word>` index, and the integer
     of each `<key> v` line, key in keys.  A dimension n above
     hilbert.MAX_DIMENSION is a ValueError, raised before any line past
-    the header is read."""
+    the header is read.  Twists that spread more than polymat.MAX_DEGREE
+    apart are a ParseError: every form a computation on them builds has
+    degree the difference of two of them."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"empty {what} file")
@@ -514,6 +517,10 @@ def read_blocks(text: str, what: str, word: str, keys: tuple[str, ...] = ()):
             current.append(line)
         else:
             raise ParseError(f"unexpected line {line!r}")
+    twists = [e for sheaf in terms.values() for e in sheaf.twists]
+    if twists and max(twists) - min(twists) > MAX_DEGREE:
+        raise ParseError(f"twists {min(twists)} and {max(twists)} are more than "
+                         f"{MAX_DEGREE} apart")
     return n, field, terms, raw_rows, key_values
 
 

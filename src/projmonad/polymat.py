@@ -7,10 +7,19 @@ Taking global sections in a fixed twist turns a graded matrix into a
 plain matrix over the field, which is where all rank computations
 happen.
 
-Monomials are exponent tuples of length n+1.  The canonical order on
-the monomials of a fixed degree is lexicographic with x0 > x1 > ... >
-xn, descending; every matrix and printed polynomial uses it, so output
-is bit-stable.
+Monomials are packed exponent vectors (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007): one int holding the degree in its top field and the
+exponents of x0..xn in WIDTH-bit fields below it.  Packing is linear,
+so the product of two monomials is the sum of their ints, and it carries
+into no neighbouring field while every degree stays at most MAX_DEGREE;
+the parser refuses larger degrees, and the monad and group-element
+readers refuse twist lists whose spread passes it.  Integer order is
+the canonical order: degree first, then lexicographic with x0 > x1 >
+... > xn.  The monomials of a fixed degree are listed descending; every
+matrix and printed polynomial uses that order, so output is bit-stable.
+Only this module builds or reads packed monomials; other modules use
+them as opaque keys (mul_into, CONSTANT_MONOMIAL, coordinates).
 
 Coefficients are stored as the raw values Matrix.row_maps holds:
 residues in [0, p), or reduced Fractions over Q.  The arithmetic (sums,
@@ -20,11 +29,11 @@ multiplies those unreduced, and turns the result back into raw values
 once with field.reduce.
 
 The parser reads a term's plain factors (integer and a/b literals, x_i,
-x_i^k) straight into one exponent list and one numerator and
+x_i^k) straight into one packed monomial and one numerator and
 denominator, so a printed form costs one coefficient per term; only
 parenthesised factors and powers of literals build intermediate forms.
-The printer builds the text of each monomial once (monomial_str is
-cached) and reuses it on every later term with that monomial.
+The printer sorts the packed monomials and decodes the text of each
+once (monomial_str is cached), reusing it on every later term.
 """
 
 from __future__ import annotations
@@ -34,30 +43,73 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from operator import add
+from operator import attrgetter
 from random import Random
+from types import MappingProxyType
 
 from .linalg import Matrix
 from .scalar import Field
 
-Monomial = tuple[int, ...]
+Monomial = int  # a packed exponent vector
+
+# Bits per exponent field.  Every form, parsed or built, and every
+# section space has degree at most MAX_DEGREE, so the sum of two legal
+# monomials has each exponent below 2^WIDTH and never carries.  Forms
+# take their degrees from twist gaps, which the file readers bound;
+# sections on P^n, n >= 1, stay below degree 200,000 by the window guards
+# (a side of MAX_SECTION_SIDE on P^1), and monomials_of_degree refuses the
+# rest.  Twist lists of 10^9 with a small spread stay accepted.
+WIDTH = 32
+MAX_DEGREE = (1 << (WIDTH - 1)) - 1
+_MASK = (1 << WIDTH) - 1
+
+# The constant monomial packs to 0 on every P^n.
+CONSTANT_MONOMIAL = 0
+
+_numerator = attrgetter("numerator")  # of a residue (an int) or a Fraction
 
 
 class ParseError(ValueError):
     """Raised on malformed polynomial or twist-list text."""
 
 
+def _pack(exps) -> Monomial:
+    """The packed monomial of an exponent vector of degree <= MAX_DEGREE."""
+    key = sum(exps)
+    for e in exps:
+        key = key << WIDTH | e
+    return key
+
+
+def _unpack(n: int, m: Monomial) -> tuple[int, ...]:
+    """The exponent tuple of a packed monomial on x0..xn."""
+    return tuple((m >> (WIDTH * (n - i))) & _MASK for i in range(n + 1))
+
+
+def _unit(n: int, i: int) -> Monomial:
+    """The packed monomial x_i on P^n."""
+    return (1 << WIDTH * (n + 1)) | (1 << WIDTH * (n - i))
+
+
 @lru_cache(maxsize=None)
 def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
-    """All exponent tuples on x0..xn of total degree d, canonical order."""
+    """All packed monomials on x0..xn of total degree d, canonical order.
+
+    Degrees past MAX_DEGREE are refused: their products could carry.
+    """
     if d < 0:
         return ()
+    if d > MAX_DEGREE:
+        raise ValueError(f"degree {d} is past the largest monomial degree {MAX_DEGREE}")
+    top = d << WIDTH * (n + 1)
     if n == 0:
-        return ((d,),)
+        return (top | d,)
+    # x0^a times a monomial of degree d - a in x1..xn: that one carries its
+    # degree d - a in the field where x0's exponent a belongs.
     out = []
     for a in range(d, -1, -1):
-        for rest in monomials_of_degree(n - 1, d - a):
-            out.append((a,) + rest)
+        base = top + ((2 * a - d) << WIDTH * n)
+        out.extend(base + m for m in monomials_of_degree(n - 1, d - a))
     return tuple(out)
 
 
@@ -71,15 +123,11 @@ def forms_dimension(n: int, d: int) -> int:
     return comb(d + n, n) if d >= 0 else 0
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
 @lru_cache(maxsize=1 << 12)
-def monomial_str(m: Monomial) -> str:
+def monomial_str(n: int, m: Monomial) -> str:
     """x0^a*x1*... in variable order; "" for the constant monomial."""
     parts = []
-    for i, e in enumerate(m):
+    for i, e in enumerate(_unpack(n, m)):
         if e == 1:
             parts.append(f"x{i}")
         elif e > 1:
@@ -90,44 +138,57 @@ def monomial_str(m: Monomial) -> str:
 class HomogPoly:
     """A homogeneous form of fixed degree in x0..xn over a field.
 
-    terms maps monomials to nonzero raw values, canonicalised by
-    field.coerce, which refuses anything but an int or a raw value.
-    The zero form has no terms but still records its degree (which may
-    then be negative, for the forced-zero slots of a graded matrix).
+    coeffs maps packed monomials to nonzero raw values.  The public
+    constructor takes exponent tuples instead and canonicalises every
+    value by field.coerce, which refuses anything but an int or a raw
+    value; terms gives the same read-only view back, for readers
+    outside the package.  The zero form has no terms but still records
+    its degree (which may then be negative, for the forced-zero slots of
+    a graded matrix).
     """
 
-    __slots__ = ("field", "n", "degree", "terms")
+    __slots__ = ("field", "n", "degree", "coeffs")
 
-    def __init__(self, field: Field, n: int, degree: int, terms: dict[Monomial, object]):
+    def __init__(self, field: Field, n: int, degree: int, terms: dict[tuple[int, ...], object]):
         clean = {}
         for m, c in terms.items():
             if not (c := field.coerce(c)):
                 continue
             if len(m) != n + 1 or sum(m) != degree or min(m) < 0:
                 raise ValueError(f"monomial {m} is not of degree {degree} on P^{n}")
-            clean[m] = c
+            if degree > MAX_DEGREE:
+                raise ValueError(f"degree {degree} is past the largest monomial degree "
+                                 f"{MAX_DEGREE}")
+            clean[_pack(m)] = c
         self.field = field
         self.n = n
         self.degree = degree
-        self.terms = clean
+        self.coeffs = clean
 
     @classmethod
-    def _unchecked(cls, field: Field, n: int, degree: int, terms: dict) -> "HomogPoly":
-        """A form from nonzero canonical raw values on monomials of this degree."""
+    def _unchecked(cls, field: Field, n: int, degree: int, coeffs: dict) -> "HomogPoly":
+        """A form from nonzero canonical raw values on packed monomials of this degree."""
         self = object.__new__(cls)
-        self.field, self.n, self.degree, self.terms = field, n, degree, terms
+        self.field, self.n, self.degree, self.coeffs = field, n, degree, coeffs
         return self
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The nonzero raw values by exponent tuple, decoded on every read."""
+        n = self.n
+        return MappingProxyType({_unpack(n, m): c for m, c in self.coeffs.items()})
 
     @classmethod
     def zero(cls, field: Field, n: int, degree: int) -> "HomogPoly":
-        return cls(field, n, degree, {})
+        return cls._unchecked(field, n, degree, {})
 
     @classmethod
     def constant(cls, field: Field, n: int, value) -> "HomogPoly":
-        return cls(field, n, 0, {(0,) * (n + 1): value})
+        c = field.coerce(value)
+        return cls._unchecked(field, n, 0, {CONSTANT_MONOMIAL: c} if c else {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def _compatible(self, other: "HomogPoly"):
         if self.field != other.field or self.n != other.n:
@@ -136,14 +197,14 @@ class HomogPoly:
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         self._compatible(other)
         if self.is_zero():
-            return HomogPoly._unchecked(self.field, self.n, other.degree, dict(other.terms))
+            return HomogPoly._unchecked(self.field, self.n, other.degree, dict(other.coeffs))
         if other.is_zero():
-            return HomogPoly._unchecked(self.field, self.n, self.degree, dict(self.terms))
+            return HomogPoly._unchecked(self.field, self.n, self.degree, dict(self.coeffs))
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
         field = self.field
-        da, a = field.integral(self.terms)
-        db, b = field.integral(other.terms)
+        da, a = field.integral(self.coeffs)
+        db, b = field.integral(other.coeffs)
         den = lcm(da, db)
         s = den // da
         num = {m: v * s for m, v in a.items()} if s != 1 else dict(a)
@@ -154,7 +215,7 @@ class HomogPoly:
 
     def __neg__(self) -> "HomogPoly":
         return HomogPoly._unchecked(self.field, self.n, self.degree,
-                                    self.field.reduce({m: -c for m, c in self.terms.items()}))
+                                    self.field.reduce({m: -c for m, c in self.coeffs.items()}))
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
@@ -162,10 +223,10 @@ class HomogPoly:
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._compatible(other)
         field = self.field
-        da, a = field.integral(self.terms)
-        db, b = field.integral(other.terms)
+        da, a = field.integral(self.coeffs)
+        db, b = field.integral(other.coeffs)
         num: dict[Monomial, int] = {}
-        _mul_into(num, a, b, 1)
+        mul_into(num, a, b, 1)
         return HomogPoly._unchecked(field, self.n, self.degree + other.degree,
                                     field.reduce(num, da * db))
 
@@ -173,22 +234,23 @@ class HomogPoly:
         # Zero forms are equal whatever their recorded degree.
         if not isinstance(other, HomogPoly) or other.field != self.field or other.n != self.n:
             return False
-        if not self.terms and not other.terms:
+        if not self.coeffs and not other.coeffs:
             return True
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
-        key = self.degree if self.terms else None
-        return hash((self.field, self.n, key, frozenset(self.terms.items())))
+        key = self.degree if self.coeffs else None
+        return hash((self.field, self.n, key, frozenset(self.coeffs.items())))
 
     def __str__(self):
-        terms = self.terms
-        if not terms:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
+        n = self.n
         out = []
-        for m in sorted(terms, reverse=True):
-            cs = str(terms[m])
-            mono = monomial_str(m)
+        for m in sorted(coeffs, reverse=True):
+            cs = str(coeffs[m])
+            mono = monomial_str(n, m)
             neg = cs[0] == "-"
             mag = cs[1:] if neg else cs
             if not mono:
@@ -206,21 +268,38 @@ class HomogPoly:
     __repr__ = __str__
 
 
-# Raw arithmetic.  field.integral(poly.terms) gives a form as
+def coordinates(p: HomogPoly) -> dict[int, object]:
+    """The nonzero raw values of p by the index of their monomial in
+    monomials_of_degree(p.n, p.degree)."""
+    coeffs = p.coeffs
+    return {j: c for j, m in enumerate(monomials_of_degree(p.n, p.degree))
+            if (c := coeffs.get(m))}
+
+
+def from_coordinates(field: Field, n: int, degree: int, coords: dict[int, object]) -> HomogPoly:
+    """The form with coordinates(form) == coords, each value canonicalised
+    by field.coerce; the degree-1 coordinates are those of x0..xn."""
+    monos = monomials_of_degree(n, degree)
+    return HomogPoly._unchecked(field, n, degree, {monos[j]: v for j, c in coords.items()
+                                                   if (v := field.coerce(c))})
+
+
+# Raw arithmetic.  field.integral(poly.coeffs) gives a form as
 # (den, {monomial: int}), standing for sum num[m] * m / den: over F_p den
 # is 1 and num holds residues, possibly unreduced; over Q num holds the
 # numerators over a common denominator.  field.reduce(num, den) turns the
 # result back into the nonzero raw values of a form.
 
 
-def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int], b: dict[Monomial, int],
-              scale: int):
-    """out += scale * a * b on numerator dicts, without reducing."""
+def mul_into(out: dict[Monomial, int], a: dict[Monomial, int], b: dict[Monomial, int],
+             scale: int):
+    """out += scale * a * b on numerator dicts keyed by packed monomials,
+    without reducing."""
     get = out.get
     for ma, ca in a.items():
         ca *= scale
         for mb, cb in b.items():
-            m = monomial_mul(ma, mb)
+            m = ma + mb
             out[m] = get(m, 0) + ca * cb
 
 
@@ -236,6 +315,8 @@ MAX_PAREN_DEPTH = 100
 # (x0+x1+x2+x3)^90 has a legal degree but needs 2.2e8.  Per file, the test
 # suite reaches at most 100 (a hundred nested parentheses), the bench none.
 MAX_PARSE_PRODUCTS = 10**6
+
+_PAST_MAX_DEGREE = f"a term has degree past the largest degree {MAX_DEGREE}"
 
 _TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|x\d+|[-+*^()])")
 # A whole string of _TOKEN matches.  The lookaheads stop a digit run from
@@ -266,16 +347,18 @@ class ParseBudget:
 class _PolyParser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
-    Works on plain {monomial: nonzero raw value} dicts (residues in
-    (0, p), or reduced Fractions) so mixed-degree intermediates are
-    allowed; homogeneity is checked at the end.  A term folds its
-    plain factors (literals, x_i and x_i^k) into one exponent list and one
-    numerator and denominator; only parenthesised factors and powers of
-    literals go through power().  A power whose degree would pass the
-    expected degree, or a constant power over Q larger than
-    _MAX_POWER_BITS, is refused before it is expanded, as is a product
-    past MAX_PARSE_PRODUCTS on the budget one file's expressions share;
-    parentheses nested deeper than MAX_PAREN_DEPTH are refused.
+    Works on plain {packed monomial: nonzero raw value} dicts (residues
+    in (0, p), or reduced Fractions) so mixed-degree intermediates are
+    allowed; homogeneity is checked at the end.  A term folds its plain
+    factors (literals, x_i and x_i^k) into one packed monomial, a sum of
+    variable units, and one numerator and denominator; only
+    parenthesised factors and powers of literals go through power().  A
+    power whose degree would pass the expected degree (MAX_DEGREE when
+    none is given), a term or product past MAX_DEGREE, or a constant
+    power over Q larger than _MAX_POWER_BITS, is refused before it is
+    expanded, as is a product past MAX_PARSE_PRODUCTS on the budget one
+    file's expressions share; parentheses nested deeper than
+    MAX_PAREN_DEPTH are refused.
     """
 
     def __init__(self, toks: list[str], field: Field, n: int, degree: int | None = None,
@@ -286,8 +369,9 @@ class _PolyParser:
         self.p = field.p
         self.n = n
         self.degree = degree
-        self.const = (0,) * (n + 1)
-        self.variables: dict[str, int] = {}  # variable token -> index
+        self.shift = WIDTH * (n + 1)  # packed monomials keep the degree above this
+        self.limit = (MAX_DEGREE + 1) << self.shift  # the least packed degree refused
+        self.variables: dict[str, Monomial] = {}  # variable token -> packed unit
         self.depth = 0  # open parentheses
         self.budget = budget or ParseBudget()
 
@@ -326,21 +410,24 @@ class _PolyParser:
     def term(self, neg: bool) -> dict:
         """The next term, negated when neg: the sign goes into its numerator."""
         toks, p, variables = self.toks, self.p, self.variables
-        exps = [0] * (self.n + 1)
+        mono = CONSTANT_MONOMIAL
         num, den = -1 if neg else 1, 1
         rest = None  # product of the factors that went through power()
         i = self.i
         while True:
             t = toks[i]
-            k = variables.get(t)
-            if k is None and t is not None and t[0] == "x":
-                k = self._variable(t)
-            if k is not None:
+            u = variables.get(t)
+            if u is None and t is not None and t[0] == "x":
+                u = self._variable(t)
+            if u is not None:
                 if toks[i + 1] == "^":
-                    exps[k] += self._exponent(toks[i + 2], 1)
+                    # each power is at most MAX_DEGREE, so one step cannot carry
+                    mono += self._exponent(toks[i + 2], 1) * u
+                    if mono >= self.limit:
+                        raise ParseError(_PAST_MAX_DEGREE)
                     i += 3
                 else:
-                    exps[k] += 1
+                    mono += u
                     i += 1
             elif t is not None and t[0].isdigit() and toks[i + 1] != "^":
                 a, b = self._literal(t)
@@ -362,7 +449,7 @@ class _PolyParser:
         c = self._value(num, den)
         if not c:
             return {}
-        out = {tuple(exps): c}
+        out = {mono: c}
         return out if rest is None else self._mul(out, rest)
 
     def power(self) -> dict:
@@ -370,7 +457,7 @@ class _PolyParser:
         if self.peek() != "^":
             return base
         self.i += 1
-        top = max(map(sum, base), default=0)
+        top = max(base, default=0) >> self.shift
         e = self._exponent(self.take(), top)
         p = self.p
         if not top and not p:
@@ -381,8 +468,8 @@ class _PolyParser:
         if len(base) == 1:
             (m, c), = base.items()
             v = pow(c, e, p) if p else c ** e
-            return {tuple([x * e for x in m]): v} if v else {}
-        out = {self.const: 1}
+            return {m * e: v} if v else {}
+        out = {CONSTANT_MONOMIAL: 1}
         while e:
             if e & 1:
                 out = self._mul(out, base)
@@ -406,16 +493,16 @@ class _PolyParser:
             return inner
         if t[0].isdigit():
             v = self._value(*self._literal(t))
-            return {self.const: v} if v else {}
+            return {CONSTANT_MONOMIAL: v} if v else {}
         raise ParseError(f"unexpected token {t!r}")
 
-    def _variable(self, t: str) -> int:
-        """The index of variable token t, remembered for this parse."""
+    def _variable(self, t: str) -> Monomial:
+        """The packed unit of variable token t, remembered for this parse."""
         i = int(t[1:])
         if i > self.n:
             raise ParseError(f"variable {t} out of range for P^{self.n}")
-        self.variables[t] = i
-        return i
+        u = self.variables[t] = _unit(self.n, i)
+        return u
 
     def _literal(self, t: str) -> tuple[int, int]:
         """Numerator and nonzero denominator of literal t, residues over F_p."""
@@ -446,35 +533,48 @@ class _PolyParser:
         if top and self.degree is not None and top * e > self.degree:
             raise ParseError(
                 f"exponent {e} gives degree {top * e}, past the expected {self.degree}")
+        if top * e > MAX_DEGREE:
+            raise ParseError(f"exponent {e} gives degree {top * e}, past the largest "
+                             f"degree {MAX_DEGREE}")
         return e
 
     def _mul(self, a: dict, b: dict) -> dict:
         """The product with its zero terms dropped, refused before it is
         expanded if the budget's term products would pass
-        MAX_PARSE_PRODUCTS."""
+        MAX_PARSE_PRODUCTS or its degree would pass MAX_DEGREE."""
         self.budget.products += len(a) * len(b)
         if self.budget.products > MAX_PARSE_PRODUCTS:
             raise ParseError(f"input needs more than {MAX_PARSE_PRODUCTS} term products")
+        if a and b and max(a) + max(b) >= self.limit:
+            raise ParseError(_PAST_MAX_DEGREE)
         out: dict = {}
-        _mul_into(out, a, b, 1)
+        mul_into(out, a, b, 1)
         return self.field.reduce(out)
 
 
 def parse_poly(src: str, field: Field, n: int, degree: int | None = None,
                budget: ParseBudget | None = None) -> HomogPoly:
-    """Parse a homogeneous form; degree, when given, pins the zero form too."""
+    """Parse a homogeneous form; degree, when given, pins the zero form too.
+
+    A degree past MAX_DEGREE is refused.
+    """
+    if degree is not None and degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} is past the largest degree {MAX_DEGREE}")
     parser = _PolyParser(_tokenize(src), field, n, degree, budget)
     raw = parser.expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input near token {parser.peek()!r}")
     if not raw:
         return HomogPoly.zero(field, n, 0 if degree is None else degree)
-    degrees = set(map(sum, raw))
-    if len(degrees) > 1:
-        raise ParseError(f"expression {src!r} is not homogeneous (degrees {sorted(degrees)})")
-    d = degrees.pop()
+    shift = parser.shift
+    d = max(raw) >> shift
+    if min(raw) >> shift != d:
+        degrees = sorted({m >> shift for m in raw})
+        raise ParseError(f"expression {src!r} is not homogeneous (degrees {degrees})")
     if degree is not None and d != degree:
         raise ParseError(f"expected degree {degree}, got {d} in {src!r}")
+    if d > MAX_DEGREE:
+        raise ParseError(_PAST_MAX_DEGREE)
     return HomogPoly._unchecked(field, n, d, raw)
 
 
@@ -572,11 +672,15 @@ class GradedMatrix:
         return all(p.is_zero() for row in self.entries for p in row)
 
     # The twists fix every entry's field, n and degree, so two matrices with
-    # the same field, source and target are equal when their term dicts are;
-    # zero forms of any recorded degree then compare and hash alike.
+    # the same field, source and target are equal when their coefficient
+    # dicts are; zero forms of any recorded degree then compare and hash
+    # alike.  The hash reads each entry's set of packed monomials and the
+    # sum of all numerators: a Fraction's own hash runs in Python and costs
+    # about five times as much, and the sum keeps forms of one support
+    # (dense ones, or ones differing in signs) from colliding.
 
     def _term_dicts(self) -> list[dict]:
-        return [p.terms for row in self.entries for p in row]
+        return [p.coeffs for row in self.entries for p in row]
 
     def __eq__(self, other):
         return (
@@ -588,8 +692,9 @@ class GradedMatrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self.source, self.target,
-                     tuple(frozenset(terms.items()) for terms in self._term_dicts())))
+        dicts = self._term_dicts()
+        return hash((self.field, self.source, self.target, tuple(map(frozenset, dicts)),
+                     sum(sum(map(_numerator, d.values())) for d in dicts)))
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         return compose(self, other)
@@ -609,8 +714,8 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     if a.source != b.target:
         raise ValueError(f"composition mismatch: {a.source} vs {b.target}")
     field, n = a.field, a.n
-    raw_a = [[field.integral(q.terms) for q in row] for row in a.entries]
-    raw_b = [[field.integral(q.terms) for q in row] for row in b.entries]
+    raw_a = [[field.integral(q.coeffs) for q in row] for row in a.entries]
+    raw_b = [[field.integral(q.coeffs) for q in row] for row in b.entries]
     cols_b = [[row[j] for row in raw_b] for j in range(b.cols)]
     ent = []
     for f, row_a in zip(a.target.twists, raw_a):
@@ -620,7 +725,7 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             den = lcm(*(dx * dy for (dx, _), (dy, _) in pairs))
             num: dict[Monomial, int] = {}
             for (dx, x), (dy, y) in pairs:
-                _mul_into(num, x, y, den // (dx * dy))
+                mul_into(num, x, y, den // (dx * dy))
             row.append(HomogPoly._unchecked(field, n, f - e, field.reduce(num, den)))
         ent.append(row)
     return GradedMatrix(field, b.source, a.target, ent)
@@ -659,14 +764,14 @@ def sections_matrix(m: GradedMatrix, t: int) -> Matrix:
             continue
         src_monos = monomials_of_degree(n, d_src)
         for i in range(m.rows):
-            p = m.entries[i][j]
-            if not p.terms:
+            terms = m.entries[i][j].coeffs.items()
+            if not terms:
                 continue
             index = monomial_index(n, t + m.target.twists[i])
-            for cu, u in enumerate(src_monos):
-                col = src_off[j] + cu
-                for v, coef in p.terms.items():
-                    row_maps[tgt_off[i] + index[monomial_mul(u, v)]][col] = coef
+            off = tgt_off[i]
+            for col, u in enumerate(src_monos, src_off[j]):
+                for v, coef in terms:
+                    row_maps[off + index[u + v]][col] = coef
     return Matrix(m.field, rows, cols, row_maps)
 
 

@@ -10,11 +10,13 @@ import jsonschema
 import pytest
 
 from projmonad.cli import run
-from projmonad.complexes import koszul_monad
+from projmonad import monad as monad_module
+from projmonad.autgroup import format_group_element, random_element
+from projmonad.complexes import direct_sum, koszul_monad, omega_resolution
 from projmonad.hilbert import MAX_DIMENSION, bott_h
 from projmonad.modp3 import forbidden_form_point, format_point, twisted_cubic_point
-from projmonad.monad import MAX_WINDOW_TWISTS, format_monad, parse_monad
-from projmonad.polymat import MAX_PAREN_DEPTH, MAX_PARSE_PRODUCTS
+from projmonad.monad import MAX_WINDOW_TWISTS, format_monad, parse_monad, sheaf_cohomology
+from projmonad.polymat import MAX_DEGREE, MAX_PAREN_DEPTH, MAX_PARSE_PRODUCTS, HomogPoly
 from projmonad.scalar import GF, QQ
 
 
@@ -258,6 +260,87 @@ def test_huge_exponent_is_parse_error(capsys, tmp_path, field, cell):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "parse"
     _check(payload, "error")
+
+
+def _spread_files(tmp_path, gap):
+    """A monad file and a group-element file on P^1 with twists gap apart."""
+    monad_file = tmp_path / f"spread{gap}.monad"
+    monad_file.write_text(f"P 1 over F101\nterm -1: [{-gap}]\nterm 0: [0]\ndiff -1:\n"
+                          f"x0^{gap}\ncodim 1\ncohomology_at 0\n")
+    element_file = tmp_path / f"spread{gap}.element"
+    element_file.write_text(f"P 1 over F101\nterm 0: [0,{gap}]\nblock 0:\n1; 0\n"
+                            f"x0^{gap}; 1\n")
+    return str(monad_file), str(element_file)
+
+
+@pytest.mark.parametrize("gap", [MAX_DEGREE + 1, 5 * 10**9])
+@pytest.mark.parametrize("command", ["validate", "dualize", "group dual"])
+def test_twist_spread_past_the_degree_bound_is_parse_error(capsys, tmp_path, gap, command):
+    monad_file, element_file = _spread_files(tmp_path, gap)
+    argv = (["group", "dual", "--element", element_file, "--codim", "1"]
+            if command == "group dual" else ["monad", command, "--in", monad_file])
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "parse"
+    assert "apart" in payload["error"]["message"]
+    _check(payload, "error")
+
+
+def test_twist_spread_at_the_degree_bound_is_accepted(capsys, tmp_path):
+    monad_file, element_file = _spread_files(tmp_path, MAX_DEGREE)
+    assert run(["monad", "validate", "--in", monad_file]) == 0
+    assert run(["monad", "dualize", "--in", monad_file]) == 0
+    assert f"x0^{MAX_DEGREE}" in capsys.readouterr().out
+    assert run(["group", "dual", "--element", element_file, "--codim", "1"]) == 0
+    assert f"x0^{MAX_DEGREE}" in capsys.readouterr().out
+
+
+def _pipeline_outputs(capsys, workdir, cubic_file) -> list:
+    """The bytes of the p3 demos, a Hilbert window over Q, one action
+    square and a P^4 Bott column, each computed from cold section-rank
+    caches."""
+    monad_module._sections_rank.cache_clear()
+    out = []
+    for seed in range(4):
+        for field in ("Fp:101", "Fp:2147483647"):
+            assert run(["p3", "demo", "--json", "--seed", str(seed), "--field", field]) == 0
+            out.append(capsys.readouterr().out)
+    assert run(["monad", "hilbert", "--in", cubic_file]) == 0
+    out.append(capsys.readouterr().out)
+    m = direct_sum(koszul_monad(GF(101), 3, (0, 1, 2), twist=0, c=2),
+                   koszul_monad(GF(101), 3, (1, 3), twist=-2, c=2))
+    paths = {name: str(workdir / name) for name in ("m", "g", "acted", "d1", "gd", "md", "d2")}
+    Path(paths["m"]).write_text(format_monad(m))
+    Path(paths["g"]).write_text(format_group_element(random_element(m.field, m, seed=5)))
+    for argv in (["group", "act", "--monad", paths["m"], "--element", paths["g"],
+                  "--out", paths["acted"]],
+                 ["monad", "dualize", "--in", paths["acted"], "--out", paths["d1"]],
+                 ["group", "dual", "--element", paths["g"], "--codim", "2", "--out", paths["gd"]],
+                 ["monad", "dualize", "--in", paths["m"], "--out", paths["md"]],
+                 ["group", "act", "--monad", paths["md"], "--element", paths["gd"],
+                  "--out", paths["d2"]]):
+        assert run(argv) == 0
+    out += [Path(p).read_text() for p in paths.values()]
+    out.append(sheaf_cohomology(omega_resolution(QQ, 4, 2, 1)))
+    return out
+
+
+def test_no_computing_path_decodes_monomials(capsys, tmp_path, monkeypatch, cubic_file):
+    # HomogPoly.terms decodes packed monomials into tuples for readers
+    # outside the package; the pipeline itself must never need it
+    def refuse(self):
+        raise AssertionError("a computing path read HomogPoly.terms")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HomogPoly, "terms", property(refuse))
+        (tmp_path / "patched").mkdir()
+        patched = _pipeline_outputs(capsys, tmp_path / "patched", cubic_file)
+    (tmp_path / "plain").mkdir()
+    plain = _pipeline_outputs(capsys, tmp_path / "plain", cubic_file)
+    assert patched == plain
+    assert plain[-5] == plain[-2]  # d1 == d2: the action square commutes
 
 
 def test_cli_import_leaves_numpy_unloaded():

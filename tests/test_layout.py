@@ -8,6 +8,10 @@ Raw values are the one scalar representation: FieldElement, defined in
 scalar, is only the record Matrix.data yields.  No module names it but
 linalg, in its import and in Matrix.data, so both can go together, and
 the package does not export it.
+
+Monomials have one owner too: polymat packs each into one int, and no
+other module builds an exponent tuple (a tuple of length n + 1), reads
+the packed monomial lists, or imports a private name from polymat.
 """
 
 import ast
@@ -103,3 +107,63 @@ def test_only_matrix_data_names_field_element(path):
 
 def test_package_does_not_export_field_element():
     assert not hasattr(projmonad, "FieldElement")
+
+
+# Names that hand out packed monomials in canonical order.
+PACKED_LISTS = {"monomials_of_degree", "monomial_index"}
+
+
+def _plus_one(node: ast.AST) -> bool:
+    """Whether node spells <something> + 1, the length of an exponent tuple."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def _builds_exponent_tuple(node: ast.AST) -> bool:
+    """A tuple repeated n + 1 times, or tuple() over a range(n + 1) loop."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return any(isinstance(x, ast.Tuple) and _plus_one(y)
+                   for x, y in ((node.left, node.right), (node.right, node.left)))
+    if (isinstance(node, ast.Call) and _name(node.func) == "tuple" and node.args
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))):
+        return any(isinstance(g.iter, ast.Call) and _name(g.iter.func) == "range"
+                   and g.iter.args and _plus_one(g.iter.args[-1])
+                   for g in node.args[0].generators)
+    return False
+
+
+def _packing_violations(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, ast.ImportFrom) and _imported_module(node) == "polymat":
+            out += [f"line {line}: imports {a.name} from .polymat"
+                    for a in node.names if a.name.startswith("_")]
+        if (name := _name(node)) in PACKED_LISTS:
+            out.append(f"line {line}: names {name}")
+        if _builds_exponent_tuple(node):
+            out.append(f"line {line}: builds an exponent tuple")
+    return out
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .polymat import _mul_into", "imports _mul_into"),
+    ("const = (0,) * (n + 1)", "exponent tuple"),
+    ("u = {v: tuple(int(i == v) for i in range(n + 1)) for v in vs}", "exponent tuple"),
+    ("monos = monomials_of_degree(N, 1)", "names monomials_of_degree"),
+    ("from projmonad.polymat import monomial_index", "names monomial_index"),
+])
+def test_packing_rule_sees_exponent_tuples(source, found):
+    assert any(found in v for v in _packing_violations(source))
+
+
+def test_packing_rule_passes_twist_tuples():
+    assert _packing_violations("s = FreeSheaf(n, (t - k,) * len(sets))\n"
+                               "v = tuple(range(n + 1))\n"
+                               "from .polymat import mul_into, CONSTANT_MONOMIAL\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polymat.py"],
+                         ids=lambda p: p.name)
+def test_only_polymat_knows_the_packing(path):
+    assert _packing_violations(path.read_text()) == []

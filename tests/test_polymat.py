@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import comb
 from random import Random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     JUNK_CELLS,
     Boxed,
+    _monomial_mul_oracle,
     boxed_coefficients,
     boxed_rows,
     compose_oracle,
@@ -30,6 +33,7 @@ from projmonad.autgroup import (
 )
 from projmonad.linalg import rank
 from projmonad.monad import (
+    MAX_SECTION_SIDE,
     Monad,
     format_blocks,
     format_monad,
@@ -39,6 +43,7 @@ from projmonad.monad import (
 )
 from projmonad import polymat
 from projmonad.polymat import (
+    MAX_DEGREE,
     FreeSheaf,
     GradedMatrix,
     HomogPoly,
@@ -73,7 +78,10 @@ def test_monomial_count_matches_binomial():
 
 def test_monomial_order_is_lex_descending():
     monos = monomials_of_degree(2, 2)
-    assert monos == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+    assert tuple(polymat._unpack(2, m) for m in monos) == (
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+    # packed monomials sort in the canonical order
+    assert monos == tuple(sorted(monos, reverse=True))
 
 
 # --- polynomial arithmetic and parsing ---------------------------------
@@ -369,7 +377,7 @@ def _same_matrix(a, b):
 
 def _fraction_poly(field, n, degree, rng):
     """A random form with non-integer coefficients over Q."""
-    terms = {m: Boxed(field, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+    terms = {polymat._unpack(n, m): Boxed(field, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
              for m in monomials_of_degree(n, degree) if rng.random() < 0.7}
     return poly_from_boxed(field, n, degree, terms)
 
@@ -700,3 +708,137 @@ def test_printer_matches_oracle_and_round_trips(field):
                                 (gd, format_group_element, parse_group_element)):
             text = fmt(obj)
             assert fmt(parse(text)) == text
+
+
+# --- packed monomials ---------------------------------------------------
+# Exponent vectors up to the largest accepted degree on P^1..P^4, against
+# the tuple oracles: products of packed monomials must never carry.
+
+
+@st.composite
+def exponent_vectors(draw, n: int, degree: int) -> tuple[int, ...]:
+    """An exponent vector on x0..xn of the given degree."""
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=n, max_size=n)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+@st.composite
+def sparse_forms(draw, field, n: int, degree: int, max_terms: int = 4) -> HomogPoly:
+    """A form of the given degree with a few terms and small coefficients."""
+    monos = draw(st.lists(exponent_vectors(n, degree), max_size=max_terms))
+    values = draw(st.lists(st.integers(-5, 5), min_size=len(monos), max_size=len(monos)))
+    return HomogPoly(field, n, degree, dict(zip(monos, values)))
+
+
+def _degree(data, top: int = MAX_DEGREE) -> int:
+    """A degree up to top, often top itself."""
+    return data.draw(st.one_of(st.just(top), st.integers(0, top)))
+
+
+def _split_degree(data, top: int = MAX_DEGREE) -> tuple[int, int]:
+    """Two degrees whose sum is at most top, often at the bound itself."""
+    total = _degree(data, top)
+    first = data.draw(st.integers(0, total))
+    return first, total - first
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(ORACLE_FIELDS))
+def test_packed_products_match_tuple_oracle(data, n, field):
+    # each factor up to the bound, so the product reaches twice the bound
+    da, db = _degree(data), _degree(data)
+    a = data.draw(sparse_forms(field, n, da))
+    b = data.draw(sparse_forms(field, n, db))
+    want = {}
+    for x, cx in boxed_coefficients(a).items():
+        for y, cy in boxed_coefficients(b).items():
+            xy = _monomial_mul_oracle(x, y)
+            want[xy] = want.get(xy, Boxed(field, 0)) + cx * cy
+    assert boxed_coefficients(a * b) == {m: c for m, c in want.items() if c}
+    if da + db <= MAX_DEGREE:
+        _same_poly(a * b, poly_mul_oracle(a, b))
+        assert parse_poly(str(a * b), field, n, da + db) == a * b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(ORACLE_FIELDS))
+def test_packed_compose_matches_boxed_oracle(data, n, field):
+    da, db = _split_degree(data)
+    src, mid, tgt = FreeSheaf(n, (0, 0)), FreeSheaf(n, (da, da)), FreeSheaf(n, (da + db,))
+    b = GradedMatrix(field, src, mid, [[data.draw(sparse_forms(field, n, da, 3))
+                                        for _ in range(2)] for _ in range(2)])
+    a = GradedMatrix(field, mid, tgt, [[data.draw(sparse_forms(field, n, db, 3))
+                                        for _ in range(2)]])
+    _same_matrix(compose(a, b), compose_oracle(a, b))
+
+
+def _monomials_oracle(n: int, d: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of degree d, lexicographically descending."""
+    return sorted((e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d),
+                  reverse=True)
+
+
+def _index_oracle(m: tuple[int, ...]) -> int:
+    """The place of m among the tuples of its degree, lexicographically
+    descending: those before it agree up to some i and are larger at i,
+    and there are comb(r - m[i] + k, k + 1) of those, k = n - i - 1."""
+    n, r, index = len(m) - 1, sum(m), 0
+    for i in range(n):
+        index += comb(r - m[i] + n - i - 1, n - i)
+        r -= m[i]
+    return index
+
+
+def test_monomial_lists_match_tuple_oracle():
+    for n in range(5):
+        for d in range(7):
+            want = _monomials_oracle(n, d)
+            assert [polymat._unpack(n, m) for m in monomials_of_degree(n, d)] == want
+            assert [_index_oracle(m) for m in want] == list(range(len(want)))
+
+
+def _largest_section_degree(n: int) -> int:
+    """The largest degree whose forms fit one side of a guarded section matrix."""
+    d = 0
+    while forms_dimension(n, d + 1) <= MAX_SECTION_SIDE:
+        d += 1
+    return d
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(ORACLE_FIELDS))
+def test_packed_sections_matrix_matches_tuple_oracle(data, n, field):
+    top = _largest_section_degree(n)
+    d_tgt = data.draw(st.one_of(st.just(top), st.integers(0, top)))
+    d_src = data.draw(st.integers(0, min(d_tgt, 3)))
+    form = data.draw(sparse_forms(field, n, d_tgt - d_src))
+    m = GradedMatrix(field, FreeSheaf(n, (0,)), FreeSheaf(n, (d_tgt - d_src,)), [[form]])
+    try:
+        s = sections_matrix(m, d_src)
+        assert (s.rows, s.cols) == (forms_dimension(n, d_tgt), forms_dimension(n, d_src))
+        want = {}
+        for col, u in enumerate(_monomials_oracle(n, d_src)):
+            for v, c in form.terms.items():
+                want[_index_oracle(_monomial_mul_oracle(u, v)), col] = c
+        got = {(r, col): c for r, row in enumerate(s.row_maps) for col, c in row.items()}
+        assert got == want
+    finally:
+        # keep the unbounded monomial caches from holding the large degrees
+        polymat.monomials_of_degree.cache_clear()
+        polymat.monomial_index.cache_clear()
+
+
+def test_degrees_past_the_bound_are_refused():
+    top = MAX_DEGREE
+    with pytest.raises(ValueError, match="largest monomial degree"):
+        HomogPoly(QQ, 1, top + 1, {(top + 1, 0): 1})
+    with pytest.raises(ValueError, match="largest monomial degree"):
+        monomials_of_degree(0, top + 1)
+    for src, degree in ((f"x0^{top + 1}", None), (f"x0^{top}*x1", None),
+                        (f"x0^{top}*x0^{top}", None), (f"(x0)^{top}*(x1)", None),
+                        (f"(x0)^{top}*(x0)^{top}*(x0)^{top}", None), ("x0", top + 1)):
+        with pytest.raises(ParseError, match="largest degree"):
+            parse_poly(src, QQ, 1, degree)
+    p = parse_poly(f"x0^{top} - 2*x0*x1^{top - 1}", F7, 1, top)
+    assert p.terms == {(top, 0): 1, (1, top - 1): 5}
+    assert parse_poly(str(p), F7, 1) == p
