@@ -10,7 +10,11 @@ the same bytes.
 
 A group element is one automorphism per term of a complex; it acts on
 the differentials by d_i -> g_{i+1} d_i g_i^{-1}, and dualizing both
-the element and the complex keeps the action square commuting.
+the element and the complex keeps the action square commuting.  An
+element remembers each block's inverse the first time it is asked for.
+The dual element's blocks are the duals of those inverses, and since
+dualizing is a transpose, (b^*)^{-1} = (b^{-1})^*: its own inverses are
+the duals of the original blocks, known without solving.
 """
 
 from __future__ import annotations
@@ -127,15 +131,28 @@ def graded_inverse(g: GradedMatrix) -> GradedMatrix:
 
 
 class GroupElement:
-    """One automorphism per term of a complex, keyed by term index."""
+    """One automorphism per term of a complex, keyed by term index.
 
-    __slots__ = ("blocks",)
+    inverses holds block inverses already known, keyed like blocks; the
+    caller vouches for any it passes in.
+    """
 
-    def __init__(self, blocks: dict[int, GradedMatrix]):
+    __slots__ = ("blocks", "_inverses")
+
+    def __init__(self, blocks: dict[int, GradedMatrix],
+                 inverses: dict[int, GradedMatrix] | None = None):
         for i, b in blocks.items():
             if b.source != b.target:
                 raise ValueError(f"block {i} is not an endomorphism")
         self.blocks = dict(blocks)
+        self._inverses = {} if inverses is None else dict(inverses)
+
+    def inverse(self, i: int) -> GradedMatrix:
+        """graded_inverse of block i, solved on first use and remembered."""
+        inv = self._inverses.get(i)
+        if inv is None:
+            inv = self._inverses[i] = graded_inverse(self.blocks[i])
+        return inv
 
     @property
     def field(self) -> Field:
@@ -161,8 +178,7 @@ def act(g: GroupElement, m: Monad) -> Monad:
         b = g.blocks.get(i)
         if b is None or b.source != m.terms[i]:
             raise ValueError(f"group element does not match term {i}")
-    inverses = {i: graded_inverse(g.blocks[i]) for i in range(m.lo, m.hi)}
-    diffs = {i: compose(g.blocks[i + 1], compose(m.diffs[i], inverses[i]))
+    diffs = {i: compose(g.blocks[i + 1], compose(m.diffs[i], g.inverse(i)))
              for i in range(m.lo, m.hi)}
     return Monad(m.field, m.n, m.terms, diffs, m.c, m.cohomology_position)
 
@@ -170,11 +186,12 @@ def act(g: GroupElement, m: Monad) -> Monad:
 def induced_dual_element(g: GroupElement, c: int) -> GroupElement:
     """The element acting on the dual complex so that duality commutes:
     the block at i is the inverse of the dual of the block at -i-c, for a
-    codimension c in 1..n."""
+    codimension c in 1..n.  That is the dual of g's inverse there, and its
+    own inverse, carried along, is the dual of g's block."""
     if not 1 <= c <= g.n:
         raise ValueError(f"codimension {c} out of range 1..{g.n}")
-    return GroupElement({-(i + c): graded_inverse(dual_hom(b))
-                         for i, b in g.blocks.items()})
+    return GroupElement({-(i + c): dual_hom(g.inverse(i)) for i in g.blocks},
+                        {-(i + c): dual_hom(b) for i, b in g.blocks.items()})
 
 
 def random_automorphism(field: Field, sheaf: FreeSheaf, rng: Random,

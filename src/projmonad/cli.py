@@ -214,9 +214,16 @@ def _cmd_group_dual(args) -> int:
     return 0
 
 
+def _max_tries(args) -> int:
+    """--max-tries of p3 sample and p3 demo; below 1 no draw is made."""
+    if args.max_tries < 1:
+        raise _CliParseError(f"max-tries must be at least 1, got {args.max_tries}")
+    return args.max_tries
+
+
 def _cmd_p3_sample(args) -> int:
     field = parse_field(args.field)
-    pt, tries, _ = modp3.sample_wss_stats(args.seed, field, args.max_tries)
+    pt, tries, _ = modp3.sample_wss_stats(args.seed, field, _max_tries(args))
     text = modp3.format_point(pt)
     if args.json:
         _emit_json({"seed": args.seed, "tries": tries, "point": text})
@@ -241,7 +248,7 @@ def _cmd_p3_dualize(args) -> int:
 def _cmd_p3_demo(args) -> int:
     field = parse_field(args.field)
     report: dict = {"seed": args.seed, "field": repr(field)}
-    pt, tries, res = modp3.sample_wss_stats(args.seed, field, args.max_tries)
+    pt, tries, res = modp3.sample_wss_stats(args.seed, field, _max_tries(args))
     report["tries"] = tries
     report["membership"] = res.to_dict()
     monad = modp3.point_monad(pt)

@@ -7,6 +7,11 @@ the exterior-power Euler resolution before anything else relies on it.
 IntPoly is a univariate polynomial with exact rational coefficients,
 integer valued on the integers; it carries Hilbert polynomials such as
 3m+1 and is what euler_poly and interpolate return.
+
+An Euler polynomial depends on a complex's twist lists and their
+positions only, never on its differentials, so euler_poly is cached on
+those: every point of the 3m+1 space shares one entry, and its dual
+another.
 """
 
 from __future__ import annotations
@@ -169,11 +174,18 @@ def euler_poly(monad) -> IntPoly:
     For a complex exact away from position 0 this is the Hilbert
     polynomial of its cohomology sheaf.
     """
+    return _euler_poly_of_terms(monad.n, tuple(sorted(monad.terms.items())))
+
+
+@lru_cache(maxsize=256)
+def _euler_poly_of_terms(n: int, terms: tuple) -> IntPoly:
+    """euler_poly from (position, FreeSheaf) pairs; the positions stay in
+    the key because the parity of each sets its sign."""
     acc = IntPoly.zero()
-    for i in range(monad.lo, monad.hi + 1):
+    for i, sheaf in terms:
         term = IntPoly.zero()
-        for e in monad.terms[i].twists:
-            term = term + line_bundle_hilb(monad.n, e)
+        for e in sheaf.twists:
+            term = term + line_bundle_hilb(n, e)
         acc = acc + (term if i % 2 == 0 else -term)
     return acc
 

@@ -136,7 +136,7 @@ def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
 def _normalized(acc: dict, x, p: int) -> dict:
     """acc / x with zeros dropped: the tail of a new pivot row."""
     if p:
-        inv = pow(x, p - 2, p)
+        inv = pow(x, -1, p)
         return {k: r for k, v in acc.items() if (r := v * inv % p)}
     out = {}
     for k, v in acc.items():

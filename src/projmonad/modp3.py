@@ -28,7 +28,7 @@ from random import Random
 
 from .autgroup import graded_inverse, random_automorphism
 from .linalg import Matrix, kernel_basis, rank
-from .monad import Monad, format_monad, parse_monad
+from .monad import Monad, _sections_rank, format_monad, parse_monad
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
@@ -109,13 +109,17 @@ def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> Matrix:
 
 
 def wss_membership(pt: ParamPoint) -> Membership:
-    """Evaluate the four semistability clauses at twist 3."""
+    """Evaluate the four semistability clauses at twist 3.
+
+    phi is ranked through the section-rank cache: the Hilbert window of
+    point_monad(pt) ranks the same matrix at the same twist.
+    """
     field = pt.field
     s_psi = sections_matrix(pt.psi, SECTION_TWIST)
     s_phi = sections_matrix(pt.phi, SECTION_TWIST)
     clause_a = rank(s_psi) == 2
     clause_b = (s_phi * s_psi).is_zero()
-    clause_c = s_phi.cols - rank(s_phi) == 2
+    clause_c = s_phi.cols - _sections_rank(pt.phi, SECTION_TWIST) == 2
     phi_21 = pt.phi.entries[1][0]
     if not phi_21.is_zero():
         clause_d = True
@@ -237,6 +241,8 @@ def sample_wss_stats(seed: int, field: Field,
     """
     if not field.p:
         raise ValueError("sampling requires a prime field; Q points are check-only")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     rng = Random(seed)
     for attempt in range(1, max_tries + 1):
         phi0 = _determinantal_phi(field, rng)

@@ -523,7 +523,7 @@ class _PolyParser:
         p = self.p
         if den == 1:
             return num % p if p else Fraction(num)
-        return num * pow(den, p - 2, p) % p if p else Fraction(num, den)
+        return num * pow(den, -1, p) % p if p else Fraction(num, den)
 
     def _exponent(self, e: str | None, top: int) -> int:
         """Exponent token e after a '^' whose base has top degree top."""

@@ -11,6 +11,7 @@ from conftest import (
     lift_constants,
     random_valid_monad,
 )
+from projmonad import autgroup
 from projmonad.autgroup import (
     GroupElement,
     act,
@@ -289,3 +290,47 @@ def test_group_element_round_trip():
         text = format_group_element(g)
         assert parse_group_element(text) == g
         assert format_group_element(parse_group_element(text)) == text
+
+
+def _no_solve(g):
+    raise AssertionError("graded_inverse ran")
+
+
+@pytest.mark.parametrize("field", [QQ, F101, GF(2**31 - 1)], ids=repr)
+def test_induced_dual_element_carries_true_inverses(field, monkeypatch):
+    rng = Random(44)
+    for _ in range(25):
+        m = random_valid_monad(rng, field)
+        g = random_element(field, m, seed=rng.randrange(1 << 30))
+        gd, dm = induced_dual_element(g, m.c), dualize(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(autgroup, "graded_inverse", _no_solve)
+            carried = {i: gd.inverse(i) for i in gd.blocks}
+            moved = act(gd, dm)
+        for i, b in gd.blocks.items():
+            assert carried[i] == graded_inverse(b) == graded_inverse_neumann_oracle(b)
+        assert moved == dualize(act(g, m))
+        # an element that carries nothing solves and acts the same
+        assert act(GroupElement(gd.blocks), dm) == moved
+
+
+def test_group_element_solves_each_inverse_once(monkeypatch):
+    m = koszul_monad(F101, 3, [0, 1, 2])
+    solved = []
+
+    def counting(b):
+        solved.append(b)
+        return graded_inverse(b)
+
+    monkeypatch.setattr(autgroup, "graded_inverse", counting)
+    g = random_element(F101, m, seed=7)
+    fresh = GroupElement(g.blocks)
+    assert solved == []
+    first = act(fresh, m)
+    assert len(solved) == m.hi - m.lo
+    assert act(fresh, m) == first
+    gd = induced_dual_element(fresh, m.c)
+    assert len(solved) == len(m.terms)
+    act(gd, dualize(m))
+    assert len(solved) == len(m.terms)
+    assert all(fresh.inverse(i) is fresh.inverse(i) for i in fresh.blocks)

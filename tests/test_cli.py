@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from projmonad.cli import run
+from projmonad import autgroup as autgroup_module, modp3 as modp3_module
 from projmonad import monad as monad_module
 from projmonad.autgroup import format_group_element, random_element
 from projmonad.complexes import direct_sum, koszul_monad, omega_resolution
@@ -216,7 +217,12 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["monad", "validate", "--in", str(bad)]) == 2
     capsys.readouterr()
 
-    assert run(["p3", "sample", "--seed", "1", "--max-tries", "0"]) == 1
+    assert run(["p3", "sample", "--seed", "1", "--max-tries", "0"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "parse"
+    _check(payload, "error")
+
+    assert run(["p3", "sample", "--seed", "1", "--max-tries", "1", "--field", "Q"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "domain"
     _check(payload, "error")
@@ -542,6 +548,40 @@ def test_group_random_density_must_lie_in_unit_interval(capsys, cubic_f101_file,
     assert payload["error"] == {
         "kind": "parse", "message": f"density must lie in [0, 1], got {float(density)}"}
     _check(payload, "error")
+
+
+@pytest.mark.parametrize("command, tries", [
+    ("demo", "-3"), ("demo", "0"), ("sample", "0"), ("sample", "-1")])
+def test_max_tries_below_one_is_parse_error(capsys, monkeypatch, command, tries):
+    def no_draw(*args):
+        raise AssertionError("drew a point")
+
+    monkeypatch.setattr(modp3_module, "_determinantal_phi", no_draw)
+    assert run(["p3", command, "--json", "--seed", "0", "--max-tries", tries]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {
+        "kind": "parse", "message": f"max-tries must be at least 1, got {tries}"}
+    _check(payload, "error")
+
+
+def test_p3_demo_solves_each_inverse_and_ranks_each_section_matrix_once(capsys, monkeypatch):
+    solved = []
+    solve = autgroup_module.graded_inverse
+
+    def counting(g):
+        solved.append(g)
+        return solve(g)
+
+    for module in (autgroup_module, modp3_module):
+        monkeypatch.setattr(module, "graded_inverse", counting)
+    monad_module._sections_rank.cache_clear()
+    rc, payload = _run_json(capsys, ["p3", "demo", "--json", "--seed", "0"])
+    assert rc == 0 and payload["ok"] and payload["tries"] == 1
+    # one solve for the draw, three for g's blocks; gd carries its own
+    assert len(solved) == 4
+    info = monad_module._sections_rank.cache_info()
+    # phi at twist 3 is ranked for membership, then found again by the window
+    assert (info.hits, info.misses) == (1, 5)
 
 
 @pytest.mark.parametrize("argv", [

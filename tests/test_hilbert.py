@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from projmonad import hilbert
 from projmonad.complexes import koszul_monad, line_monad, omega_resolution
 from projmonad.hilbert import (
     InterpolationError,
@@ -14,7 +15,7 @@ from projmonad.hilbert import (
     line_bundle_hilb,
 )
 from projmonad.modp3 import forbidden_form_point, point_monad, twisted_cubic_point
-from projmonad.monad import dualize, sheaf_cohomology
+from projmonad.monad import Monad, dualize, sheaf_cohomology
 from projmonad.scalar import QQ
 
 
@@ -121,6 +122,21 @@ def test_euler_poly_equals_uncached_sum_on_catalog():
             assert euler_poly(subject) == first
     assert binomial_poly(5, 3) is binomial_poly(5, 3)
     assert binomial_poly(5, 3) == binomial_poly.__wrapped__(5, 3)
+
+
+def test_euler_poly_cache_keys_twists_and_positions():
+    cubic = point_monad(twisted_cubic_point())
+    forbidden = point_monad(forbidden_form_point())
+    assert cubic.diffs != forbidden.diffs
+    hilbert._euler_poly_of_terms.cache_clear()
+    assert euler_poly(cubic) == euler_poly(forbidden) == IntPoly([1, 3])
+    info = hilbert._euler_poly_of_terms.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # one position to the right flips every sign: no shared entry
+    shifted = Monad(QQ, 3, {i + 1: s for i, s in cubic.terms.items()}, {}, 2, 1)
+    assert euler_poly(shifted) == -euler_poly(cubic)
+    assert hilbert._euler_poly_of_terms.cache_info().currsize == 2
+    assert hilbert._euler_poly_of_terms.cache_info().maxsize is not None
 
 
 def test_euler_of_line_resolution():

@@ -12,6 +12,9 @@ the package does not export it.
 Monomials have one owner too: polymat packs each into one int, and no
 other module builds an exponent tuple (a tuple of length n + 1), reads
 the packed monomial lists, or imports a private name from polymat.
+
+Residues invert one way: pow(x, -1, p), the extended Euclidean
+algorithm, never the Fermat power pow(x, p - 2, p).
 """
 
 import ast
@@ -167,3 +170,29 @@ def test_packing_rule_passes_twist_tuples():
                          ids=lambda p: p.name)
 def test_only_polymat_knows_the_packing(path):
     assert _packing_violations(path.read_text()) == []
+
+
+def _fermat_inverses(source: str) -> list[str]:
+    """Calls pow(x, <m> - 2, <m>): a Fermat-power inverse modulo m."""
+    return [f"line {node.lineno}: inverts by a Fermat power"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _name(node.func) == "pow"
+            and len(node.args) == 3 and isinstance(e := node.args[1], ast.BinOp)
+            and isinstance(e.op, ast.Sub) and isinstance(e.right, ast.Constant)
+            and e.right.value == 2 and ast.dump(e.left) == ast.dump(node.args[2])]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("inv = pow(x, p - 2, p)", True),
+    ("return pow(a, self.p - 2, self.p)", True),
+    ("inv = pow(x, -1, p)", False),
+    ("x = pow(a, d, p)", False),
+    ("y = pow(x, p - 2)", False),
+])
+def test_fermat_rule_sees_fermat_inverses(source, found):
+    assert bool(_fermat_inverses(source)) == found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_inverts_by_a_fermat_power(path):
+    assert _fermat_inverses(path.read_text()) == []

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from projmonad import modp3
 from projmonad.autgroup import act, induced_dual_element, random_element
 from projmonad.hilbert import IntPoly, euler_poly
 from projmonad.linalg import rank
@@ -139,11 +140,26 @@ def test_sampling_golden_point_seed_42():
     assert format_point(pt) == golden
 
 
-def test_sampling_guards():
-    with pytest.raises(SampleExhaustedError):
-        sample_wss_stats(1, F101, max_tries=0)
+def test_sampling_guards(monkeypatch):
     with pytest.raises(ValueError):
         sample_wss_stats(1, QQ)
+    drawn = []
+    draw = modp3._determinantal_phi
+
+    def counted(*args):
+        drawn.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(modp3, "_determinantal_phi", counted)
+    for tries in (0, -3):
+        with pytest.raises(ValueError, match=f"max_tries must be at least 1, got {tries}"):
+            sample_wss_stats(1, F101, max_tries=tries)
+    assert drawn == []
+    # every draw without a two-dimensional kernel is refused
+    monkeypatch.setattr(modp3, "_psi_from_kernel", lambda phi: None)
+    with pytest.raises(SampleExhaustedError, match="exhausted max_tries = 2"):
+        sample_wss_stats(1, F101, max_tries=2)
+    assert len(drawn) == 2
 
 
 def test_sampled_point_hilbert_and_exactness():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import Boxed, parse_scalar
-from projmonad.polymat import parse_poly
+from projmonad.polymat import ParseError, parse_poly
 from projmonad.scalar import GF, QQ, FieldError, _is_prime
 
 F7 = GF(7)
@@ -64,6 +64,27 @@ def test_division_by_zero():
         QQ.inv(QQ.coerce(0))
     with pytest.raises(ZeroDivisionError):
         F7.inv(F7.coerce(0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521, 2**31 - 1])
+def test_prime_field_inverse_equals_fermat_power(p):
+    field = GF(p)
+    rng = Random(p)
+    values = {1, p - 1, *(rng.randrange(1, p) for _ in range(50))}
+    for a in values:
+        assert field.inv(a) == pow(a, p - 2, p)
+    for zero in (0, p, -p):
+        with pytest.raises(ZeroDivisionError, match=f"division by zero in F_{p}"):
+            field.inv(zero)
+    # the extended-Euclid power raises ValueError on zero, hence the guard
+    with pytest.raises(ValueError):
+        pow(0, -1, p)
+
+
+def test_zero_denominator_over_prime_field_is_parse_error():
+    for text in ("1/0", "3/101", "2*1/0"):
+        with pytest.raises(ParseError, match="division by zero in F_101"):
+            parse_poly(text, F101, 3, 0)
 
 
 def test_modulus_mismatch():
