@@ -3,16 +3,19 @@
 rank() is the hot path: the degree-window computations feed it section
 matrices with hundreds of rows and a few percent nonzeros (they are
 multiplication matrices).  A Matrix therefore stores each row as a dict
-{column: raw value} of its nonzero entries (residues in [0, p) over F_p,
-reduced Fractions over Q); its one constructor wraps such rows, and
+{column: raw value} of its nonzero entries (residues in [0, p) over F_p;
+over Q ints, or reduced Fractions where the denominator is not 1); its
+one constructor wraps such rows, and
 kernel_basis returns its vectors in the same sparse raw format.  rank,
 rref, kernel_basis and inverse all run one sparse elimination routine,
 _echelon.  Matrix.data is the one reader that pairs values with their
 field, as FieldElement records; the bench tracer counts nonzeros with
-it.  The field owns that raw format: field.integral scales a Q row to
-integers and field.reduce takes sums back to raw values; only
-_echelon's inner loop and _normalized work inline on residues or
-numerators, switched by field.p.
+it.  The field owns that raw format: field.integral scales a row to
+integers (returning an integral row itself, never a copy) and
+field.reduce takes sums back to raw values; only _echelon's inner loop
+and _normalized work inline on residues or numerators, switched by
+field.p.  Over Q _normalized divides ints by divmod and builds a
+Fraction only for an inexact quotient.
 
 Pivoting is deterministic: rows are reduced sparsest first (ties in row
 order), each against the pivots found so far from its leftmost column
@@ -90,8 +93,9 @@ def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
 
     Over F_p the row being reduced holds unreduced Python ints, taken mod
     p only when an entry is read as a pivot candidate or stored.  Over Q
-    each row is first scaled to integers, so that rows meeting only unit
-    pivots never touch Fraction arithmetic.
+    each row is first scaled to integers (a row of ints, the common case,
+    needs no scaling), so that rows meeting only integral pivot rows
+    never touch Fraction arithmetic.
     """
     field = m.field
     p = field.p
@@ -102,7 +106,7 @@ def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
             break
         if not row:
             continue
-        acc = dict(row) if p else field.integral(row)[1]
+        acc = dict(field.integral(row)[1])
         heap = sorted(acc)
         while heap:
             c = heappop(heap)
@@ -139,10 +143,15 @@ def _normalized(acc: dict, x, p: int) -> dict:
         inv = pow(x, -1, p)
         return {k: r for k, v in acc.items() if (r := v * inv % p)}
     out = {}
+    int_x = type(x) is int
     for k, v in acc.items():
         if v:
-            q = Fraction(v) / x
-            out[k] = q.numerator if q.denominator == 1 else q
+            if int_x and type(v) is int:
+                q, r = divmod(v, x)
+                out[k] = Fraction(v, x) if r else q
+            else:
+                q = Fraction(v) / x
+                out[k] = q.numerator if q.denominator == 1 else q
     return out
 
 

@@ -22,11 +22,14 @@ Only this module builds or reads packed monomials; other modules use
 them as opaque keys (mul_into, CONSTANT_MONOMIAL, coordinates).
 
 Coefficients are stored as the raw values Matrix.row_maps holds:
-residues in [0, p), or reduced Fractions over Q.  The arithmetic (sums,
-products and composites of forms, and the parser) takes them to integer
-numerators over a common denominator with field.integral, sums and
-multiplies those unreduced, and turns the result back into raw values
-once with field.reduce.
+residues in [0, p), or over Q ints, and reduced Fractions only where the
+denominator is not 1.  The arithmetic (sums, products and composites of
+forms, and the parser) takes them to integer numerators over a common
+denominator with field.integral, which hands an integral dict back
+itself rather than a copy, sums and multiplies those unreduced, and
+turns the result back into raw values once with field.reduce.  This
+module never builds a Fraction: its quotients over Q come from
+field.reduce, which keeps every value canonical.
 
 The parser reads a term's plain factors (integer and a/b literals, x_i,
 x_i^k) straight into one packed monomial and one numerator and
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import attrgetter
@@ -348,7 +350,7 @@ class _PolyParser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
     Works on plain {packed monomial: nonzero raw value} dicts (residues
-    in (0, p), or reduced Fractions) so mixed-degree intermediates are
+    in (0, p), or canonical values over Q) so mixed-degree intermediates are
     allowed; homogeneity is checked at the end.  A term folds its plain
     factors (literals, x_i and x_i^k) into one packed monomial, a sum of
     variable units, and one numerator and denominator; only
@@ -385,7 +387,7 @@ class _PolyParser:
         return t
 
     def expr(self) -> dict:
-        toks, p = self.toks, self.p
+        toks, p, coerce = self.toks, self.p, self.field.coerce
         neg = False
         if toks[self.i] in ("+", "-"):
             neg = self.take() == "-"
@@ -399,8 +401,7 @@ class _PolyParser:
                     acc[m] = c
                     continue
                 v += c
-                if p:
-                    v %= p
+                v = v % p if p else coerce(v)  # 1/2 + 1/2 is the int 1
                 if v:
                     acc[m] = v
                 else:
@@ -522,8 +523,10 @@ class _PolyParser:
         """The raw coefficient num / den."""
         p = self.p
         if den == 1:
-            return num % p if p else Fraction(num)
-        return num * pow(den, -1, p) % p if p else Fraction(num, den)
+            return num % p if p else num
+        if p:
+            return num * pow(den, -1, p) % p
+        return self.field.reduce({0: num}, den).get(0, 0)
 
     def _exponent(self, e: str | None, top: int) -> int:
         """Exponent token e after a '^' whose base has top degree top."""
@@ -786,7 +789,7 @@ def random_poly(field: Field, n: int, degree: int, rng: Random,
     for m in monomials_of_degree(n, degree):
         if density < 1.0 and rng.random() >= density:
             continue
-        if c := rng.randrange(prime) if prime else Fraction(rng.randint(-9, 9)):
+        if c := rng.randrange(prime) if prime else rng.randint(-9, 9):
             terms[m] = c
     return HomogPoly._unchecked(field, n, degree, terms)
 

@@ -1,11 +1,19 @@
 """Exact scalars: the rationals and prime fields F_p.
 
-Matrices and forms hold scalars as raw values: reduced Fractions over Q,
-residues in [0, p) over F_p.  The fields own that format, and no other
-module tests a field's type: they give p (the modulus, 0 over Q), coerce
-(an int or raw value to canonical form), inv, integral (raw values to
-integer numerators over a common denominator) and reduce (numerators
-back to nonzero raw values).  FieldElement is only the record that
+Matrices and forms hold scalars as raw values.  Over F_p a raw value is
+a residue in [0, p).  Over Q it is canonical in one way: a plain int
+when its denominator is 1, and a reduced Fraction with denominator > 1
+otherwise; a Fraction with denominator 1 is never stored.  Ints and
+Fractions compare, hash and print alike, so the format shows in speed
+only: integer entries, the common case, run on machine-speed ints.
+
+The fields own that format, and no other module tests a field's type:
+they give p (the modulus, 0 over Q), coerce (an int or raw value to
+canonical form), inv, integral (raw values to integer numerators over a
+common denominator) and reduce (numerators back to nonzero raw values).
+integral returns its argument itself when it is integral already (over
+F_p always, over Q when every value is an int), so callers must not
+mutate what it returns.  FieldElement is only the record that
 Matrix.data yields: a raw value next to its field, with no arithmetic.
 """
 
@@ -13,6 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
+
+
+_denominator = attrgetter("denominator")  # 1 for an int
 
 
 class FieldError(ValueError):
@@ -64,7 +76,8 @@ class Field:
 
 
 class RationalField(Field):
-    """The field Q; raw values are reduced Fractions."""
+    """The field Q; raw values are ints, or reduced Fractions with
+    denominator > 1."""
 
     _instance = None
 
@@ -74,25 +87,37 @@ class RationalField(Field):
         return cls._instance
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
+        if type(value) is int:
             return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
+        if isinstance(value, int):  # bool and other int subclasses
+            return int(value)
         raise FieldError(f"cannot coerce {value!r} into Q")
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / a
+        return self.coerce(1 / Fraction(a))
 
     def integral(self, values: dict) -> tuple[int, dict]:
-        den = lcm(*(v.denominator for v in values.values()))
-        return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        """(den, numerators) with every numerators[k] / den == values[k].
+        When every value is an int this is (1, values), the argument
+        itself, which callers must not mutate."""
+        den = lcm(*map(_denominator, values.values()))
+        if den == 1:
+            return 1, values
+        return den, {k: v * den if type(v) is int else v.numerator * (den // v.denominator)
+                     for k, v in values.items()}
 
     def reduce(self, numerators: dict, den: int = 1) -> dict:
         if den == 1:
-            return {k: Fraction(v) for k, v in numerators.items() if v}
-        return {k: Fraction(v, den) for k, v in numerators.items() if v}
+            # raw values may be mixed in, and a Fraction among them may
+            # have come to denominator 1 (1/2 * 2)
+            return {k: v if type(v) is int or v.denominator != 1 else v.numerator
+                    for k, v in numerators.items() if v}
+        return {k: Fraction(v, den) if v % den else v // den
+                for k, v in numerators.items() if v}
 
     def __repr__(self):
         return "Q"

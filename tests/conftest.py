@@ -29,6 +29,7 @@ complex.
 """
 
 import re
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from random import Random
@@ -42,6 +43,8 @@ from projmonad.linalg import Matrix, inverse as matrix_inverse
 from projmonad.monad import CohTable, Monad, WindowDisagreementError, cohomology_hilbert_function
 from projmonad.polymat import (
     _MAX_POWER_BITS,
+    _PAST_MAX_DEGREE,
+    MAX_DEGREE,
     FreeSheaf,
     GradedMatrix,
     HomogPoly,
@@ -111,6 +114,14 @@ class Boxed:
 
     def __repr__(self):
         return str(self.value)
+
+
+def is_canonical(field, v) -> bool:
+    """v is a raw value in the field's one format: a residue in [0, p)
+    over F_p; over Q an int, or a Fraction whose denominator is not 1."""
+    if field.p:
+        return type(v) is int and 0 <= v < field.p
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 def parse_scalar(field, text: str) -> Boxed:
@@ -457,7 +468,15 @@ def _tokenize_oracle(src: str) -> list[str]:
 
 
 class _PolyParserOracle:
-    """Recursive descent over {monomial: Boxed} dicts, token by token."""
+    """Recursive descent over {monomial: Boxed} dicts, token by token.
+
+    It refuses a degree past MAX_DEGREE where parse_poly does, with the
+    same ParseError text: an exponent whose power passes it, a term whose
+    plain factors (literals, x_i and x_i^k) pass it once an x_i^k is read,
+    a product of two nonzero factors that passes it, and a whole form
+    that passes it.  So a term folds its plain factors first and
+    multiplies the others in last, as the parser does.
+    """
 
     def __init__(self, toks, field, n, degree=None):
         self.toks = toks
@@ -493,11 +512,29 @@ class _PolyParserOracle:
         return acc
 
     def term(self):
-        acc = self.power()
-        while self.peek() == "*":
+        exps, coef = (0,) * (self.n + 1), Boxed(self.field, 1)  # the plain factors
+        rest = None  # product of the other factors
+        while True:
+            t = self.peek()
+            powered = self.i + 1 < len(self.toks) and self.toks[self.i + 1] == "^"
+            if t is not None and t.startswith("x"):
+                (m, _), = self.power().items()
+                exps = _monomial_mul_oracle(exps, m)
+                if powered and sum(exps) > MAX_DEGREE:
+                    raise ParseError(_PAST_MAX_DEGREE)
+            elif t is not None and t[0].isdigit() and not powered:
+                (_, c), = self.atom().items()
+                coef = coef * c
+            else:
+                f = self.power()
+                rest = f if rest is None else self._mul(rest, f)
+            if self.peek() != "*":
+                break
             self.take()
-            acc = self._mul(acc, self.power())
-        return acc
+        if not coef:
+            return {}
+        out = {exps: coef}
+        return out if rest is None else self._mul(out, rest)
 
     def power(self):
         base = self.atom()
@@ -511,6 +548,9 @@ class _PolyParserOracle:
             if top and self.degree is not None and top * e > self.degree:
                 raise ParseError(
                     f"exponent {e} gives degree {top * e}, past the expected {self.degree}")
+            if top * e > MAX_DEGREE:
+                raise ParseError(f"exponent {e} gives degree {top * e}, past the largest "
+                                 f"degree {MAX_DEGREE}")
             if not top and not isinstance(self.field, PrimeField):
                 bits = max((max(abs(c.value.numerator).bit_length(),
                                 c.value.denominator.bit_length()) - 1
@@ -551,6 +591,8 @@ class _PolyParserOracle:
         raise ParseError(f"unexpected token {t!r}")
 
     def _mul(self, a, b):
+        if a and b and max(map(sum, a)) + max(map(sum, b)) > MAX_DEGREE:
+            raise ParseError(_PAST_MAX_DEGREE)
         out = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
@@ -565,6 +607,8 @@ class _PolyParserOracle:
 
 def parse_poly_oracle(src: str, field, n: int, degree=None) -> HomogPoly:
     """parse_poly with every coefficient operation on boxed scalars."""
+    if degree is not None and degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} is past the largest degree {MAX_DEGREE}")
     parser = _PolyParserOracle(_tokenize_oracle(src), field, n, degree)
     terms = {m: c for m, c in parser.expr().items() if c}
     if parser.peek() is not None:
@@ -577,6 +621,8 @@ def parse_poly_oracle(src: str, field, n: int, degree=None) -> HomogPoly:
     d = degrees.pop()
     if degree is not None and d != degree:
         raise ParseError(f"expected degree {degree}, got {d} in {src!r}")
+    if d > MAX_DEGREE:
+        raise ParseError(_PAST_MAX_DEGREE)
     return poly_from_boxed(field, n, d, terms)
 
 

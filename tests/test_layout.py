@@ -15,6 +15,13 @@ the packed monomial lists, or imports a private name from polymat.
 
 Residues invert one way: pow(x, -1, p), the extended Euclidean
 algorithm, never the Fermat power pow(x, p - 2, p).
+
+Rationals have one format, and the field keeps it canonical: an int when
+the denominator is 1, a Fraction otherwise.  Only scalar and linalg
+(whose _normalized builds an inexact quotient inline) name Fraction, so
+every other module gets its quotients from the field.  hilbert names it
+too: its IntPoly is a polynomial with Fraction coefficients, a Hilbert
+polynomial rather than a matrix or form entry, and no raw value.
 """
 
 import ast
@@ -196,3 +203,46 @@ def test_fermat_rule_sees_fermat_inverses(source, found):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_inverts_by_a_fermat_power(path):
     assert _fermat_inverses(path.read_text()) == []
+
+
+MAY_NAME_FRACTION = {"scalar.py", "linalg.py", "hilbert.py"}
+
+
+def _fraction_names(source: str) -> list[str]:
+    """Where source names Fraction, or imports the fractions module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = node.module if isinstance(node, ast.ImportFrom) else None
+            if module == "fractions" or any(a.name == "fractions" for a in node.names):
+                out.append(f"line {line}: imports fractions")
+        elif _name(node) == "Fraction":
+            out.append(f"line {line}: names Fraction")
+    return out
+
+
+# The lines that built Fractions in polymat before its quotients came
+# from the field.
+@pytest.mark.parametrize("source", [
+    "from fractions import Fraction",
+    "import fractions",
+    "def _value(self, num, den):\n    return num % p if p else Fraction(num)",
+    "v = num * pow(den, -1, p) % p if p else Fraction(num, den)",
+    "if c := rng.randrange(prime) if prime else Fraction(rng.randint(-9, 9)):\n    pass",
+    "q = fractions.Fraction(1, 2)",
+])
+def test_fraction_rule_sees_fractions(source):
+    assert _fraction_names(source)
+
+
+def test_fraction_rule_passes_field_quotients():
+    assert _fraction_names("v = field.coerce(num * field.inv(den))\n"
+                           "c = rng.randint(-9, 9)\n"
+                           "bits = c.denominator.bit_length()  # a Fraction or an int\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in MAY_NAME_FRACTION],
+                         ids=lambda p: p.name)
+def test_no_other_module_names_fraction(path):
+    assert _fraction_names(path.read_text()) == []

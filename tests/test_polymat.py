@@ -4,7 +4,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     JUNK_CELLS,
@@ -14,6 +14,7 @@ from conftest import (
     boxed_rows,
     compose_oracle,
     graded_identity,
+    is_canonical,
     parse_poly_oracle,
     poly_add_oracle,
     poly_from_boxed,
@@ -480,15 +481,15 @@ def test_graded_inverse_round_trip_matches_boxed_oracle(field):
 def test_constructor_canonicalises_raw_values(field):
     x0, x1, x2 = (0, 1), (1, 0), (2, 0)  # monomials on P^1 (x2 is degree 2)
     if field == QQ:
-        p = HomogPoly(field, 1, 1, {x0: 3, x1: Fraction(-4, 6)})
+        p = HomogPoly(field, 1, 1, {x0: Fraction(6, 2), x1: Fraction(-4, 6)})
         assert p.terms == {x0: Fraction(3), x1: Fraction(-2, 3)}
-        assert all(type(c) is Fraction for c in p.terms.values())
+        assert type(p.terms[x0]) is int
     else:
         q = field.p
         p = HomogPoly(field, 1, 1, {x0: -1, x1: q + 5})
         assert p.terms == {x0: q - 1, x1: 5}
-        assert all(type(c) is int for c in p.terms.values())
         assert HomogPoly(field, 1, 1, {x0: q, x1: -2 * q}).is_zero()
+    assert all(is_canonical(field, c) for c in p.terms.values())
     assert p == parse_poly(str(p), field, 1, 1)
     assert poly_from_boxed(field, 1, 1, boxed_coefficients(p)) == p
     for bad in (Boxed(field, 1), Boxed(GF(7), 1), 1.0, 0.5, "1"):
@@ -519,10 +520,10 @@ def test_terms_hold_the_raw_type_of_section_matrices(field):
         a = GradedMatrix(field, a.source, a.target,
                          [[_fraction_poly(field, 2, f - e, rng) for e in a.source.twists]
                           for f in a.target.twists])
-    raw_type = Fraction if field == QQ else int
     term_types = {type(c) for row in a.entries for p in row for c in p.terms.values()}
     entries = [v for row in sections_matrix(a, 2).row_maps for v in row.values()]
-    assert term_types == {type(v) for v in entries} == {raw_type}
+    assert term_types == {type(v) for v in entries}
+    assert all(is_canonical(field, v) for v in entries)
     coefficients = {c for row in a.entries for p in row for c in p.terms.values()}
     assert set(entries) == coefficients
 
@@ -652,8 +653,39 @@ def grammar_texts(draw, depth: int = 0, powers: int = 2) -> str:
     return f"({space()}-{space()}{child()})"
 
 
+# Texts past MAX_DEGREE, each refused by parse_poly in one of its places.
+DEGREE_REFUSALS = [
+    ("x0^3000000000",
+     f"exponent 3000000000 gives degree 3000000000, past the largest degree {MAX_DEGREE}"),
+    ("(x0^1000000000)^3", f"exponent 3 gives degree 3000000000, past the largest degree "
+                          f"{MAX_DEGREE}"),
+    ("x0^2000000000*x0^2000000000", polymat._PAST_MAX_DEGREE),  # the plain factors
+    ("(x0^2000000000)*(x1^2000000000)", polymat._PAST_MAX_DEGREE),  # a product
+    ("(x0^2000000000)*x1^2000000000", polymat._PAST_MAX_DEGREE),  # plain times the rest
+    ("x0^2147483647*x0", polymat._PAST_MAX_DEGREE),  # the whole form
+    # the plain factors are folded first, so x9 is read before any product
+    ("(x0^1000000000)*(x0^1000000000)*x0^1000000000*x9", "variable x9 out of range for P^1"),
+]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@pytest.mark.parametrize("src,text", DEGREE_REFUSALS)
+def test_parser_and_oracle_refuse_degrees_alike(field, src, text):
+    for parse in (parse_poly, parse_poly_oracle):
+        with pytest.raises(ParseError) as info:
+            parse(src, field, 1)
+        assert str(info.value) == text
+    # a zero coefficient ends the term before its product is taken
+    for parse in (parse_poly, parse_poly_oracle):
+        assert parse("0*(x0^2000000000)*x0^2000000000", field, 1).is_zero()
+
+
 @settings(max_examples=400, deadline=None)
 @given(grammar_texts(), st.integers(1, 3), st.integers(0, 3))
+@example("x0^3000000000", 1, 0)
+@example("(x0^1000000000)^3", 1, 0)
+@example("x0^2000000000*x0^2000000000", 1, 0)
+@example("(x0^2000000000)*(x1^2000000000)", 1, 0)
 def test_parse_generated_grammar_matches_boxed_oracle(src, n, degree):
     for field in ORACLE_FIELDS:
         for pinned in (None, degree):

@@ -4,10 +4,22 @@ from functools import partial
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import Boxed, parse_scalar
-from projmonad.polymat import ParseError, parse_poly
+from conftest import Boxed, is_canonical, parse_scalar
+from projmonad.autgroup import graded_inverse, random_automorphism
+from projmonad.linalg import Matrix, inverse, kernel_basis, rank, rref
+from projmonad.polymat import (
+    FreeSheaf,
+    GradedMatrix,
+    HomogPoly,
+    ParseError,
+    compose,
+    forms_dimension,
+    from_coordinates,
+    parse_poly,
+    sections_matrix,
+)
 from projmonad.scalar import GF, QQ, FieldError, _is_prime
 
 F7 = GF(7)
@@ -32,7 +44,10 @@ def test_normalization():
 def test_canonical_form_idempotent():
     a = QQ.coerce(Fraction(-6, 8))
     again = QQ.coerce(a)
-    assert again == a and type(again) is Fraction
+    assert again == a and is_canonical(QQ, again)
+    for whole in (Fraction(6, 3), 2, True):
+        assert QQ.coerce(whole) == QQ.coerce(QQ.coerce(whole)) == whole
+        assert type(QQ.coerce(whole)) is int
     b = F7.coerce(23)
     assert F7.coerce(b) == b and 0 <= b < 7
 
@@ -219,7 +234,7 @@ def test_q_sub_matches_fraction_arithmetic(x, y, op):
             RAW_OPS[op](QQ, a, b)
         return
     got = RAW_OPS[op](QQ, a, b)
-    assert type(got) is Fraction
+    assert is_canonical(QQ, got)
     assert got == _apply(op, x, y)
 
 
@@ -241,16 +256,16 @@ CODEC_FIELDS = [QQ, F101, GF(2**31 - 1)]
 
 
 def _raw_values(field):
-    """Canonical raw values: reduced Fractions over Q, residues in [1, p)."""
+    """Nonzero canonical raw values: residues in [1, p); over Q ints, and
+    Fractions whose denominator is not 1."""
     if field.p:
         return st.integers(1, field.p - 1)
-    return st.fractions().filter(bool)
+    return st.fractions().filter(bool).map(QQ.coerce)
 
 
 def _is_canonical(field, v) -> bool:
-    if field.p:
-        return type(v) is int and 0 < v < field.p
-    return type(v) is Fraction and v != 0
+    """A nonzero canonical raw value, as reduce returns them."""
+    return v != 0 and is_canonical(field, v)
 
 
 def test_modulus_is_zero_over_q():
@@ -264,7 +279,8 @@ def test_integral_then_reduce_is_the_identity(field, data):
     den, num = field.integral(values)
     assert type(den) is int and den >= 1
     assert all(type(v) is int for v in num.values())
-    if field.p:
+    if field.p or all(type(v) is int for v in values.values()):
+        # integral values come back as they are, not copied
         assert den == 1 and num is values
     else:
         assert all(Fraction(num[k], den) == v for k, v in values.items())
@@ -291,6 +307,88 @@ def test_reduce_drops_zeros_and_returns_canonical_values(field, data):
 
 def test_q_reduce_takes_mixed_ints_and_fractions_at_den_one():
     # sparse elimination hands back pivot tails holding both
-    out = QQ.reduce({0: Fraction(1, 2), 1: 0, 2: 3, 3: Fraction(0)})
-    assert out == {0: Fraction(1, 2), 2: Fraction(3)}
-    assert all(type(v) is Fraction for v in out.values())
+    out = QQ.reduce({0: Fraction(1, 2), 1: 0, 2: 3, 3: Fraction(0), 4: Fraction(6, 3)})
+    assert out == {0: Fraction(1, 2), 2: Fraction(3), 4: 2}
+    assert all(is_canonical(QQ, v) for v in out.values())
+    assert type(out[2]) is int and type(out[4]) is int
+
+
+# --- canonical values over Q: an int iff the denominator is 1 ----------
+
+
+@pytest.mark.parametrize("a,want", [
+    (3, Fraction(1, 3)), (-3, Fraction(-1, 3)), (1, 1), (-1, -1),
+    (Fraction(1, 3), 3), (Fraction(-1, 3), -3), (Fraction(2, 3), Fraction(3, 2)),
+    (Fraction(-2, 7), Fraction(-7, 2)), (Fraction(1), 1), (True, 1),
+])
+def test_q_inverse_is_exact_and_canonical(a, want):
+    got = QQ.inv(a)
+    assert got == want and is_canonical(QQ, got)
+    assert QQ.coerce(a * got) == 1
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), False])
+def test_q_inverse_of_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(zero)
+
+
+def _half_integral(rng) -> Fraction:
+    """Mostly halves, so that sums and products land on integers often."""
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 2, 3)))
+
+
+def _q_form(rng, n, degree):
+    return from_coordinates(QQ, n, degree, {j: _half_integral(rng)
+                                            for j in range(forms_dimension(n, degree))})
+
+
+def _q_graded(rng, source, target):
+    return GradedMatrix(QQ, source, target, [[_q_form(rng, source.n, f - e) if f >= e
+                                              else HomogPoly.zero(QQ, source.n, f - e)
+                                              for e in source.twists] for f in target.twists])
+
+
+def _q_matrix(rng, rows, cols):
+    return Matrix(QQ, rows, cols, [{j: v for j in range(cols)
+                                    if (v := QQ.coerce(_half_integral(rng)))}
+                                   for _ in range(rows)])
+
+
+def _canonical_terms(*forms) -> bool:
+    return all(is_canonical(QQ, v) for p in forms for v in p.terms.values())
+
+
+def _canonical_rows(*rows) -> bool:
+    return all(is_canonical(QQ, v) for row in rows for v in row.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_q_producer_returns_canonical_values(seed):
+    rng = Random(seed)
+    x = _half_integral(rng)
+    assert is_canonical(QQ, QQ.coerce(x))
+    if x:
+        assert is_canonical(QQ, QQ.inv(QQ.coerce(x)))
+    den = rng.choice((1, 2, 6))
+    assert _canonical_rows(QQ.reduce({k: rng.randint(-12, 12) for k in range(8)}, den))
+
+    a, b = _q_form(rng, 2, 2), _q_form(rng, 2, 2)
+    assert _canonical_terms(a, b, a + b, a - b, a * b, -a)
+    assert _canonical_terms(parse_poly(str(a), QQ, 2), parse_poly("1/2*x0 + 1/2*x0", QQ, 2),
+                            parse_poly("(1/2)^0*x0 + 4/2*x1", QQ, 2))
+
+    source, middle, target = FreeSheaf(2, (-1, 0)), FreeSheaf(2, (0, 1)), FreeSheaf(2, (1, 1))
+    f, g = _q_graded(rng, source, middle), _q_graded(rng, middle, target)
+    assert _canonical_terms(*(p for row in compose(g, f).entries for p in row))
+    assert _canonical_rows(*sections_matrix(f, 1).row_maps)
+    auto = random_automorphism(QQ, FreeSheaf(2, (0, 0, 1)), rng)
+    assert _canonical_terms(*(p for row in graded_inverse(auto).entries for p in row))
+
+    m, k = _q_matrix(rng, 4, 5), _q_matrix(rng, 5, 3)
+    red, _ = rref(m)
+    assert _canonical_rows(*(m * k).row_maps, *red.row_maps, *kernel_basis(m))
+    square = _q_matrix(rng, 3, 3)
+    if rank(square) == 3:
+        assert _canonical_rows(*inverse(square).row_maps)
