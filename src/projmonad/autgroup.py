@@ -155,15 +155,8 @@ class GroupElement:
         return inv
 
     @property
-    def field(self) -> Field:
-        return next(iter(self.blocks.values())).field
-
-    @property
     def n(self) -> int:
         return next(iter(self.blocks.values())).n
-
-    def is_automorphism(self) -> bool:
-        return all(is_automorphism(b) for b in self.blocks.values())
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and other.blocks == self.blocks

@@ -23,7 +23,6 @@ from .autgroup import (
 from .hilbert import IntPoly, bott_h, euler_poly, line_bundle_hilb
 from .monad import (
     CohTable,
-    WindowDisagreementError,
     beilinson_shape,
     default_window,
     dual_beilinson_table,
@@ -37,11 +36,6 @@ from .monad import (
     validate,
 )
 from .polymat import ParseError
-from .scalar import FieldError
-
-
-class _CliParseError(Exception):
-    pass
 
 
 def _read(path: str | None) -> str:
@@ -51,7 +45,7 @@ def _read(path: str | None) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str | None, text: str):
@@ -73,13 +67,13 @@ def _poly_payload(p: IntPoly) -> dict:
 def _parse_window(spec: str) -> range:
     lo, sep, hi = spec.partition(":")
     if not sep:
-        raise _CliParseError(f"window must look like lo:hi, got {spec!r}")
+        raise ParseError(f"window must look like lo:hi, got {spec!r}")
     try:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError as exc:
-        raise _CliParseError(f"bad window {spec!r}") from exc
+        raise ParseError(f"bad window {spec!r}") from exc
     if hi_i < lo_i:
-        raise _CliParseError(f"empty window {spec!r}")
+        raise ParseError(f"empty window {spec!r}")
     return range(lo_i, hi_i + 1)
 
 
@@ -88,7 +82,7 @@ def _load_table(text: str) -> CohTable:
         obj = json.loads(text)
         return CohTable(obj["n"], obj["d"], [tuple(e) for e in obj["entries"]])
     except (KeyError, TypeError, ValueError) as exc:
-        raise _CliParseError(f"bad cohomology table: {exc}") from exc
+        raise ParseError(f"bad cohomology table: {exc}") from exc
 
 
 def _table_payload(t: CohTable) -> dict:
@@ -150,7 +144,7 @@ def _cmd_monad_exactness(args) -> int:
         try:
             positions = [int(p) for p in args.positions.split(",")]
         except ValueError as exc:
-            raise _CliParseError(f"bad positions {args.positions!r}") from exc
+            raise ParseError(f"bad positions {args.positions!r}") from exc
     else:
         positions = [i for i in range(m.lo, m.hi + 1) if i != m.cohomology_position]
     result = {str(p): ok for p, ok in exactness_check(m, positions, window).items()}
@@ -194,7 +188,7 @@ def _cmd_beilinson_dualtable(args) -> int:
 
 def _cmd_group_random(args) -> int:
     if not 0 <= args.density <= 1:  # NaN fails both comparisons
-        raise _CliParseError(f"density must lie in [0, 1], got {args.density}")
+        raise ParseError(f"density must lie in [0, 1], got {args.density}")
     m = parse_monad(_read(args.monad))
     g = random_element(m.field, m, seed=args.seed, density=args.density)
     _write(args.out, format_group_element(g))
@@ -217,7 +211,7 @@ def _cmd_group_dual(args) -> int:
 def _max_tries(args) -> int:
     """--max-tries of p3 sample and p3 demo; below 1 no draw is made."""
     if args.max_tries < 1:
-        raise _CliParseError(f"max-tries must be at least 1, got {args.max_tries}")
+        raise ParseError(f"max-tries must be at least 1, got {args.max_tries}")
     return args.max_tries
 
 
@@ -408,12 +402,10 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, _CliParseError, json.JSONDecodeError) as exc:
+    except (ParseError, json.JSONDecodeError) as exc:
         _emit_json({"error": {"kind": "parse", "message": str(exc)}})
         return 2
-    except (ValueError, ZeroDivisionError, FieldError, WindowDisagreementError,
-            modp3.SampleExhaustedError, modp3.MalformedPointError,
-            RuntimeError) as exc:
+    except (ValueError, ZeroDivisionError, RuntimeError) as exc:
         _emit_json({"error": {"kind": "domain", "message": str(exc)}})
         return 1
 

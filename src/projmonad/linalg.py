@@ -5,13 +5,19 @@ matrices with hundreds of rows and a few percent nonzeros (they are
 multiplication matrices).  A Matrix therefore stores each row as a dict
 {column: raw value} of its nonzero entries (residues in [0, p) over F_p;
 over Q ints, or reduced Fractions where the denominator is not 1); its
-one constructor wraps such rows, and
-kernel_basis returns its vectors in the same sparse raw format.  rank,
-rref, kernel_basis and inverse all run one sparse elimination routine,
-_echelon.  Matrix.data is the one reader that pairs values with their
-field, as FieldElement records; the bench tracer counts nonzeros with
-it.  The field owns that raw format: field.integral scales a row to
-integers (returning an integral row itself, never a copy) and
+one constructor wraps such rows, and kernel_basis returns its vectors in
+the same sparse raw format.  A Matrix has no arithmetic: section
+matrices are ranked and solved, never multiplied, since taking sections
+is a functor and the product of two section matrices is the section
+matrix of polymat.compose of the graded matrices.
+
+rank, rref, kernel_basis and inverse all run one sparse elimination
+routine, _echelon; kernel_basis and inverse read its pivot rows
+directly, and rref pads them into the full RREF for callers who want
+it.  Matrix.data is the one reader that pairs values with their field,
+as FieldElement records of the nonzero entries; the bench tracer counts
+nonzeros with it.  The field owns that raw format: field.integral scales
+a row to integers (returning an integral row itself, never a copy) and
 field.reduce takes sums back to raw values; only _echelon's inner loop
 and _normalized work inline on residues or numerators, switched by
 field.p.  Over Q _normalized divides ints by divmod and builds a
@@ -48,27 +54,9 @@ class Matrix:
 
     @property
     def data(self) -> list[FieldElement]:
-        """All rows*cols entries in row-major order."""
-        out = [FieldElement(self.field, self.field.coerce(0))] * (self.rows * self.cols)
-        for i, row in enumerate(self.row_maps):
-            for j, v in row.items():
-                out[i * self.cols + j] = FieldElement(self.field, v)
-        return out
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field or self.cols != other.rows:
-            raise ValueError("matrix product shape/field mismatch")
-        out = []
-        for row in self.row_maps:
-            acc: dict = {}
-            for k, a in row.items():
-                for j, b in other.row_maps[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append(self.field.reduce(acc))
-        return Matrix(self.field, self.rows, other.cols, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.row_maps)
+        """The nonzero entries as FieldElements, row by row (each row in
+        stored order); zeros are never stored, so none is yielded."""
+        return [FieldElement(self.field, v) for row in self.row_maps for v in row.values()]
 
     def __eq__(self, other):
         return (
@@ -163,8 +151,8 @@ def rank(m: Matrix) -> int:
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot column list.
 
-    The RREF of a matrix is unique, so this is also the canonical form
-    used by kernel_basis and inverse.
+    The RREF of a matrix is unique; kernel_basis and inverse read the
+    same pivot rows straight from _echelon.
     """
     pivots = _echelon(m, reduced=True)
     cols = sorted(pivots)
@@ -177,14 +165,12 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 def kernel_basis(m: Matrix) -> list[dict]:
     """A basis of the right kernel: per free column j, the sparse raw row
     {column: value} that is 1 at j and -rref[c][j] at each pivot column c."""
-    red, pivots = rref(m)
+    pivots = _echelon(m, reduced=True)
     field = m.field
-    pivot_set = set(pivots)
-    basis = {j: {} for j in range(m.cols) if j not in pivot_set}
-    for c, row in zip(pivots, red.row_maps):
-        for j, x in row.items():
-            if j != c:
-                basis[j][c] = field.coerce(-x)
+    basis = {j: {} for j in range(m.cols) if j not in pivots}
+    for c in sorted(pivots):
+        for j, x in pivots[c].items():
+            basis[j][c] = field.coerce(-x)
     one = field.coerce(1)
     for j, v in basis.items():
         v[j] = one
@@ -192,14 +178,17 @@ def kernel_basis(m: Matrix) -> list[dict]:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises on singular input."""
+    """Inverse of a square matrix; raises on singular input.
+
+    [m | I] has at most n pivots; m inverts exactly when they are the
+    columns 0..n-1, and each pivot row's tail is then a row of m^-1.
+    """
     if m.rows != m.cols:
         raise ValueError("only square matrices invert")
     n = m.rows
     one = m.field.coerce(1)
     aug = Matrix(m.field, n, 2 * n, [{**row, n + i: one} for i, row in enumerate(m.row_maps)])
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    pivots = _echelon(aug, reduced=True)
+    if any(c not in pivots for c in range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(m.field, n, n, [{j - n: v for j, v in row.items() if j >= n}
-                                  for row in red.row_maps])
+    return Matrix(m.field, n, n, [{j - n: v for j, v in pivots[c].items()} for c in range(n)])

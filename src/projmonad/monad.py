@@ -80,11 +80,6 @@ class Monad:
         self.c = c
         self.cohomology_position = cohomology_position
 
-    @property
-    def d(self) -> int:
-        """Dimension of the supported locus, n - c."""
-        return self.n - self.c
-
     def max_twist_magnitude(self) -> int:
         return max((abs(e) for s in self.terms.values() for e in s.twists), default=0)
 
@@ -233,10 +228,8 @@ def hilbert_poly_of_cohomology(m: Monad) -> IntPoly:
 def _disagreement(m: Monad, target: IntPoly, t_n: int) -> WindowDisagreementError:
     """The error, naming the first q < p that reads nonzero on [t_n, t_n+n+1]."""
     p = m.cohomology_position
-    earlier, window = range(m.lo, p), range(t_n, t_n + m.n + 2)
-    _check_window_size(m, earlier, window)
-    rows = [_section_values(m.terms, m.diffs, earlier, t) for t in window]
-    bad = [q for q in earlier if any(row[q] for row in rows)]
+    exact = exactness_check(m, range(m.lo, p), range(t_n, t_n + m.n + 2))
+    bad = [q for q, ok in exact.items() if not ok]
     cause = f"; position {bad[0]} is not exact, so no sheaf is resolved at {p}" if bad else ""
     return WindowDisagreementError(
         f"window disagreement: degreewise values do not match {target}{cause}")

@@ -97,22 +97,31 @@ def _unit(n: int, i: int) -> Monomial:
 def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
     """All packed monomials on x0..xn of total degree d, canonical order.
 
-    Degrees past MAX_DEGREE are refused: their products could carry.
+    Only the list asked for is cached; the lists on fewer variables that
+    build it live in a memo of this one build.  Degrees past MAX_DEGREE
+    are refused: their products could carry.
     """
     if d < 0:
         return ()
     if d > MAX_DEGREE:
         raise ValueError(f"degree {d} is past the largest monomial degree {MAX_DEGREE}")
+    return tuple(_monomials(n, d, {}))
+
+
+def _monomials(n: int, d: int, memo: dict) -> list[Monomial]:
+    """The monomials of degree d on x0..xn, listed through memo by (n, d)."""
     top = d << WIDTH * (n + 1)
     if n == 0:
-        return (top | d,)
-    # x0^a times a monomial of degree d - a in x1..xn: that one carries its
-    # degree d - a in the field where x0's exponent a belongs.
-    out = []
-    for a in range(d, -1, -1):
-        base = top + ((2 * a - d) << WIDTH * n)
-        out.extend(base + m for m in monomials_of_degree(n - 1, d - a))
-    return tuple(out)
+        return [top | d]
+    out = memo.get((n, d))
+    if out is None:
+        # x0^a times a monomial of degree d - a in x1..xn: that one carries its
+        # degree d - a in the field where x0's exponent a belongs.
+        out = memo[n, d] = []
+        for a in range(d, -1, -1):
+            base = top + ((2 * a - d) << WIDTH * n)
+            out.extend(base + m for m in _monomials(n - 1, d - a, memo))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,11 @@ projmonad.complexes did before it shared one zero form per matrix: a
 validated zero form per slot and every signed variable scaled by a boxed
 +-1.  linalg takes and returns sparse raw rows only; matrix_from_boxed
 and boxed_rows convert between those and the dense rows of boxed
-scalars that the oracles and the older tests work on.
+scalars that the oracles and the older tests work on.  Matrix has no
+arithmetic: matrix_product and matrix_is_zero, the product and zero test
+it used to carry, serve the tests that multiply (inverse round trips,
+functoriality of sections, the section-product form of membership
+clause (b)).
 
 projmonad keeps one scalar representation, the raw values.  Boxed, the
 scalar the oracles compute with, lives here with its literal reader
@@ -293,6 +297,25 @@ def matrix_from_boxed(field, rows, cols=None) -> Matrix:
 def boxed_rows(m: Matrix) -> list[list[Boxed]]:
     """The rows of m as dense lists of boxed scalars."""
     return [[Boxed(m.field, row.get(j, 0)) for j in range(m.cols)] for row in m.row_maps]
+
+
+def matrix_product(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b on sparse raw rows, summed unreduced and reduced
+    once per row by the field."""
+    if b.field != a.field or a.cols != b.rows:
+        raise ValueError("matrix product shape/field mismatch")
+    out = []
+    for row in a.row_maps:
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b.row_maps[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(a.field.reduce(acc))
+    return Matrix(a.field, a.rows, b.cols, out)
+
+
+def matrix_is_zero(m: Matrix) -> bool:
+    return not any(m.row_maps)
 
 
 def rref_oracle(field, rows, cols_count):

@@ -574,6 +574,15 @@ def test_p3_demo_solves_each_inverse_and_ranks_each_section_matrix_once(capsys, 
 
     for module in (autgroup_module, modp3_module):
         monkeypatch.setattr(module, "graded_inverse", counting)
+    built = []
+    build = monad_module.sections_matrix
+
+    def counting_sections(d, t):
+        built.append((d.source, d.target, t))
+        return build(d, t)
+
+    for module in (monad_module, modp3_module):
+        monkeypatch.setattr(module, "sections_matrix", counting_sections)
     monad_module._sections_rank.cache_clear()
     rc, payload = _run_json(capsys, ["p3", "demo", "--json", "--seed", "0"])
     assert rc == 0 and payload["ok"] and payload["tries"] == 1
@@ -582,6 +591,10 @@ def test_p3_demo_solves_each_inverse_and_ranks_each_section_matrix_once(capsys, 
     info = monad_module._sections_rank.cache_info()
     # phi at twist 3 is ranked for membership, then found again by the window
     assert (info.hits, info.misses) == (1, 5)
+    # phi at twist 3 is built for the kernel solve and for its one rank;
+    # membership decides clause (b) without a section matrix of phi
+    assert len(built) == 7
+    assert built.count((modp3_module.MIDDLE, modp3_module.TARGET, 3)) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,11 @@ Monomials have one owner too: polymat packs each into one int, and no
 other module builds an exponent tuple (a tuple of length n + 1), reads
 the packed monomial lists, or imports a private name from polymat.
 
+A Matrix is data for elimination, not an operator: it defines no
+arithmetic.  Section matrices are ranked and solved, never multiplied;
+a product of them is the section matrix of the composite, which
+polymat.compose builds on graded matrices.
+
 Residues invert one way: pow(x, -1, p), the extended Euclidean
 algorithm, never the Fermat power pow(x, p - 2, p).
 
@@ -117,6 +122,39 @@ def test_only_matrix_data_names_field_element(path):
 
 def test_package_does_not_export_field_element():
     assert not hasattr(projmonad, "FieldElement")
+
+
+# Methods that would make Matrix an arithmetic type: the operators, and
+# the zero test that only a product needs.
+ARITHMETIC = {"__add__", "__radd__", "__iadd__", "__sub__", "__rsub__", "__isub__",
+              "__mul__", "__rmul__", "__imul__", "__matmul__", "__rmatmul__",
+              "__imatmul__", "__truediv__", "__rtruediv__", "__pow__", "__neg__",
+              "is_zero"}
+
+
+def _arithmetic_methods(source: str, cls: str) -> list[str]:
+    """The arithmetic methods that class cls defines in source."""
+    return [f"line {item.lineno}: {cls}.{item.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name in ARITHMETIC]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class Matrix:\n    def __mul__(self, other):\n        pass\n", True),
+    ("class Matrix:\n    def is_zero(self):\n        pass\n", True),
+    ("class Matrix:\n    def __eq__(self, other):\n        pass\n", False),
+    ("class Poly:\n    def __mul__(self, other):\n        pass\n", False),
+])
+def test_arithmetic_rule_sees_matrix_operators(source, found):
+    assert bool(_arithmetic_methods(source, "Matrix")) == found
+
+
+def test_matrix_defines_no_arithmetic():
+    source = (PACKAGE / "linalg.py").read_text()
+    assert "class Matrix" in source
+    assert _arithmetic_methods(source, "Matrix") == []
 
 
 # Names that hand out packed monomials in canonical order.

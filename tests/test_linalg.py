@@ -8,6 +8,7 @@ from conftest import (
     boxed_rows,
     confirm_rank_by_minors,
     matrix_from_boxed,
+    matrix_product,
     rank_oracle,
     rref_oracle,
 )
@@ -41,7 +42,8 @@ def _random_matrix(field, rng, rows, cols, target_rank=None):
         r = target_rank
         if r == 0:
             return _zeros(field, rows, cols)
-        return _random_matrix(field, rng, rows, r) * _random_matrix(field, rng, r, cols)
+        return matrix_product(_random_matrix(field, rng, rows, r),
+                              _random_matrix(field, rng, r, cols))
     if field is QQ:
         data = [[Boxed(field, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
                  for _ in range(cols)] for _ in range(rows)]
@@ -177,9 +179,20 @@ def test_inverse_round_trip():
             if rank(m) < 4:
                 continue
             inv = inverse(m)
-            assert m * inv == _identity(field, 4)
-            assert inv * m == _identity(field, 4)
+            assert matrix_product(m, inv) == _identity(field, 4)
+            assert matrix_product(inv, m) == _identity(field, 4)
             found += 1
+
+
+def test_data_yields_the_nonzero_entries():
+    rng = Random(41)
+    for field in (QQ, F101):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            m = _sparse_random_matrix(field, rng, 9, 7, density)
+            data = m.data
+            assert len(data) == sum(map(len, m.row_maps))
+            assert all(fe.field == field and fe.value for fe in data)
+            assert [fe.value for fe in data] == [v for row in m.row_maps for v in row.values()]
 
 
 def test_inverse_rejects_singular():

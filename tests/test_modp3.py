@@ -1,9 +1,17 @@
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from conftest import matrix_is_zero, matrix_product, random_graded_matrix
 from projmonad import modp3
-from projmonad.autgroup import act, induced_dual_element, random_element
+from projmonad.autgroup import (
+    act,
+    graded_inverse,
+    induced_dual_element,
+    random_automorphism,
+    random_element,
+)
 from projmonad.hilbert import IntPoly, euler_poly
 from projmonad.linalg import rank
 from projmonad.modp3 import (
@@ -23,7 +31,7 @@ from projmonad.modp3 import (
     wss_membership,
 )
 from projmonad.monad import dualize, exactness_check, hilbert_poly_of_cohomology, minimality_check
-from projmonad.polymat import GradedMatrix, compose, parse_poly, sections_matrix
+from projmonad.polymat import GradedMatrix, compose, parse_poly, random_poly, sections_matrix
 from projmonad.scalar import GF, QQ
 
 F101 = GF(101)
@@ -90,6 +98,58 @@ def test_reason_codes_name_each_clause():
     )
     res = wss_membership(broken)
     assert "b" in res.failed
+
+
+def _clause_b_points(field, rng, count):
+    """Points of three kinds in turn: phi moved by random automorphisms
+    with psi solved from its section kernel (a complex), the same with
+    one psi entry redrawn sparsely, and phi and psi drawn independently
+    at a random density.  A phi without a two-dimensional kernel gets a
+    random psi."""
+    for k in range(count):
+        if k % 3 == 2:
+            density = rng.choice((0.05, 0.2, 1.0))
+            yield ParamPoint(psi=random_graded_matrix(field, SOURCE, MIDDLE, rng, density),
+                             phi=random_graded_matrix(field, MIDDLE, TARGET, rng, density))
+            continue
+        phi0 = modp3._determinantal_phi(field, rng)
+        g_mid = random_automorphism(field, MIDDLE, rng)
+        g_tgt = random_automorphism(field, TARGET, rng)
+        phi = compose(g_tgt, compose(phi0, graded_inverse(g_mid)))
+        psi = modp3._psi_from_kernel(phi) or random_graded_matrix(field, SOURCE, MIDDLE, rng)
+        if k % 3 == 1:
+            entries = [list(row) for row in psi.entries]
+            r, s = rng.randrange(4), rng.randrange(2)
+            entries[r][s] = random_poly(field, 3, entries[r][s].degree, rng, 0.3)
+            psi = GradedMatrix(field, SOURCE, MIDDLE, entries)
+        yield ParamPoint(psi=psi, phi=phi)
+
+
+@pytest.mark.parametrize("field", [GF(2), F101, GF(2 ** 31 - 1), QQ],
+                         ids=["F_2", "F_101", "F_(2^31-1)", "Q"])
+def test_clause_b_equals_the_section_product(field):
+    # S_3(phi) S_3(psi) is the oracle the clause was once computed by
+    zero_products = 0
+    for pt in _clause_b_points(field, Random(25), 150):
+        product = matrix_product(sections_matrix(pt.phi, 3), sections_matrix(pt.psi, 3))
+        zero = matrix_is_zero(product)
+        assert wss_membership(pt).clauses["b"] == zero
+        zero_products += zero
+    assert 0 < zero_products < 150
+
+
+def test_sampling_refuses_a_kernel_solve_that_is_no_complex(monkeypatch):
+    solve = modp3._psi_from_kernel
+
+    def skewed(phi):
+        psi = solve(phi)
+        entries = [list(row) for row in psi.entries]
+        entries[1][0] = entries[1][0] + parse_poly("x0", phi.field, 3, 1)
+        return GradedMatrix(phi.field, SOURCE, MIDDLE, entries)
+
+    monkeypatch.setattr(modp3, "_psi_from_kernel", skewed)
+    with pytest.raises(AssertionError, match="kernel solve must satisfy phi psi = 0"):
+        sample_wss_stats(0, F101)
 
 
 def test_membership_to_dict_shape():

@@ -15,6 +15,7 @@ from conftest import (
     compose_oracle,
     graded_identity,
     is_canonical,
+    matrix_product,
     parse_poly_oracle,
     poly_add_oracle,
     poly_from_boxed,
@@ -336,7 +337,7 @@ def test_sections_functorial_100_random():
         a = random_graded_matrix(QQ, y, z, rng, 0.8)
         t = rng.randint(0, 3)
         lhs = sections_matrix(compose(a, b), t)
-        rhs = sections_matrix(a, t) * sections_matrix(b, t)
+        rhs = matrix_product(sections_matrix(a, t), sections_matrix(b, t))
         assert lhs == rhs
 
 
@@ -827,6 +828,18 @@ def test_monomial_lists_match_tuple_oracle():
             want = _monomials_oracle(n, d)
             assert [polymat._unpack(n, m) for m in monomials_of_degree(n, d)] == want
             assert [_index_oracle(m) for m in want] == list(range(len(want)))
+
+
+def test_monomial_cache_holds_only_the_lists_asked_for():
+    polymat.monomials_of_degree.cache_clear()
+    try:
+        got = [polymat._unpack(4, m) for m in monomials_of_degree(4, 12)]
+        assert polymat.monomials_of_degree.cache_info().currsize == 1
+        assert got == _monomials_oracle(4, 12)
+        monomials_of_degree(1, 30)
+        assert polymat.monomials_of_degree.cache_info().currsize == 2
+    finally:
+        polymat.monomials_of_degree.cache_clear()
 
 
 def _largest_section_degree(n: int) -> int:

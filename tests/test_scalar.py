@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Boxed, is_canonical, parse_scalar
+from conftest import Boxed, is_canonical, matrix_product, parse_scalar
 from projmonad.autgroup import graded_inverse, random_automorphism
 from projmonad.linalg import Matrix, inverse, kernel_basis, rank, rref
 from projmonad.polymat import (
@@ -388,7 +388,7 @@ def test_every_q_producer_returns_canonical_values(seed):
 
     m, k = _q_matrix(rng, 4, 5), _q_matrix(rng, 5, 3)
     red, _ = rref(m)
-    assert _canonical_rows(*(m * k).row_maps, *red.row_maps, *kernel_basis(m))
+    assert _canonical_rows(*matrix_product(m, k).row_maps, *red.row_maps, *kernel_basis(m))
     square = _q_matrix(rng, 3, 3)
     if rank(square) == 3:
         assert _canonical_rows(*inverse(square).row_maps)
