@@ -20,7 +20,7 @@ from .autgroup import (
     parse_group_element,
     random_element,
 )
-from .hilbert import IntPoly, bott_h, euler_poly, line_bundle_hilb
+from .hilbert import IntPoly, bott_h, check_dimension, euler_poly, line_bundle_hilb
 from .monad import (
     CohTable,
     beilinson_shape,
@@ -39,13 +39,16 @@ from .polymat import ParseError
 
 
 def _read(path: str | None) -> str:
-    if path in (None, "-"):
-        return sys.stdin.read()
+    name = "stdin" if path in (None, "-") else path
     try:
+        if name == "stdin":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not UTF-8: {exc}") from exc
 
 
 def _write(path: str | None, text: str):
@@ -78,10 +81,22 @@ def _parse_window(spec: str) -> range:
 
 
 def _load_table(text: str) -> CohTable:
+    """The table in text as table.schema.json has it, with int values only;
+    an n above MAX_DIMENSION is the domain error monad files get."""
     try:
         obj = json.loads(text)
-        return CohTable(obj["n"], obj["d"], [tuple(e) for e in obj["entries"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad cohomology table: {exc}") from exc
+    if not (isinstance(obj, dict) and obj.keys() == {"n", "d", "entries"}
+            and isinstance(obj["entries"], list)
+            and all(isinstance(e, list) and len(e) == 3 for e in obj["entries"])
+            and all(type(x) is int for e in ([obj["n"], obj["d"]], *obj["entries"]) for x in e)
+            and obj["n"] >= 1):
+        raise ParseError("a cohomology table has integers n >= 1 and d and [i, p, h] entries")
+    check_dimension(obj["n"])
+    try:
+        return CohTable(obj["n"], obj["d"], obj["entries"])
+    except ValueError as exc:
         raise ParseError(f"bad cohomology table: {exc}") from exc
 
 

@@ -18,10 +18,10 @@ section matrices:
 
 Sections are a functor, S_3(phi) S_3(psi) = S_3(phi psi), and at twist
 3 that product holds the coefficients of phi psi, so clause (b) is
-decided by the complex condition ParamPoint.is_complex and no section
-matrix is ever multiplied.  Clause (c) ranks phi's sections through the
-section-rank cache the Hilbert window shares, so membership builds no
-section matrix of phi of its own.
+decided by the complex condition, monad.validate of point_monad(pt),
+and no section matrix is ever multiplied.  Clause (c) ranks phi's
+sections through the section-rank cache the Hilbert window shares, so
+membership builds no section matrix of phi of its own.
 
 A point is a Monad (point_monad, with point_of going back), so
 monad.dualize transposes it into a resolution on the 3m-1 side and
@@ -35,7 +35,7 @@ from random import Random
 
 from .autgroup import graded_inverse, random_automorphism
 from .linalg import Matrix, kernel_basis, rank
-from .monad import Monad, _sections_rank, format_monad, parse_monad
+from .monad import Monad, _sections_rank, format_monad, parse_monad, validate
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
@@ -89,9 +89,6 @@ class ParamPoint:
     def field(self) -> Field:
         return self.phi.field
 
-    def is_complex(self) -> bool:
-        return compose(self.phi, self.psi).is_zero()
-
 
 @dataclass(frozen=True)
 class Membership:
@@ -118,13 +115,13 @@ def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> Matrix:
 def wss_membership(pt: ParamPoint) -> Membership:
     """Evaluate the four semistability clauses at twist 3.
 
-    Clause (b) tests phi psi = 0 directly, since the product of the
-    section matrices is the section matrix of phi psi.  phi is ranked
+    Clause (b) validates the complex, phi psi = 0, since the product of
+    the section matrices is the section matrix of phi psi.  phi is ranked
     through the section-rank cache: the Hilbert window of point_monad(pt)
     ranks the same matrix at the same twist.
     """
     clause_a = rank(sections_matrix(pt.psi, SECTION_TWIST)) == 2
-    clause_b = pt.is_complex()
+    clause_b = not validate(point_monad(pt))
     clause_c = (MIDDLE.sections_dim(SECTION_TWIST)
                 - _sections_rank(pt.phi, SECTION_TWIST)) == 2
     phi_21 = pt.phi.entries[1][0]
@@ -196,20 +193,26 @@ def forbidden_form_point(field: Field = QQ) -> ParamPoint:
 def _determinantal_phi(field: Field, rng: Random) -> GradedMatrix:
     """phi with quadric row the signed minors of a random 2x3 linear matrix.
 
-    Such a phi always has two independent linear syzygies (the rows of
-    the matrix), which is exactly the section-kernel shape membership
-    demands; a dense unconstrained draw has no kernel at all, because
-    three generic quadrics admit no linear syzygy.
+    The minors of the matrix with rows a and b are a x b: the skew matrix
+    of a, 3O(-1) -> 3O, composed with the column b.  Such a phi always
+    has two independent linear syzygies (the rows of the matrix), which
+    is exactly the section-kernel shape membership demands; a dense
+    unconstrained draw has no kernel at all, because three generic
+    quadrics admit no linear syzygy.
     """
     a = [random_poly(field, N, 1, rng) for _ in range(3)]
     b = [random_poly(field, N, 1, rng) for _ in range(3)]
-    q1 = a[1] * b[2] - a[2] * b[1]
-    q2 = a[2] * b[0] - a[0] * b[2]
-    q3 = a[0] * b[1] - a[1] * b[0]
     zero1 = HomogPoly.zero(field, N, 1)
-    one = HomogPoly.constant(field, N, 1)
+    neg = [from_coordinates(field, N, 1, {j: -c for j, c in coordinates(f).items()}) for f in a]
+    linears = FreeSheaf(N, (-1, -1, -1))
+    skew = GradedMatrix(field, linears, FreeSheaf(N, (0, 0, 0)), [[zero1, neg[2], a[1]],
+                                                                  [a[2], zero1, neg[0]],
+                                                                  [neg[1], a[0], zero1]])
+    column = GradedMatrix(field, FreeSheaf(N, (-2,)), linears, [[f] for f in b])
+    q = [row[0] for row in compose(skew, column).entries]
+    one = from_coordinates(field, N, 0, {0: 1})
     return GradedMatrix(field, MIDDLE, TARGET,
-                        [[zero1, q1, q2, q3],
+                        [[zero1, *q],
                          [one, zero1, zero1, zero1]])
 
 

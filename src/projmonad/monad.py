@@ -31,6 +31,7 @@ from .polymat import (
     GradedMatrix,
     ParseBudget,
     ParseError,
+    compose,
     dual_hom,
     parse_poly,
     parse_twists,
@@ -105,12 +106,8 @@ class Monad:
 
 def validate(m: Monad) -> list[str]:
     """Report every failure of the complex condition; empty means ok."""
-    problems = []
-    for i in range(m.lo, m.hi - 1):
-        comp = m.diffs[i + 1] @ m.diffs[i]
-        if not comp.is_zero():
-            problems.append(f"d({i + 1}).d({i}) != 0")
-    return problems
+    return [f"d({i + 1}).d({i}) != 0" for i in range(m.lo, m.hi - 1)
+            if not compose(m.diffs[i + 1], m.diffs[i]).is_zero()]
 
 
 def dualize(m: Monad) -> Monad:
@@ -373,14 +370,18 @@ class CohTable:
 
 def beilinson_shape(table: CohTable) -> dict[int, FreeSheaf]:
     """Terms of the canonical monad with the given table: h[i][p] copies
-    of O(-p) in position i, twists descending inside each term."""
-    shape = {}
-    for i in range(-table.n, table.n + 1):
-        twists = []
-        for p in range(table.n + 1):
-            twists.extend([-p] * table.h(i, p))
-        shape[i] = FreeSheaf(table.n, tuple(twists))
-    return shape
+    of O(-p) in position i, twists descending inside each term, since the
+    entries are sorted by (i, p).  A table of total rank past
+    MAX_SECTION_SIDE is refused before any term is built: each O(-p) has
+    a section at every twist t >= n, so there a term of rank r already
+    gives section matrices with a side of at least r."""
+    rank = sum(h for _, _, h in table.entries)
+    if rank > MAX_SECTION_SIDE:
+        raise ValueError(f"table of total rank {rank}, more than {MAX_SECTION_SIDE}")
+    twists = {i: [] for i in range(-table.n, table.n + 1)}
+    for i, p, h in table.entries:
+        twists[i] += [-p] * h
+    return {i: FreeSheaf(table.n, t) for i, t in twists.items()}
 
 
 def dual_table_index(i: int, p: int, n: int, c: int) -> tuple[int, int]:
@@ -392,17 +393,12 @@ def dual_beilinson_table(table: CohTable) -> CohTable:
     """Table of the twisted dual sheaf F^D(1) from the table of F.
 
     Pure bookkeeping: the output (i, p) entry reads the input at
-    (-i-c, n-p), with c = n - d; no linear algebra is involved.
+    (-i-c, n-p), with c = n - d; no linear algebra is involved.  An input
+    entry whose image addresses no cohomology degree of P^n is dropped.
     """
-    n, d = table.n, table.d
-    c = n - d
-    entries = {}
-    for p in range(n + 1):
-        for i in range(-p, n - p + 1):
-            h = table.h(*dual_table_index(i, p, n, c))
-            if h:
-                entries[(i, p)] = h
-    return CohTable(n, d, entries)
+    n, c = table.n, table.n - table.d
+    image = (dual_table_index(i, p, n, c) + (h,) for i, p, h in table.entries)
+    return CohTable(n, table.d, [(i, p, h) for i, p, h in image if 0 <= i + p <= n])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ Taking global sections in a fixed twist turns a graded matrix into a
 plain matrix over the field, which is where all rank computations
 happen.
 
+Forms and graded matrices define no operators: forms combine only as
+entries of graded matrices, through compose, so products of forms have
+one implementation (two forms multiply as 1x1 graded matrices).
+
 Monomials are packed exponent vectors (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors",
 CASC 2007): one int holding the degree in its top field and the
@@ -23,13 +27,13 @@ them as opaque keys (mul_into, CONSTANT_MONOMIAL, coordinates).
 
 Coefficients are stored as the raw values Matrix.row_maps holds:
 residues in [0, p), or over Q ints, and reduced Fractions only where the
-denominator is not 1.  The arithmetic (sums, products and composites of
-forms, and the parser) takes them to integer numerators over a common
-denominator with field.integral, which hands an integral dict back
-itself rather than a copy, sums and multiplies those unreduced, and
-turns the result back into raw values once with field.reduce.  This
-module never builds a Fraction: its quotients over Q come from
-field.reduce, which keeps every value canonical.
+denominator is not 1.  The arithmetic (compose and the parser) takes
+them to integer numerators over a common denominator with
+field.integral, which hands an integral dict back itself rather than a
+copy, sums and multiplies those unreduced, and turns the result back
+into raw values once with field.reduce.  This module never builds a
+Fraction: its quotients over Q come from field.reduce, which keeps
+every value canonical.
 
 The parser reads a term's plain factors (integer and a/b literals, x_i,
 x_i^k) straight into one packed monomial and one numerator and
@@ -193,53 +197,8 @@ class HomogPoly:
     def zero(cls, field: Field, n: int, degree: int) -> "HomogPoly":
         return cls._unchecked(field, n, degree, {})
 
-    @classmethod
-    def constant(cls, field: Field, n: int, value) -> "HomogPoly":
-        c = field.coerce(value)
-        return cls._unchecked(field, n, 0, {CONSTANT_MONOMIAL: c} if c else {})
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def _compatible(self, other: "HomogPoly"):
-        if self.field != other.field or self.n != other.n:
-            raise ValueError("polynomials live on different spaces")
-
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        self._compatible(other)
-        if self.is_zero():
-            return HomogPoly._unchecked(self.field, self.n, other.degree, dict(other.coeffs))
-        if other.is_zero():
-            return HomogPoly._unchecked(self.field, self.n, self.degree, dict(self.coeffs))
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        field = self.field
-        da, a = field.integral(self.coeffs)
-        db, b = field.integral(other.coeffs)
-        den = lcm(da, db)
-        s = den // da
-        num = {m: v * s for m, v in a.items()} if s != 1 else dict(a)
-        s = den // db
-        for m, v in b.items():
-            num[m] = num.get(m, 0) + v * s
-        return HomogPoly._unchecked(field, self.n, self.degree, field.reduce(num, den))
-
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly._unchecked(self.field, self.n, self.degree,
-                                    self.field.reduce({m: -c for m, c in self.coeffs.items()}))
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        self._compatible(other)
-        field = self.field
-        da, a = field.integral(self.coeffs)
-        db, b = field.integral(other.coeffs)
-        num: dict[Monomial, int] = {}
-        mul_into(num, a, b, 1)
-        return HomogPoly._unchecked(field, self.n, self.degree + other.degree,
-                                    field.reduce(num, da * db))
 
     def __eq__(self, other):
         # Zero forms are equal whatever their recorded degree.
@@ -707,9 +666,6 @@ class GradedMatrix:
         dicts = self._term_dicts()
         return hash((self.field, self.source, self.target, tuple(map(frozenset, dicts)),
                      sum(sum(map(_numerator, d.values())) for d in dicts)))
-
-    def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
-        return compose(self, other)
 
     def __repr__(self):
         return f"GradedMatrix({self.source} -> {self.target})"

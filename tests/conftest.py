@@ -29,7 +29,9 @@ projmonad keeps one scalar representation, the raw values.  Boxed, the
 scalar the oracles compute with, lives here with its literal reader
 (parse_scalar), as do the graded-matrix helpers only tests use: sums,
 the identity, random matrices and the identity augmentation of a
-complex.
+complex.  Forms define no operators; tests add and negate them with the
+boxed oracles (poly_add_oracle, poly_scale) and multiply them through
+projmonad's compose (form_combination).
 """
 
 import re
@@ -54,6 +56,7 @@ from projmonad.polymat import (
     HomogPoly,
     ParseError,
     compose,
+    from_coordinates,
     random_poly,
 )
 from projmonad.scalar import GF, QQ, FieldError, PrimeField
@@ -163,8 +166,20 @@ def poly_scale(p: HomogPoly, c: Boxed) -> HomogPoly:
                            {m: c * v for m, v in boxed_coefficients(p).items()})
 
 
+def form_combination(row: list[HomogPoly], column: list[HomogPoly]) -> HomogPoly:
+    """sum_k row[k] * column[k], the one entry of compose of the 1 x k
+    graded matrix row after the k x 1 graded matrix column; forms
+    multiply only through compose."""
+    field, n = row[0].field, row[0].n
+    middle = FreeSheaf(n, tuple(q.degree for q in column))
+    target = FreeSheaf(n, (row[0].degree + column[0].degree,))
+    return compose(GradedMatrix(field, middle, target, [row]),
+                   GradedMatrix(field, FreeSheaf(n, (0,)), middle,
+                                [[q] for q in column])).entries[0][0]
+
+
 def graded_identity(field, sheaf: FreeSheaf) -> GradedMatrix:
-    ent = [[HomogPoly.constant(field, sheaf.n, 1) if i == j
+    ent = [[from_coordinates(field, sheaf.n, 0, {0: 1}) if i == j
             else HomogPoly.zero(field, sheaf.n, sheaf.twists[i] - sheaf.twists[j])
             for j in range(sheaf.rank)] for i in range(sheaf.rank)]
     return GradedMatrix(field, sheaf, sheaf, ent)
@@ -173,13 +188,14 @@ def graded_identity(field, sheaf: FreeSheaf) -> GradedMatrix:
 def graded_add(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     if b.source != a.source or b.target != a.target:
         raise ValueError("shape mismatch in graded sum")
-    ent = [[a.entries[i][j] + b.entries[i][j] for j in range(a.cols)]
+    ent = [[poly_add_oracle(a.entries[i][j], b.entries[i][j]) for j in range(a.cols)]
            for i in range(a.rows)]
     return GradedMatrix(a.field, a.source, a.target, ent)
 
 
 def graded_neg(a: GradedMatrix) -> GradedMatrix:
-    ent = [[-p for p in row] for row in a.entries]
+    minus_one = Boxed(a.field, -1)
+    ent = [[poly_scale(p, minus_one) for p in row] for row in a.entries]
     return GradedMatrix(a.field, a.source, a.target, ent)
 
 
@@ -433,7 +449,7 @@ def lift_constants(field, sheaf: FreeSheaf, m: Matrix) -> GradedMatrix:
             gap = sheaf.twists[r] - sheaf.twists[s]
             c = m.row_maps[r].get(s)
             if gap == 0 and c:
-                row.append(HomogPoly.constant(field, n, c))
+                row.append(from_coordinates(field, n, 0, {0: c}))
             else:
                 # The inverse of a grading-preserving scalar matrix is
                 # again grading preserving, so off-grade slots are zero.

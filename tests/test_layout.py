@@ -16,7 +16,11 @@ the packed monomial lists, or imports a private name from polymat.
 A Matrix is data for elimination, not an operator: it defines no
 arithmetic.  Section matrices are ranked and solved, never multiplied;
 a product of them is the section matrix of the composite, which
-polymat.compose builds on graded matrices.
+polymat.compose builds on graded matrices.  Forms (HomogPoly) and
+graded matrices define no operator either: a product of forms is
+compose, and the complex condition is monad.validate.  They keep only
+the zero test, which validate and minimality_check read off a
+composite.
 
 Residues invert one way: pow(x, -1, p), the extended Euclidean
 algorithm, never the Fermat power pow(x, p - 2, p).
@@ -132,13 +136,27 @@ ARITHMETIC = {"__add__", "__radd__", "__iadd__", "__sub__", "__rsub__", "__isub_
               "is_zero"}
 
 
-def _arithmetic_methods(source: str, cls: str) -> list[str]:
-    """The arithmetic methods that class cls defines in source."""
-    return [f"line {item.lineno}: {cls}.{item.name}"
+# Forms and graded matrices keep the zero test of a composite.
+OPERATORS = ARITHMETIC - {"is_zero"}
+
+
+def _defined_names(item: ast.stmt) -> list[str]:
+    """The names a class-body statement defines: a method, or the
+    targets of an assignment such as __rmul__ = __mul__."""
+    if isinstance(item, ast.FunctionDef):
+        return [item.name]
+    if isinstance(item, ast.Assign):
+        return [t.id for t in item.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _arithmetic_methods(source: str, cls: str, names=ARITHMETIC) -> list[str]:
+    """The methods among names that class cls defines in source."""
+    return [f"line {item.lineno}: {cls}.{name}"
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ClassDef) and node.name == cls
             for item in node.body
-            if isinstance(item, ast.FunctionDef) and item.name in ARITHMETIC]
+            for name in _defined_names(item) if name in names]
 
 
 @pytest.mark.parametrize("source, found", [
@@ -155,6 +173,28 @@ def test_matrix_defines_no_arithmetic():
     source = (PACKAGE / "linalg.py").read_text()
     assert "class Matrix" in source
     assert _arithmetic_methods(source, "Matrix") == []
+
+
+@pytest.mark.parametrize("source, cls, found", [
+    ("class HomogPoly:\n    def __mul__(self, other):\n        pass\n", "HomogPoly", True),
+    ("class HomogPoly:\n    def __neg__(self):\n        pass\n", "HomogPoly", True),
+    ("class HomogPoly:\n    __rsub__ = __sub__\n", "HomogPoly", True),
+    ("class GradedMatrix:\n    def __matmul__(self, other):\n        pass\n",
+     "GradedMatrix", True),
+    ("class GradedMatrix:\n    def is_zero(self):\n        pass\n", "GradedMatrix", False),
+    ("class HomogPoly:\n    def __eq__(self, other):\n        pass\n", "HomogPoly", False),
+    ("class HomogPoly:\n    __repr__ = __str__\n", "HomogPoly", False),
+    ("class Matrix:\n    def __add__(self, other):\n        pass\n", "HomogPoly", False),
+])
+def test_operator_rule_sees_form_operators(source, cls, found):
+    assert bool(_arithmetic_methods(source, cls, OPERATORS)) == found
+
+
+@pytest.mark.parametrize("cls", ["HomogPoly", "GradedMatrix"])
+def test_forms_and_graded_matrices_define_no_operators(cls):
+    source = (PACKAGE / "polymat.py").read_text()
+    assert f"class {cls}" in source
+    assert _arithmetic_methods(source, cls, OPERATORS) == []
 
 
 # Names that hand out packed monomials in canonical order.

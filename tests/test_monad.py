@@ -5,12 +5,14 @@ from random import Random
 import pytest
 
 from conftest import (
+    Boxed,
     augment_with_identity,
     contraction_oracle,
     h_p1,
     hilbert_poly_heuristic_window,
     is_canonical,
     line_cohomology_table,
+    poly_scale,
     random_monad,
     random_valid_monad,
     regularity_bound,
@@ -24,6 +26,7 @@ from projmonad.complexes import (
 )
 from projmonad.hilbert import IntPoly, bott_h, euler_poly
 from projmonad.monad import (
+    MAX_SECTION_SIDE,
     CohTable,
     Monad,
     WindowDisagreementError,
@@ -59,7 +62,7 @@ def _flip_entry_sign(m: Monad, at: int) -> Monad:
     for i, row in enumerate(ent):
         for j, p in enumerate(row):
             if not p.is_zero():
-                ent[i][j] = -p
+                ent[i][j] = poly_scale(p, Boxed(p.field, -1))
                 flipped = GradedMatrix(d.field, d.source, d.target, ent)
                 diffs = dict(m.diffs)
                 diffs[at] = flipped
@@ -432,6 +435,22 @@ def test_beilinson_shape_sorts_twists_descending():
 def test_beilinson_shape_of_zero_table():
     shape = beilinson_shape(CohTable(2, 1, {}))
     assert all(s.rank == 0 for s in shape.values())
+
+
+def test_beilinson_shape_lays_out_ranks_up_to_the_bound():
+    # the bound counts the rank summed over all terms
+    half = MAX_SECTION_SIDE // 2
+    shape = beilinson_shape(CohTable(2, 1, {(0, 0): half, (-1, 1): MAX_SECTION_SIDE - half}))
+    assert shape[0].rank + shape[-1].rank == MAX_SECTION_SIDE
+    with pytest.raises(ValueError, match=f"total rank {MAX_SECTION_SIDE + 1},"):
+        beilinson_shape(CohTable(2, 1, {(0, 0): half, (-1, 1): MAX_SECTION_SIDE - half + 1}))
+
+
+def test_dual_table_drops_entries_off_the_table():
+    # on P^2 with c = 1, (0, 0) lands at (-1, 2), but (2, 0) would land at
+    # (-3, 2), cohomology degree -1
+    table = CohTable(2, 1, {(2, 0): 4, (0, 0): 1})
+    assert dual_beilinson_table(table).entries == ((-1, 2, 1),)
 
 
 def test_dual_table_of_line_example():

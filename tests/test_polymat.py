@@ -13,6 +13,7 @@ from conftest import (
     boxed_coefficients,
     boxed_rows,
     compose_oracle,
+    form_combination,
     graded_identity,
     is_canonical,
     matrix_product,
@@ -20,6 +21,7 @@ from conftest import (
     poly_add_oracle,
     poly_from_boxed,
     poly_mul_oracle,
+    poly_scale,
     poly_str_oracle,
     random_graded_matrix,
     random_monad,
@@ -54,6 +56,7 @@ from projmonad.polymat import (
     compose,
     dual_hom,
     forms_dimension,
+    from_coordinates,
     monomials_of_degree,
     parse_poly,
     parse_twists,
@@ -120,8 +123,9 @@ def test_product_count_bound_is_checked_before_multiplying(field, monkeypatch):
     needed = parser.budget.products
     assert needed > 20
     monkeypatch.setattr(polymat, "MAX_PARSE_PRODUCTS", needed)
-    assert parse_poly(src, field, 2) == (P("(x0 + 2*x1)^3*(x0 - x2)*3/2", n=2, field=field)
-                                        + P("(x1 + x2)^2*(x0 + x1)^2", n=2, field=field))
+    assert parse_poly(src, field, 2) == poly_add_oracle(
+        P("(x0 + 2*x1)^3*(x0 - x2)*3/2", n=2, field=field),
+        P("(x1 + x2)^2*(x0 + x1)^2", n=2, field=field))
     monkeypatch.setattr(polymat, "MAX_PARSE_PRODUCTS", needed - 1)
     with pytest.raises(ParseError, match=f"more than {needed - 1} term products"):
         parse_poly(src, field, 2)
@@ -147,9 +151,11 @@ def test_ring_laws_randomized():
         a = random_poly(QQ, n, da, rng, 0.7)
         b = random_poly(QQ, n, da, rng, 0.7)
         c = random_poly(QQ, n, db, rng, 0.7)
-        assert (a + b) * c == a * c + b * c
-        assert a * c == c * a
-        assert a - a == HomogPoly.zero(QQ, n, da)
+        one, minus_one = (from_coordinates(QQ, n, 0, {0: u}) for u in (1, -1))
+        assert form_combination([poly_add_oracle(a, b)], [c]) == poly_add_oracle(
+            form_combination([a], [c]), form_combination([b], [c]))
+        assert form_combination([a], [c]) == form_combination([c], [a])
+        assert form_combination([a, a], [one, minus_one]) == HomogPoly.zero(QQ, n, da)
 
 
 def test_zero_polynomials_compare_equal_across_degrees():
@@ -393,6 +399,8 @@ def test_poly_arithmetic_matches_boxed_oracle(field):
     rng = Random(11)
     for _ in range(80):
         n = rng.randint(1, 3)
+        one = from_coordinates(field, n, 0, {0: 1})
+        minus_one = from_coordinates(field, n, 0, {0: -1})
         da, db = rng.randint(-2, 3), rng.randint(-2, 3)
         if field == QQ and rng.random() < 0.5:
             a = _fraction_poly(field, n, max(da, 0), rng)
@@ -400,18 +408,18 @@ def test_poly_arithmetic_matches_boxed_oracle(field):
         else:
             a = random_poly(field, n, da, rng, 0.6)
             b = random_poly(field, n, db, rng, 0.6)
-        _same_poly(a * b, poly_mul_oracle(a, b))
-        _same_poly(b * a, poly_mul_oracle(b, a))
-        _same_poly(-a, poly_from_boxed(field, n, a.degree,
-                                       {m: -c for m, c in boxed_coefficients(a).items()}))
-        _same_poly(a - a, HomogPoly.zero(field, n, a.degree))
+        _same_poly(form_combination([a], [b]), poly_mul_oracle(a, b))
+        _same_poly(form_combination([b], [a]), poly_mul_oracle(b, a))
+        _same_poly(form_combination([a], [minus_one]), poly_from_boxed(
+            field, n, a.degree, {m: -c for m, c in boxed_coefficients(a).items()}))
+        _same_poly(form_combination([a, a], [one, minus_one]), HomogPoly.zero(field, n, a.degree))
         c = Boxed(field, rng.randint(-9, 9) if field == QQ else rng.randrange(field.p))
-        _same_poly(a * HomogPoly.constant(field, n, c.value),
+        _same_poly(form_combination([a], [from_coordinates(field, n, 0, {0: c.value})]),
                    poly_from_boxed(field, n, a.degree,
                                    {m: c * v for m, v in boxed_coefficients(a).items()}))
         b = random_poly(field, n, a.degree, rng, 0.6)
-        _same_poly(a + b, poly_add_oracle(a, b))
-        _same_poly(a - b, poly_add_oracle(a, poly_from_boxed(
+        _same_poly(form_combination([a, b], [one, one]), poly_add_oracle(a, b))
+        _same_poly(form_combination([a, b], [one, minus_one]), poly_add_oracle(a, poly_from_boxed(
             field, n, b.degree, {m: -c for m, c in boxed_coefficients(b).items()})))
 
 
@@ -431,7 +439,8 @@ def test_compose_matches_boxed_oracle(field):
     p = random_poly(field, n, 1, rng)
     q = random_poly(field, n, 2, rng)
     row = GradedMatrix(field, FreeSheaf(n, (-1, -1)), FreeSheaf(n, (0,)), [[p, p]])
-    col = GradedMatrix(field, FreeSheaf(n, (-3,)), FreeSheaf(n, (-1, -1)), [[q], [-q]])
+    col = GradedMatrix(field, FreeSheaf(n, (-3,)), FreeSheaf(n, (-1, -1)),
+                       [[q], [poly_scale(q, Boxed(field, -1))]])
     zero = compose(row, col)
     _same_matrix(zero, compose_oracle(row, col))
     assert zero.entries[0][0].is_zero() and zero.entries[0][0].degree == 3
@@ -470,7 +479,7 @@ def test_graded_inverse_round_trip_matches_boxed_oracle(field):
         for a, b in ((g, g_inv), (g_inv, g), (g_inv, g_inv)):
             _same_matrix(compose(a, b), compose_oracle(a, b))
             for p, q in zip(a.entries[0], b.entries[0]):
-                _same_poly(p * q, poly_mul_oracle(p, q))
+                _same_poly(form_combination([p], [q]), poly_mul_oracle(p, q))
         one = graded_identity(field, sheaf)
         _same_matrix(compose(g, g_inv), one)
         _same_matrix(compose(g_inv, g), one)
@@ -507,10 +516,10 @@ def test_equal_raw_values_over_different_fields_differ():
     assert over_q != over_f and over_f != over_q
     assert len({over_q, over_f}) == 2
     assert boxed_coefficients(over_q) != boxed_coefficients(over_f)
-    with pytest.raises(ValueError, match="different spaces"):
-        over_q * HomogPoly.constant(GF(101), 1, 1)
+    with pytest.raises(ValueError, match="wrong space or field"):
+        form_combination([over_q], [from_coordinates(GF(101), 1, 0, {0: 1})])
     with pytest.raises(FieldError):
-        HomogPoly.constant(QQ, 1, Boxed(GF(101), 1))
+        from_coordinates(QQ, 1, 0, {0: Boxed(GF(101), 1)})
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -787,10 +796,11 @@ def test_packed_products_match_tuple_oracle(data, n, field):
         for y, cy in boxed_coefficients(b).items():
             xy = _monomial_mul_oracle(x, y)
             want[xy] = want.get(xy, Boxed(field, 0)) + cx * cy
-    assert boxed_coefficients(a * b) == {m: c for m, c in want.items() if c}
+    ab = form_combination([a], [b])
+    assert boxed_coefficients(ab) == {m: c for m, c in want.items() if c}
     if da + db <= MAX_DEGREE:
-        _same_poly(a * b, poly_mul_oracle(a, b))
-        assert parse_poly(str(a * b), field, n, da + db) == a * b
+        _same_poly(ab, poly_mul_oracle(a, b))
+        assert parse_poly(str(ab), field, n, da + db) == ab
 
 
 @settings(max_examples=60, deadline=None)

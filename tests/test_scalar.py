@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Boxed, is_canonical, matrix_product, parse_scalar
+from conftest import Boxed, form_combination, is_canonical, matrix_product, parse_scalar
 from projmonad.autgroup import graded_inverse, random_automorphism
 from projmonad.linalg import Matrix, inverse, kernel_basis, rank, rref
 from projmonad.polymat import (
@@ -375,7 +375,10 @@ def test_every_q_producer_returns_canonical_values(seed):
     assert _canonical_rows(QQ.reduce({k: rng.randint(-12, 12) for k in range(8)}, den))
 
     a, b = _q_form(rng, 2, 2), _q_form(rng, 2, 2)
-    assert _canonical_terms(a, b, a + b, a - b, a * b, -a)
+    one, minus_one = (from_coordinates(QQ, 2, 0, {0: u}) for u in (1, -1))
+    assert _canonical_terms(a, b, form_combination([a, b], [one, one]),
+                            form_combination([a, b], [one, minus_one]),
+                            form_combination([a], [b]), form_combination([a], [minus_one]))
     assert _canonical_terms(parse_poly(str(a), QQ, 2), parse_poly("1/2*x0 + 1/2*x0", QQ, 2),
                             parse_poly("(1/2)^0*x0 + 4/2*x1", QQ, 2))
 
