@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every command is pure: the same inputs and seed produce byte-identical
-output.  Exit codes: 0 on success, 1 on domain errors (reported as
-machine-readable JSON), 2 on parse errors (bad files or flags).
+output.  Exit codes: 0 on success, 1 on domain errors, 2 on parse errors
+(bad files, flags or command lines); both errors are reported as
+machine-readable JSON on stdout.
 """
 
 from __future__ import annotations
@@ -289,10 +290,19 @@ def _cmd_p3_demo(args) -> int:
     return 0 if ok else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ParseError instead of exiting;
+    its subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(
+    """The argument parser, built once per process; parsing leaves it
+    unchanged.  A malformed command line raises ParseError; --help exits."""
+    ap = _ArgumentParser(
         prog="projmonad",
         description="Exact computations with complexes of twisted line bundles",
     )
@@ -410,13 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ParseError, json.JSONDecodeError) as exc:
         _emit_json({"error": {"kind": "parse", "message": str(exc)}})
         return 2

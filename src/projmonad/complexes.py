@@ -79,8 +79,7 @@ def omega_resolution(field: Field, n: int, p: int, t: int) -> Monad:
         raise ValueError(f"p = {p} out of range for P^{n}")
     variables = tuple(range(n + 1))
     terms = {j: FreeSheaf(n, (t - p + j,) * comb(n + 1, p - j)) for j in range(p + 1)}
-    diffs = {j: _contraction(field, n, variables, p - j, t - p + j + (p - j))
-             for j in range(p)}
+    diffs = {j: _contraction(field, n, variables, p - j, t) for j in range(p)}
     return Monad(field, n, terms, diffs, 1, 0)
 
 

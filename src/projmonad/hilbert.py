@@ -6,7 +6,8 @@ the exterior-power Euler resolution before anything else relies on it.
 
 IntPoly is a univariate polynomial with exact rational coefficients,
 integer valued on the integers; it carries Hilbert polynomials such as
-3m+1 and is what euler_poly and interpolate return.
+3m+1 and is what euler_poly and interpolate return.  It prints through
+polymat.sum_str, the printer of forms.
 
 An Euler polynomial depends on a complex's twist lists and their
 positions only, never on its differentials, so euler_poly is cached on
@@ -19,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+
+from .polymat import sum_str
 
 
 class IntPoly:
@@ -76,10 +79,6 @@ class IntPoly:
         c = Fraction(c)
         return IntPoly([x * c for x in self.coeffs])
 
-    def reflect(self) -> "IntPoly":
-        """The polynomial m -> p(-m)."""
-        return IntPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and other.coeffs == self.coeffs
 
@@ -87,29 +86,10 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mono = "" if k == 0 else ("m" if k == 1 else f"m^{k}")
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(parts)
+        return sum_str((str(c), "" if k == 0 else "m" if k == 1 else f"m^{k}")
+                       for k, c in reversed(tuple(enumerate(self.coeffs))) if c)
 
     __repr__ = __str__
-
 
 
 # Largest k binomial_poly expands, so the largest projective dimension:

@@ -258,9 +258,10 @@ def _check_window_size(m: Monad, positions, t_range):
     one of the positions has more than MAX_SECTION_ENTRIES entries, or a
     side longer than MAX_SECTION_SIDE, is refused as well.
     """
-    if len(t_range) > MAX_WINDOW_TWISTS:
-        raise ValueError(
-            f"window of {len(t_range)} twists, more than {MAX_WINDOW_TWISTS}")
+    # len() of a range past sys.maxsize raises OverflowError; a slice does not
+    if t_range[MAX_WINDOW_TWISTS:]:
+        count = (t_range[-1] - t_range[0]) // t_range.step + 1
+        raise ValueError(f"window of {count} twists, more than {MAX_WINDOW_TWISTS}")
     if not t_range:
         return
     t = max(t_range)
@@ -334,19 +335,16 @@ def sheaf_cohomology(m: Monad, t: int = 0) -> list[int]:
 
 @dataclass(frozen=True)
 class CohTable:
-    """Nonnegative table h[i][p] = h^{i+p}(F tensor Omega^p(p)) on P^n."""
+    """Nonnegative table h[i][p] = h^{i+p}(F tensor Omega^p(p)) on P^n,
+    built from (i, p, h) triples and kept as the sorted nonzero ones."""
 
     n: int
     d: int
     entries: tuple[tuple[int, int, int], ...]
 
     def __init__(self, n: int, d: int, entries):
-        if isinstance(entries, dict):
-            items = [(i, p, h) for (i, p), h in entries.items()]
-        else:
-            items = [(i, p, h) for (i, p, h) in entries]
         cleaned = {}
-        for i, p, h in items:
+        for i, p, h in entries:
             if not isinstance(h, int) or h < 0:
                 raise ValueError(f"entry at ({i}, {p}) must be a nonnegative integer")
             if not 0 <= p <= n:
@@ -360,12 +358,6 @@ class CohTable:
         object.__setattr__(
             self, "entries",
             tuple((i, p, h) for (i, p), h in sorted(cleaned.items())))
-
-    def h(self, i: int, p: int) -> int:
-        for ei, ep, eh in self.entries:
-            if ei == i and ep == p:
-                return eh
-        return 0
 
 
 def beilinson_shape(table: CohTable) -> dict[int, FreeSheaf]:

@@ -35,12 +35,16 @@ into raw values once with field.reduce.  This module never builds a
 Fraction: its quotients over Q come from field.reduce, which keeps
 every value canonical.
 
-The parser reads a term's plain factors (integer and a/b literals, x_i,
-x_i^k) straight into one packed monomial and one numerator and
-denominator, so a printed form costs one coefficient per term; only
-parenthesised factors and powers of literals build intermediate forms.
-The printer sorts the packed monomials and decodes the text of each
-once (monomial_str is cached), reusing it on every later term.
+The tokenizer is one regex pass: the longest prefix of whole tokens must
+be the whole text, and otherwise the first character past it is
+refused.  The parser reads a term's plain factors (integer and a/b
+literals, x_i, x_i^k) straight into one packed monomial and one
+numerator and denominator, so a printed form costs one coefficient per
+term; only parenthesised factors and powers of literals build
+intermediate forms.  The printer sorts the packed monomials and decodes
+the text of each once (monomial_str is cached), reusing it on every
+later term; sum_str sets the signs and units, for forms and for the
+Hilbert polynomials of hilbert.IntPoly alike.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lcm
-from operator import attrgetter
 from random import Random
 from types import MappingProxyType
 
@@ -71,8 +74,6 @@ _MASK = (1 << WIDTH) - 1
 
 # The constant monomial packs to 0 on every P^n.
 CONSTANT_MONOMIAL = 0
-
-_numerator = attrgetter("numerator")  # of a residue (an int) or a Fraction
 
 
 class ParseError(ValueError):
@@ -150,6 +151,22 @@ def monomial_str(n: int, m: Monomial) -> str:
     return "*".join(parts)
 
 
+def sum_str(terms) -> str:
+    """A sum of (coefficient text, monomial text) terms, leading term first:
+    unit coefficients are left off, and signs are set between the terms.
+    "0" for no terms."""
+    out = []
+    for cs, mono in terms:
+        neg = cs[0] == "-"
+        mag = cs[1:] if neg else cs
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        if out:
+            out.append(f"- {body}" if neg else f"+ {body}")
+        else:
+            out.append(f"-{body}" if neg else body)
+    return " ".join(out) or "0"
+
+
 class HomogPoly:
     """A homogeneous form of fixed degree in x0..xn over a field.
 
@@ -213,27 +230,8 @@ class HomogPoly:
         return hash((self.field, self.n, key, frozenset(self.coeffs.items())))
 
     def __str__(self):
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        n = self.n
-        out = []
-        for m in sorted(coeffs, reverse=True):
-            cs = str(coeffs[m])
-            mono = monomial_str(n, m)
-            neg = cs[0] == "-"
-            mag = cs[1:] if neg else cs
-            if not mono:
-                body = mag
-            elif mag == "1":
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if out:
-                out.append(f"- {body}" if neg else f"+ {body}")
-            else:
-                out.append(f"-{body}" if neg else body)
-        return " ".join(out)
+        n, coeffs = self.n, self.coeffs
+        return sum_str((str(coeffs[m]), monomial_str(n, m)) for m in sorted(coeffs, reverse=True))
 
     __repr__ = __str__
 
@@ -289,24 +287,18 @@ MAX_PARSE_PRODUCTS = 10**6
 _PAST_MAX_DEGREE = f"a term has degree past the largest degree {MAX_DEGREE}"
 
 _TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|x\d+|[-+*^()])")
-# A whole string of _TOKEN matches.  The lookaheads stop a digit run from
-# splitting into several numbers, so a failed match cannot backtrack far.
+# A run of _TOKEN matches and the blanks after it; the longest such prefix
+# ends at the first character no token takes, past any blanks.  The
+# lookaheads stop a digit run from splitting into several numbers, so the
+# match cannot backtrack far.
 _TOKENS = re.compile(r"(?:\s*(?:\d+(?!\d)(?:/\d+(?!\d))?|x\d+(?!\d)|[-+*^()]))*\s*")
 
 
 def _tokenize(src: str) -> list[str]:
-    if _TOKENS.fullmatch(src):
-        return _TOKEN.findall(src)
-    toks, pos = [], 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            if src[pos:].strip():
-                raise ParseError(f"unexpected character {src[pos:].lstrip()[0]!r} in {src!r}")
-            break
-        toks.append(m.group(1))
-        pos = m.end()
-    return toks
+    end = _TOKENS.match(src).end()  # the longest prefix of whole tokens
+    if end < len(src):
+        raise ParseError(f"unexpected character {src[end]!r} in {src!r}")
+    return _TOKEN.findall(src)
 
 
 class ParseBudget:
@@ -609,7 +601,7 @@ class GradedMatrix:
             for j in range(cols):
                 p = entries[i][j]
                 want = target.twists[i] - source.twists[j]
-                if (p.field is not field and p.field != field) or p.n != source.n:
+                if p.field is not field or p.n != source.n:
                     raise ValueError("entry on the wrong space or field")
                 if p.degree != want:
                     raise ValueError(
@@ -645,10 +637,7 @@ class GradedMatrix:
     # The twists fix every entry's field, n and degree, so two matrices with
     # the same field, source and target are equal when their coefficient
     # dicts are; zero forms of any recorded degree then compare and hash
-    # alike.  The hash reads each entry's set of packed monomials and the
-    # sum of all numerators: a Fraction's own hash runs in Python and costs
-    # about five times as much, and the sum keeps forms of one support
-    # (dense ones, or ones differing in signs) from colliding.
+    # alike.  The hash reads each entry's set of (monomial, raw value) pairs.
 
     def _term_dicts(self) -> list[dict]:
         return [p.coeffs for row in self.entries for p in row]
@@ -663,9 +652,8 @@ class GradedMatrix:
         )
 
     def __hash__(self):
-        dicts = self._term_dicts()
-        return hash((self.field, self.source, self.target, tuple(map(frozenset, dicts)),
-                     sum(sum(map(_numerator, d.values())) for d in dicts)))
+        return hash((self.field, self.source, self.target,
+                     tuple(frozenset(d.items()) for d in self._term_dicts())))
 
     def __repr__(self):
         return f"GradedMatrix({self.source} -> {self.target})"

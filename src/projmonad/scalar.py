@@ -15,6 +15,10 @@ integral returns its argument itself when it is integral already (over
 F_p always, over Q when every value is an int), so callers must not
 mutate what it returns.  FieldElement is only the record that
 Matrix.data yields: a raw value next to its field, with no arithmetic.
+
+Fields are interned: QQ is the one RationalField, and GF(p) returns the
+one PrimeField of each modulus, so fields compare and hash by identity
+and define no __eq__ or __hash__.
 """
 
 from __future__ import annotations
@@ -122,12 +126,6 @@ class RationalField(Field):
     def __repr__(self):
         return "Q"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
 
 class PrimeField(Field):
     """F_p for a prime p < 2^31; raw values are residues in [0, p)."""
@@ -173,12 +171,6 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"F{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("F", self.p))
 
 
 class FieldElement:

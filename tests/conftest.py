@@ -12,8 +12,12 @@ did before its arithmetic moved onto raw values; they read coefficients
 through boxed_coefficients and hand raw values back only when they
 build a form (poly_from_boxed).  The graded inverse
 oracle sums the finite Neumann series that the degree induction of
-projmonad.autgroup replaced.  The printing oracle builds every monomial's
-text afresh for each term, as HomogPoly.__str__ did before it reused them.
+projmonad.autgroup replaced.  The printing oracles set signs and units
+term by term, as HomogPoly.__str__ and IntPoly.__str__ did before they
+shared polymat.sum_str; the form oracle also builds every monomial's
+text afresh for each term, as HomogPoly.__str__ did before it reused
+them.  _tokenize_oracle walks the text one token match at a time, as
+polymat._tokenize did before it became one regex pass.
 The contraction oracle builds the Koszul differential the way
 projmonad.complexes did before it shared one zero form per matrix: a
 validated zero form per slot and every signed variable scaled by a boxed
@@ -31,7 +35,10 @@ scalar the oracles compute with, lives here with its literal reader
 the identity, random matrices and the identity augmentation of a
 complex.  Forms define no operators; tests add and negate them with the
 boxed oracles (poly_add_oracle, poly_scale) and multiply them through
-projmonad's compose (form_combination).
+projmonad's compose (form_combination).  The reflection m -> -m of a
+Hilbert polynomial (reflect), cohomology tables from {(i, p): h} dicts
+(table_from_dict) and the lookup of one table entry (table_entry) serve
+only tests too.
 """
 
 import re
@@ -44,7 +51,7 @@ import pytest
 
 from projmonad.autgroup import act, constant_part, random_element
 from projmonad.complexes import direct_sum, koszul_monad
-from projmonad.hilbert import InterpolationError, euler_poly, interpolate
+from projmonad.hilbert import IntPoly, InterpolationError, euler_poly, interpolate
 from projmonad.linalg import Matrix, inverse as matrix_inverse
 from projmonad.monad import CohTable, Monad, WindowDisagreementError, cohomology_hilbert_function
 from projmonad.polymat import (
@@ -705,6 +712,36 @@ def poly_str_oracle(p: HomogPoly) -> str:
     return " ".join(out)
 
 
+def int_poly_str_oracle(p: IntPoly) -> str:
+    """str(p), signs and units set term by term as IntPoly.__str__ did
+    before it shared the printer of forms."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c == 0:
+            continue
+        mono = "" if k == 0 else ("m" if k == 1 else f"m^{k}")
+        mag = abs(c)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(parts)
+
+
+def reflect(p: IntPoly) -> IntPoly:
+    """The polynomial m -> p(-m)."""
+    return IntPoly([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
+
+
 def regularity_bound(m: Monad) -> int | None:
     """The window start hilbert_poly_of_cohomology used before t_n:
     max_ij (a_ij - i) for L_{p-i} = sum_j O(-a_ij), p the marked position.
@@ -748,6 +785,16 @@ def h_p1(q: int, d: int) -> int:
     return 0
 
 
+def table_from_dict(n: int, d: int, entries: dict) -> CohTable:
+    """The CohTable with entries[(i, p)] = h."""
+    return CohTable(n, d, [(i, p, h) for (i, p), h in entries.items()])
+
+
+def table_entry(table: CohTable, i: int, p: int) -> int:
+    """h[i][p] of table, 0 off its nonzero entries."""
+    return next((h for ei, ep, h in table.entries if (ei, ep) == (i, p)), 0)
+
+
 def _comb0(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
 
@@ -759,12 +806,12 @@ def line_cohomology_table(n: int, a: int) -> CohTable:
     C(n-1, p-1) O_L(-1) + C(n-1, p) O_L, so every entry is a pair of
     line cohomology numbers.
     """
-    entries = {}
+    entries = []
     for p in range(n + 1):
         for q in (0, 1):
             h = _comb0(n - 1, p - 1) * h_p1(q, a - 1) + _comb0(n - 1, p) * h_p1(q, a)
             if h:
-                entries[(q - p, p)] = h
+                entries.append((q - p, p, h))
     return CohTable(n, 1, entries)
 
 

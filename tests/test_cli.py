@@ -437,6 +437,39 @@ def test_cached_parser_leaks_no_state_between_runs(capsys, koszul_file, tmp_path
     assert (tmp_path / "in_process.monad").read_text() == (tmp_path / "fresh.monad").read_text()
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["bott", "--n", "abc", "--p", "0", "--q", "0", "--t", "0"], "invalid int value"),
+    (["bott", "--n", "3"], "required"),
+    (["monad", "exactness", "--jobs", "2"], "unrecognized arguments"),
+    (["frobnicate"], "invalid choice"),
+    (["monad", "transpose"], "invalid choice"),
+    (["p3", "sample"], "--seed"),
+    (["p3"], "required"),
+    ([], "required"),
+    (["group", "act", "--monad"], "expected one argument"),
+    (["p3", "demo", "--max-tries", "1.5"], "invalid int value"),
+])
+def test_malformed_command_line_is_a_json_parse_error(capsys, argv, says):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"]["kind"] == "parse" and says in payload["error"]["message"]
+    assert err == ""
+    _check(payload, "error")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bott", "--help"], ["monad", "hilbert", "-h"]])
+def test_help_still_exits_zero(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: projmonad")
+
+
+def test_malformed_command_line_in_a_new_process():
+    rc, out, err = _fresh_run(["bott", "--n", "abc"])
+    assert (rc, err) == (2, "")
+    _check(json.loads(out), "error")
+
+
 def test_monad_exactness_bad_positions_is_parse_error(capsys, koszul_file):
     assert run(["monad", "exactness", "--in", koszul_file, "--positions", "x"]) == 2
     payload = json.loads(capsys.readouterr().out)
@@ -462,6 +495,20 @@ def test_monad_exactness_many_twists_is_domain_error(capsys, koszul_file):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "domain"
     assert f"more than {MAX_WINDOW_TWISTS}" in payload["error"]["message"]
+    _check(payload, "error")
+
+
+@pytest.mark.parametrize("window", ["0:99999999999999999999", "-99999999999999999999:0"])
+def test_monad_exactness_window_past_a_machine_size_is_domain_error(capsys, koszul_file,
+                                                                     window):
+    # more twists than len() of a range can count
+    start = time.perf_counter()
+    assert run(["monad", "exactness", "--in", koszul_file, f"--window={window}"]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {
+        "kind": "domain",
+        "message": f"window of 100000000000000000000 twists, more than {MAX_WINDOW_TWISTS}"}
     _check(payload, "error")
 
 

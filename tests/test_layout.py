@@ -22,6 +22,10 @@ compose, and the complex condition is monad.validate.  They keep only
 the zero test, which validate and minimality_check read off a
 composite.
 
+Fields are interned: QQ is the one RationalField and GF(p) the one
+PrimeField of each modulus, so identity is equality, and no class in
+scalar defines __eq__ or __hash__ beside it.
+
 Residues invert one way: pow(x, -1, p), the extended Euclidean
 algorithm, never the Fermat power pow(x, p - 2, p).
 
@@ -195,6 +199,35 @@ def test_forms_and_graded_matrices_define_no_operators(cls):
     source = (PACKAGE / "polymat.py").read_text()
     assert f"class {cls}" in source
     assert _arithmetic_methods(source, cls, OPERATORS) == []
+
+
+# Interned fields compare and hash by identity.
+VALUE_EQUALITY = {"__eq__", "__hash__"}
+
+
+def _value_equality(source: str) -> list[str]:
+    """The __eq__ and __hash__ that any class in source defines."""
+    return [f"line {item.lineno}: {node.name}.{name}"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            for name in _defined_names(item) if name in VALUE_EQUALITY]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class PrimeField(Field):\n    def __eq__(self, other):\n        pass\n", True),
+    ("class RationalField(Field):\n    def __hash__(self):\n        pass\n", True),
+    ("class Field:\n    __hash__ = object.__hash__\n", True),
+    ("class PrimeField(Field):\n    def __repr__(self):\n        pass\n", False),
+    ("def __eq__(a, b):\n    pass\n", False),
+])
+def test_equality_rule_sees_field_equality(source, found):
+    assert bool(_value_equality(source)) == found
+
+
+def test_no_scalar_class_defines_equality():
+    source = (PACKAGE / "scalar.py").read_text()
+    assert "class PrimeField" in source and "class RationalField" in source
+    assert _value_equality(source) == []
 
 
 # Names that hand out packed monomials in canonical order.

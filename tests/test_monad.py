@@ -15,7 +15,10 @@ from conftest import (
     poly_scale,
     random_monad,
     random_valid_monad,
+    reflect,
     regularity_bound,
+    table_entry,
+    table_from_dict,
 )
 from projmonad import complexes, monad
 from projmonad.complexes import (
@@ -27,7 +30,6 @@ from projmonad.complexes import (
 from projmonad.hilbert import IntPoly, bott_h, euler_poly
 from projmonad.monad import (
     MAX_SECTION_SIDE,
-    CohTable,
     Monad,
     WindowDisagreementError,
     beilinson_shape,
@@ -50,7 +52,7 @@ from projmonad.modp3 import (
     sample_wss_stats,
     twisted_cubic_point,
 )
-from projmonad.polymat import FreeSheaf, GradedMatrix, ParseError
+from projmonad.polymat import FreeSheaf, GradedMatrix, ParseError, parse_poly
 from projmonad.scalar import GF, QQ
 
 F101 = GF(101)
@@ -120,7 +122,7 @@ def test_dualize_line_resolution_euler():
     D = dualize(L)
     assert D.terms[-1].twists == (-3,) and D.terms[0].twists == (-2,)
     assert euler_poly(D) == IntPoly([-1, 1])
-    assert euler_poly(D) == -euler_poly(L).reflect()
+    assert euler_poly(D) == -reflect(euler_poly(L))
 
 
 def test_dualize_involution_and_validity_on_100_random_valid():
@@ -138,7 +140,7 @@ def test_corollary8_reflection_identity_on_arbitrary_complexes():
     for _ in range(100):
         m = random_monad(rng)
         lhs = euler_poly(dualize(m))
-        rhs = euler_poly(m).reflect()
+        rhs = reflect(euler_poly(m))
         if (m.n - m.c) % 2:
             rhs = -rhs
         assert lhs == rhs
@@ -410,7 +412,7 @@ def test_sheaf_cohomology_refuses_interacting_rows():
 
 
 def test_beilinson_shape_of_structure_sheaf():
-    table = CohTable(3, 3, {(0, 0): 1})
+    table = table_from_dict(3, 3, {(0, 0): 1})
     shape = beilinson_shape(table)
     assert shape[0].twists == (0,)
     assert all(shape[i].rank == 0 for i in shape if i != 0)
@@ -426,30 +428,32 @@ def test_beilinson_shape_of_line_table():
 
 
 def test_beilinson_shape_sorts_twists_descending():
-    table = CohTable(2, 1, {(0, 0): 1, (-1, 1): 2, (-2, 2): 1})
+    table = table_from_dict(2, 1, {(0, 0): 1, (-1, 1): 2, (-2, 2): 1})
     shape = beilinson_shape(table)
     assert shape[-1].twists == (-1, -1)
     assert shape[-2].twists == (-2,)
 
 
 def test_beilinson_shape_of_zero_table():
-    shape = beilinson_shape(CohTable(2, 1, {}))
+    shape = beilinson_shape(table_from_dict(2, 1, {}))
     assert all(s.rank == 0 for s in shape.values())
 
 
 def test_beilinson_shape_lays_out_ranks_up_to_the_bound():
     # the bound counts the rank summed over all terms
     half = MAX_SECTION_SIDE // 2
-    shape = beilinson_shape(CohTable(2, 1, {(0, 0): half, (-1, 1): MAX_SECTION_SIDE - half}))
+    shape = beilinson_shape(
+        table_from_dict(2, 1, {(0, 0): half, (-1, 1): MAX_SECTION_SIDE - half}))
     assert shape[0].rank + shape[-1].rank == MAX_SECTION_SIDE
     with pytest.raises(ValueError, match=f"total rank {MAX_SECTION_SIDE + 1},"):
-        beilinson_shape(CohTable(2, 1, {(0, 0): half, (-1, 1): MAX_SECTION_SIDE - half + 1}))
+        beilinson_shape(
+            table_from_dict(2, 1, {(0, 0): half, (-1, 1): MAX_SECTION_SIDE - half + 1}))
 
 
 def test_dual_table_drops_entries_off_the_table():
     # on P^2 with c = 1, (0, 0) lands at (-1, 2), but (2, 0) would land at
     # (-3, 2), cohomology degree -1
-    table = CohTable(2, 1, {(2, 0): 4, (0, 0): 1})
+    table = table_from_dict(2, 1, {(2, 0): 4, (0, 0): 1})
     assert dual_beilinson_table(table).entries == ((-1, 2, 1),)
 
 
@@ -457,7 +461,7 @@ def test_dual_table_of_line_example():
     table = line_cohomology_table(2, 0)
     dual = dual_beilinson_table(table)
     # F^D(1) = O_L(-1) has no cohomology at all in column p = 0
-    assert all(dual.h(i, 0) == 0 for i in range(0, 3))
+    assert all(table_entry(dual, i, 0) == 0 for i in range(0, 3))
     assert dual.entries == ((-1, 2, 1), (0, 1, 1))
 
 
@@ -470,7 +474,7 @@ def test_dual_table_index_is_involution():
 
 
 def test_dual_table_of_zero_is_zero():
-    assert dual_beilinson_table(CohTable(3, 1, {})).entries == ()
+    assert dual_beilinson_table(table_from_dict(3, 1, {})).entries == ()
 
 
 def test_dual_table_catalog_respects_cohomology_symmetry():
@@ -481,8 +485,8 @@ def test_dual_table_catalog_respects_cohomology_symmetry():
         for a in range(-3, 4):
             dual = dual_beilinson_table(line_cohomology_table(n, a))
             for i in range(n + 1):
-                assert dual.h(i, 0) == h_p1(i, -1 - a)
-                assert dual.h(i, 0) == h_p1(1 - i, a - 1)
+                assert table_entry(dual, i, 0) == h_p1(i, -1 - a)
+                assert table_entry(dual, i, 0) == h_p1(1 - i, a - 1)
     # shapes built from both tables stay rank-consistent with that pairing
     table = line_cohomology_table(3, 1)
     primal_rank = sum(s.rank for s in beilinson_shape(table).values())
@@ -501,11 +505,11 @@ def test_dual_table_double_transform_restores_catalog_values():
 
 def test_cohtable_rejects_bad_entries():
     with pytest.raises(ValueError):
-        CohTable(2, 1, {(0, 0): -1})
+        table_from_dict(2, 1, {(0, 0): -1})
     with pytest.raises(ValueError):
-        CohTable(2, 1, {(0, 5): 1})
+        table_from_dict(2, 1, {(0, 5): 1})
     with pytest.raises(ValueError):
-        CohTable(2, 1, {(4, 0): 1})
+        table_from_dict(2, 1, {(4, 0): 1})
 
 
 # --- file format -------------------------------------------------------------
@@ -651,3 +655,24 @@ def test_bott_grid_section_rank_cache(field):
     finally:
         monad._sections_rank.cache_clear()
     assert (info.hits, info.misses) == (156, 104)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=repr)
+def test_matrices_one_coefficient_apart_get_their_own_rank_entries(field):
+    # (x0 + x1, x0 + c*x1) from O(-1)^2 to O on P^1: at twist 1 its section
+    # matrix has the columns (1, 1) and (1, c), of rank 1 at c = 1 only
+    source, target = FreeSheaf(1, (-1, -1)), FreeSheaf(1, (0,))
+
+    def row(c):
+        forms = [parse_poly(f"x0 + {k}*x1", field, 1) for k in (1, c)]
+        return GradedMatrix(field, source, target, [forms])
+
+    a, b = row(1), row(2)
+    assert a != b
+    monad._sections_rank.cache_clear()
+    try:
+        assert [monad._sections_rank(d, 1) for d in (a, b, a, b)] == [1, 2, 1, 2]
+        info = monad._sections_rank.cache_info()
+    finally:
+        monad._sections_rank.cache_clear()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)

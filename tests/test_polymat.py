@@ -10,6 +10,7 @@ from conftest import (
     JUNK_CELLS,
     Boxed,
     _monomial_mul_oracle,
+    _tokenize_oracle,
     boxed_coefficients,
     boxed_rows,
     compose_oracle,
@@ -750,6 +751,56 @@ def test_printer_matches_oracle_and_round_trips(field):
                                 (gd, format_group_element, parse_group_element)):
             text = fmt(obj)
             assert fmt(parse(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(101)]), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 1 << 32))
+def test_generated_forms_print_as_the_oracle(field, n, degree, seed):
+    rng = Random(seed)
+    forms = [random_poly(field, n, degree, rng, density=rng.random())]
+    if field is QQ:
+        # random_poly draws ints only; the inverse of an automorphism over Q
+        # carries Fractions
+        sheaf = FreeSheaf(n, tuple(-rng.randint(0, degree) for _ in range(rng.randint(1, 3))))
+        forms += [p for row in graded_inverse(random_automorphism(field, sheaf, rng)).entries
+                  for p in row]
+    for p in forms:
+        assert str(p) == poly_str_oracle(p)
+
+
+def test_generated_inverses_over_q_carry_fractions():
+    # the inverses in the test above print Fraction coefficients, which
+    # random_poly never draws
+    rng = Random(0)
+    sheaf = FreeSheaf(2, (0, -1, -1))
+    entries = [p for _ in range(5)
+               for row in graded_inverse(random_automorphism(QQ, sheaf, rng)).entries
+               for p in row]
+    assert any(type(c) is Fraction for p in entries for c in p.terms.values())
+
+
+# --- tokens -------------------------------------------------------------
+
+# Whole tokens, pieces of tokens, blanks and characters no token takes.
+TOKEN_PIECES = ["0", "7", "12", "3/4", "1/", "/5", "x0", "x12", "x", "+", "-", "*", "^",
+                "(", ")", " ", "  ", "\t", "\n", "é", "#", "."]
+
+
+def _tokens_or_error(tokenize, src: str):
+    try:
+        return tokenize(src)
+    except ParseError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=24).map("".join))
+@example("x0 + 3/4*x1 . ")
+@example("12/34/5")
+@example(" \t\n")
+def test_tokenizer_matches_loop_oracle(src):
+    assert _tokens_or_error(polymat._tokenize, src) == _tokens_or_error(_tokenize_oracle, src)
 
 
 # --- packed monomials ---------------------------------------------------

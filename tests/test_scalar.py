@@ -20,7 +20,7 @@ from projmonad.polymat import (
     parse_poly,
     sections_matrix,
 )
-from projmonad.scalar import GF, QQ, FieldError, _is_prime
+from projmonad.scalar import GF, QQ, FieldError, PrimeField, RationalField, _is_prime
 
 F7 = GF(7)
 F101 = GF(101)
@@ -395,3 +395,11 @@ def test_every_q_producer_returns_canonical_values(seed):
     square = _q_matrix(rng, 3, 3)
     if rank(square) == 3:
         assert _canonical_rows(*inverse(square).row_maps)
+
+
+def test_fields_are_interned():
+    assert GF(101) is GF(101) and PrimeField(101) is GF(101)
+    assert GF(2**31 - 1) is GF(2**31 - 1)
+    assert RationalField() is QQ
+    assert GF(101) != GF(103) and GF(101) != QQ
+    assert len({GF(101), PrimeField(101), QQ, RationalField()}) == 2
