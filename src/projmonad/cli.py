@@ -2,8 +2,8 @@
 
 Every command is pure: the same inputs and seed produce byte-identical
 output.  Exit codes: 0 on success, 1 on domain errors, 2 on parse errors
-(bad files, flags or command lines); both errors are reported as
-machine-readable JSON on stdout.
+(bad files, flags or command lines, and --out paths that cannot be
+written); both errors are reported as machine-readable JSON on stdout.
 """
 
 from __future__ import annotations
@@ -55,9 +55,12 @@ def _read(path: str | None) -> str:
 def _write(path: str | None, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_json(obj):
@@ -425,7 +428,7 @@ def run(argv) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ParseError, json.JSONDecodeError) as exc:
+    except ParseError as exc:
         _emit_json({"error": {"kind": "parse", "message": str(exc)}})
         return 2
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:

@@ -6,8 +6,10 @@ the exterior-power Euler resolution before anything else relies on it.
 
 IntPoly is a univariate polynomial with exact rational coefficients,
 integer valued on the integers; it carries Hilbert polynomials such as
-3m+1 and is what euler_poly and interpolate return.  It prints through
-polymat.sum_str, the printer of forms.
+3m+1 and is what euler_poly and interpolate return.  Its coefficients
+are canonical raw values of QQ (ints where the denominator is 1), and
+its one quotient, the 1/k! of binomial_poly, comes from QQ.inv.  It
+prints through polymat.sum_str, the printer of forms.
 
 An Euler polynomial depends on a complex's twist lists and their
 positions only, never on its differentials, so euler_poly is cached on
@@ -17,20 +19,21 @@ another.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .polymat import sum_str
+from .scalar import QQ
 
 
 class IntPoly:
-    """Polynomial in m over Q, coefficients stored lowest degree first."""
+    """Polynomial in m over Q, coefficients stored lowest degree first
+    as canonical raw values of QQ."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [QQ.coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -48,12 +51,6 @@ class IntPoly:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def __call__(self, m) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * m + c
-        return acc
-
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -63,20 +60,16 @@ class IntPoly:
     def __neg__(self) -> "IntPoly":
         return IntPoly([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if not self.coeffs or not other.coeffs:
             return IntPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPoly(out)
 
     def scale(self, c) -> "IntPoly":
-        c = Fraction(c)
         return IntPoly([x * c for x in self.coeffs])
 
     def __eq__(self, other):
@@ -120,7 +113,7 @@ def binomial_poly(shift: int, k: int) -> IntPoly:
     acc = IntPoly.constant(1)
     for j in range(k):
         acc = acc * IntPoly([shift - j, 1])
-    return acc.scale(Fraction(1, factorial(k)))
+    return acc.scale(QQ.inv(factorial(k)))
 
 
 def line_bundle_hilb(n: int, e: int) -> IntPoly:
@@ -181,7 +174,7 @@ def interpolate(values, t0: int, degree_bound: int) -> IntPoly:
     be at least degree_bound + 2 of them so that at least one excess
     finite difference certifies the degree claim.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [QQ.coerce(v) for v in values]
     if len(vals) < degree_bound + 2:
         raise ValueError(
             f"need at least {degree_bound + 2} samples for degree bound {degree_bound}")

@@ -18,10 +18,9 @@ it.  Matrix.data is the one reader that pairs values with their field,
 as FieldElement records of the nonzero entries; the bench tracer counts
 nonzeros with it.  The field owns that raw format: field.integral scales
 a row to integers (returning an integral row itself, never a copy) and
-field.reduce takes sums back to raw values; only _echelon's inner loop
-and _normalized work inline on residues or numerators, switched by
-field.p.  Over Q _normalized divides ints by divmod and builds a
-Fraction only for an inexact quotient.
+field.reduce takes sums back to raw values and divides a new pivot row
+by its pivot; only _echelon's inner loop works inline on residues or
+numerators, switched by field.p.
 
 Pivoting is deterministic: rows are reduced sparsest first (ties in row
 order), each against the pivots found so far from its leftmost column
@@ -33,7 +32,6 @@ bit whatever the pivot order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
 
 from .scalar import Field, FieldElement
@@ -105,7 +103,7 @@ def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
                 continue
             tail = pivots.get(c)
             if tail is None:
-                pivots[c] = _normalized(acc, x, p)
+                pivots[c] = field.reduce(acc, x)
                 break
             for k, v in tail.items():
                 y = acc.get(k)
@@ -123,24 +121,6 @@ def _echelon(m: Matrix, reduced: bool) -> dict[int, dict]:
                     tail[j] = tail.get(j, 0) - x * v
             pivots[c] = field.reduce(tail)
     return pivots
-
-
-def _normalized(acc: dict, x, p: int) -> dict:
-    """acc / x with zeros dropped: the tail of a new pivot row."""
-    if p:
-        inv = pow(x, -1, p)
-        return {k: r for k, v in acc.items() if (r := v * inv % p)}
-    out = {}
-    int_x = type(x) is int
-    for k, v in acc.items():
-        if v:
-            if int_x and type(v) is int:
-                q, r = divmod(v, x)
-                out[k] = Fraction(v, x) if r else q
-            else:
-                q = Fraction(v) / x
-                out[k] = q.numerator if q.denominator == 1 else q
-    return out
 
 
 def rank(m: Matrix) -> int:

@@ -32,8 +32,9 @@ them to integer numerators over a common denominator with
 field.integral, which hands an integral dict back itself rather than a
 copy, sums and multiplies those unreduced, and turns the result back
 into raw values once with field.reduce.  This module never builds a
-Fraction: its quotients over Q come from field.reduce, which keeps
-every value canonical.
+Fraction, reads a numerator or inverts a residue: every quotient, a
+literal a/b over Q and over F_p alike, comes from field.reduce, which
+keeps every value canonical.
 
 The tokenizer is one regex pass: the longest prefix of whole tokens must
 be the whole text, and otherwise the first character past it is
@@ -422,8 +423,9 @@ class _PolyParser:
         e = self._exponent(self.take(), top)
         p = self.p
         if not top and not p:
-            bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
-                        for c in base.values()), default=0)
+            den, num = self.field.integral(base)
+            bits = max((max(abs(c).bit_length(), den.bit_length()) - 1
+                        for c in num.values()), default=0)
             if bits * e > _MAX_POWER_BITS:
                 raise ParseError(f"constant power with exponent {e} is too large")
         if len(base) == 1:
@@ -484,8 +486,6 @@ class _PolyParser:
         p = self.p
         if den == 1:
             return num % p if p else num
-        if p:
-            return num * pow(den, -1, p) % p
         return self.field.reduce({0: num}, den).get(0, 0)
 
     def _exponent(self, e: str | None, top: int) -> int:

@@ -7,10 +7,13 @@ otherwise; a Fraction with denominator 1 is never stored.  Ints and
 Fractions compare, hash and print alike, so the format shows in speed
 only: integer entries, the common case, run on machine-speed ints.
 
-The fields own that format, and no other module tests a field's type:
-they give p (the modulus, 0 over Q), coerce (an int or raw value to
-canonical form), inv, integral (raw values to integer numerators over a
-common denominator) and reduce (numerators back to nonzero raw values).
+The fields own that format, and no other module tests a field's type,
+builds a Fraction, reads a numerator or a denominator, or inverts a
+residue: they give p (the modulus, 0 over Q), coerce (an int or raw
+value to canonical form), inv, integral (raw values to integer
+numerators over a common denominator) and reduce (values divided by any
+nonzero raw value, back to nonzero canonical raw values), so every
+quotient, in elimination and in the parser alike, is taken here.
 integral returns its argument itself when it is integral already (over
 F_p always, over Q when every value is an int), so callers must not
 mutate what it returns.  FieldElement is only the record that
@@ -18,7 +21,8 @@ Matrix.data yields: a raw value next to its field, with no arithmetic.
 
 Fields are interned: QQ is the one RationalField, and GF(p) returns the
 one PrimeField of each modulus, so fields compare and hash by identity
-and define no __eq__ or __hash__.
+and define no __eq__ or __hash__.  A copied or unpickled field is the
+interned one too, so forms, matrices and monads copy and pickle.
 """
 
 from __future__ import annotations
@@ -68,9 +72,11 @@ class Field:
     Arithmetic on raw values goes through integral and reduce: integral
     turns a dict of raw values into (den, numerators) with integer
     numerators (den is always 1 over F_p), the caller adds and
-    multiplies plain ints, and reduce(numerators, den) turns the result
-    back into a dict of the nonzero raw values numerators[k] / den.
-    With den 1, reduce also takes raw values mixed with the ints.
+    multiplies plain ints, and reduce(values, den) turns the result
+    back into a dict of the nonzero raw values values[k] / den.  den is
+    any nonzero raw value, and the values may mix raw values with ints:
+    elimination divides a row by its pivot, and the parser a literal's
+    numerator by its denominator, through reduce.
     """
 
     p = 0  # the modulus over F_p, 0 over Q
@@ -114,14 +120,16 @@ class RationalField(Field):
         return den, {k: v * den if type(v) is int else v.numerator * (den // v.denominator)
                      for k, v in values.items()}
 
-    def reduce(self, numerators: dict, den: int = 1) -> dict:
+    def reduce(self, values: dict, den=1) -> dict:
         if den == 1:
-            # raw values may be mixed in, and a Fraction among them may
-            # have come to denominator 1 (1/2 * 2)
+            # a Fraction among the values may have come to denominator 1
+            # (1/2 * 2)
             return {k: v if type(v) is int or v.denominator != 1 else v.numerator
-                    for k, v in numerators.items() if v}
+                    for k, v in values.items() if v}
+        # exact for int and Fraction values and divisors alike; an exact
+        # quotient comes back as an int
         return {k: Fraction(v, den) if v % den else v // den
-                for k, v in numerators.items() if v}
+                for k, v in values.items() if v}
 
     def __repr__(self):
         return "Q"
@@ -164,10 +172,17 @@ class PrimeField(Field):
         is the argument itself, which callers must not mutate."""
         return 1, values
 
-    def reduce(self, numerators: dict, den: int = 1) -> dict:
-        """Residues of the numerators; den is 1 here, as integral gives it."""
+    def reduce(self, values: dict, den=1) -> dict:
+        """Residues of values / den, for any unit den."""
         p = self.p
-        return {k: r for k, v in numerators.items() if (r := v % p)}
+        if den != 1:
+            inv = pow(den, -1, p)
+            return {k: r for k, v in values.items() if (r := v * inv % p)}
+        return {k: r for k, v in values.items() if (r := v % p)}
+
+    def __reduce__(self):
+        # copy and pickle through GF, so a copy is the interned field
+        return GF, (self.p,)
 
     def __repr__(self):
         return f"F{self.p}"

@@ -36,9 +36,10 @@ the identity, random matrices and the identity augmentation of a
 complex.  Forms define no operators; tests add and negate them with the
 boxed oracles (poly_add_oracle, poly_scale) and multiply them through
 projmonad's compose (form_combination).  The reflection m -> -m of a
-Hilbert polynomial (reflect), cohomology tables from {(i, p): h} dicts
-(table_from_dict) and the lookup of one table entry (table_entry) serve
-only tests too.
+Hilbert polynomial (reflect), its value at an integer (evaluate), the
+difference of two (difference), cohomology tables from {(i, p): h}
+dicts (table_from_dict) and the lookup of one table entry (table_entry)
+serve only tests too.
 """
 
 import re
@@ -740,6 +741,19 @@ def int_poly_str_oracle(p: IntPoly) -> str:
 def reflect(p: IntPoly) -> IntPoly:
     """The polynomial m -> p(-m)."""
     return IntPoly([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
+
+
+def evaluate(p: IntPoly, m) -> Fraction:
+    """The value p(m), by Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * m + c
+    return acc
+
+
+def difference(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The polynomial a - b."""
+    return a + (-b)
 
 
 def regularity_bound(m: Monad) -> int | None:

@@ -470,6 +470,40 @@ def test_malformed_command_line_in_a_new_process():
     _check(json.loads(out), "error")
 
 
+# Every command that writes to --out, with the inputs it reads.
+OUT_COMMANDS = {
+    "monad dualize": ["monad", "dualize", "--in", "{cubic}"],
+    "beilinson dualtable": ["beilinson", "dualtable", "--in", "{table}"],
+    "group random": ["group", "random", "--monad", "{cubic_f101}", "--seed", "4"],
+    "group act": ["group", "act", "--monad", "{cubic_f101}", "--element", "{element}"],
+    "group dual": ["group", "dual", "--element", "{element}", "--codim", "2"],
+    "p3 sample": ["p3", "sample", "--seed", "3"],
+    "p3 dualize": ["p3", "dualize", "--in", "{cubic}"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_unwritable_out_is_a_json_parse_error(capsys, tmp_path, cubic_file, cubic_f101_file,
+                                              command, target):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"n": 2, "d": 1, "entries": [[0, 0, 1], [-1, 1, 1]]}))
+    element = tmp_path / "g.element"
+    m = parse_monad(Path(cubic_f101_file).read_text())
+    element.write_text(format_group_element(random_element(m.field, m, seed=4)))
+    files = {"cubic": cubic_file, "cubic_f101": cubic_f101_file, "table": table,
+             "element": element}
+    out = tmp_path / "no" / "such" / "x" if target == "missing directory" else tmp_path
+    argv = [a.format(**files) for a in OUT_COMMANDS[command]] + ["--out", str(out)]
+    assert run(argv) == 2
+    got = capsys.readouterr()
+    payload = json.loads(got.out)
+    assert payload["error"]["kind"] == "parse"
+    assert payload["error"]["message"].startswith(f"cannot write {out}: ")
+    assert got.err == ""
+    _check(payload, "error")
+
+
 def test_monad_exactness_bad_positions_is_parse_error(capsys, koszul_file):
     assert run(["monad", "exactness", "--in", koszul_file, "--positions", "x"]) == 2
     payload = json.loads(capsys.readouterr().out)

@@ -30,11 +30,13 @@ Residues invert one way: pow(x, -1, p), the extended Euclidean
 algorithm, never the Fermat power pow(x, p - 2, p).
 
 Rationals have one format, and the field keeps it canonical: an int when
-the denominator is 1, a Fraction otherwise.  Only scalar and linalg
-(whose _normalized builds an inexact quotient inline) name Fraction, so
-every other module gets its quotients from the field.  hilbert names it
-too: its IntPoly is a polynomial with Fraction coefficients, a Hilbert
-polynomial rather than a matrix or form entry, and no raw value.
+the denominator is 1, a Fraction otherwise.  Every quotient of raw
+values has one owner, Field.reduce, which divides by any nonzero raw
+value: elimination divides a new pivot row by its pivot there, the
+parser a literal's numerator by its denominator, and hilbert's IntPoly
+keeps canonical raw values of QQ as its coefficients.  So only scalar
+names Fraction, calls pow(x, -1, p) or reads a numerator or a
+denominator.
 """
 
 import ast
@@ -316,7 +318,7 @@ def test_no_module_inverts_by_a_fermat_power(path):
     assert _fermat_inverses(path.read_text()) == []
 
 
-MAY_NAME_FRACTION = {"scalar.py", "linalg.py", "hilbert.py"}
+MAY_NAME_FRACTION = {"scalar.py"}
 
 
 def _fraction_names(source: str) -> list[str]:
@@ -357,3 +359,65 @@ def test_fraction_rule_passes_field_quotients():
                          ids=lambda p: p.name)
 def test_no_other_module_names_fraction(path):
     assert _fraction_names(path.read_text()) == []
+
+
+def _residue_inverses(source: str) -> list[str]:
+    """Calls pow(x, -1, m): a modular inverse taken inline."""
+    return [f"line {node.lineno}: inverts a residue"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _name(node.func) == "pow"
+            and len(node.args) == 3 and isinstance(e := node.args[1], ast.UnaryOp)
+            and isinstance(e.op, ast.USub) and isinstance(e.operand, ast.Constant)
+            and e.operand.value == 1]
+
+
+# The lines that inverted residues outside scalar before every quotient
+# came from Field.reduce.
+@pytest.mark.parametrize("source, found", [
+    ("inv = pow(x, -1, p)", True),
+    ("return num * pow(den, -1, p) % p", True),
+    ("return pow(a, -1, self.p)", True),
+    ("x = pow(a, e, p)", False),
+    ("y = pow(x, -1)", False),
+    ("v = field.reduce({0: num}, den)", False),
+])
+def test_inverse_rule_sees_residue_inverses(source, found):
+    assert bool(_residue_inverses(source)) == found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalar.py"],
+                         ids=lambda p: p.name)
+def test_only_scalar_inverts_residues(path):
+    assert _residue_inverses(path.read_text()) == []
+
+
+RATIONAL_PARTS = {"numerator", "denominator"}
+
+
+def _rational_parts(source: str) -> list[str]:
+    """Where source reads .numerator or .denominator, directly or by the
+    string that attrgetter or getattr takes."""
+    return [f"line {node.lineno}: reads {node_name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Attribute, ast.Constant))
+            and (node_name := _name(node)) in RATIONAL_PARTS]
+
+
+# The lines that took rationals apart outside scalar before the parser's
+# power bound read them from Field.integral.
+@pytest.mark.parametrize("source, found", [
+    ("bits = abs(c.numerator).bit_length()", True),
+    ("bits = c.denominator.bit_length()  # a Fraction or an int", True),
+    ("out[k] = q.numerator if q.denominator == 1 else q", True),
+    ("_denominator = attrgetter('denominator')", True),
+    ("den, num = field.integral(base)", False),
+    ("numerators = {0: 1}", False),
+])
+def test_rational_rule_sees_numerators(source, found):
+    assert bool(_rational_parts(source)) == found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalar.py"],
+                         ids=lambda p: p.name)
+def test_only_scalar_reads_numerators(path):
+    assert _rational_parts(path.read_text()) == []

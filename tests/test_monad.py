@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from itertools import combinations
 from random import Random
@@ -676,3 +678,10 @@ def test_matrices_one_coefficient_apart_get_their_own_rank_entries(field):
     finally:
         monad._sections_rank.cache_clear()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+
+
+def test_monad_over_a_prime_field_survives_copy_and_pickle():
+    m = point_monad(twisted_cubic_point(F101))
+    for c in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert c == m and c.field is F101
+        assert format_monad(c) == format_monad(m)

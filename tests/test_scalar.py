@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from fractions import Fraction
 from functools import partial
@@ -289,18 +291,31 @@ def test_integral_then_reduce_is_the_identity(field, data):
     assert all(_is_canonical(field, v) for v in back.values())
 
 
-@pytest.mark.parametrize("field", CODEC_FIELDS, ids=repr)
+def _divisors(field):
+    """Nonzero raw divisors: units over F_p; over Q ints of either sign,
+    +-1 among them, and canonical Fractions."""
+    if field.p:
+        return st.integers(1, field.p - 1)
+    return (st.integers(-10**12, 10**12).filter(bool) | st.sampled_from([1, -1])
+            | st.fractions().filter(lambda q: q.denominator != 1))
+
+
+@pytest.mark.parametrize("field", [*CODEC_FIELDS, GF(2)], ids=repr)
 @given(data=st.data())
 def test_reduce_drops_zeros_and_returns_canonical_values(field, data):
-    num = data.draw(st.dictionaries(st.integers(0, 30), st.integers(-10**30, 10**30)
-                                    | st.sampled_from([0, field.p, -field.p]), max_size=12))
-    # integral gives den 1 over F_p, so only Q is asked to divide
-    for den in (1, data.draw(st.integers(1, 10**12))) if not field.p else (1,):
+    # elimination divides a pivot row by its pivot, and the parser a
+    # literal's numerator by its denominator, through reduce; over Q the
+    # row may mix ints with Fractions, some of denominator 1
+    ints = st.integers(-10**30, 10**30) | st.sampled_from([0, field.p, -field.p])
+    num = data.draw(st.dictionaries(st.integers(0, 30),
+                                    ints if field.p else ints | st.fractions(), max_size=12))
+    for den in (1, data.draw(_divisors(field))):
         out = field.reduce(num, den)
         if field.p:
-            want = {k: v % field.p for k, v in num.items() if v % field.p}
+            inv = pow(den, field.p - 2, field.p)  # Fermat, not the field's inverse
+            want = {k: v * inv % field.p for k, v in num.items() if v * inv % field.p}
         else:
-            want = {k: Fraction(v, den) for k, v in num.items() if v}
+            want = {k: Fraction(v) / den for k, v in num.items() if v}
         assert out == want
         assert all(_is_canonical(field, v) for v in out.values())
 
@@ -403,3 +418,10 @@ def test_fields_are_interned():
     assert RationalField() is QQ
     assert GF(101) != GF(103) and GF(101) != QQ
     assert len({GF(101), PrimeField(101), QQ, RationalField()}) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F101, GF(2**31 - 1)], ids=repr)
+def test_copied_and_pickled_fields_are_the_interned_ones(field):
+    assert copy.copy(field) is field
+    assert copy.deepcopy(field) is field
+    assert pickle.loads(pickle.dumps(field)) is field
