@@ -42,9 +42,7 @@ from .autgroup import (
     random_element,
 )
 from .modp3 import (
-    ParamPoint,
     point_monad,
-    point_of,
     sample_wss_stats,
     twisted_cubic_point,
     wss_membership,

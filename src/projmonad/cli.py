@@ -63,8 +63,12 @@ def _write(path: str | None, text: str):
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
 def _emit_json(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(_json_line(obj))
 
 
 def _poly_payload(p: IntPoly) -> dict:
@@ -139,10 +143,7 @@ def _cmd_monad_validate(args) -> int:
 def _cmd_monad_dualize(args) -> int:
     m = parse_monad(_read(args.infile))
     text = format_monad(dualize(m))
-    if args.json:
-        _emit_json({"monad": text})
-    else:
-        _write(args.out, text)
+    _write(args.out, _json_line({"monad": text}) if args.json else text)
     return 0
 
 
@@ -201,7 +202,7 @@ def _cmd_beilinson_shape(args) -> int:
 def _cmd_beilinson_dualtable(args) -> int:
     table = _load_table(_read(args.infile))
     out = dual_beilinson_table(table)
-    _write(args.out, json.dumps(_table_payload(out), sort_keys=True) + "\n")
+    _write(args.out, _json_line(_table_payload(out)))
     return 0
 
 
@@ -237,34 +238,30 @@ def _max_tries(args) -> int:
 def _cmd_p3_sample(args) -> int:
     field = parse_field(args.field)
     pt, tries, _ = modp3.sample_wss_stats(args.seed, field, _max_tries(args))
-    text = modp3.format_point(pt)
+    text = format_monad(pt)
     if args.json:
-        _emit_json({"seed": args.seed, "tries": tries, "point": text})
-    else:
-        _write(args.out, text)
+        text = _json_line({"seed": args.seed, "tries": tries, "point": text})
+    _write(args.out, text)
     return 0
 
 
 def _cmd_p3_check(args) -> int:
-    pt = modp3.parse_point(_read(args.infile))
-    res = modp3.wss_membership(pt)
-    _emit_json(res.to_dict())
+    _emit_json(modp3.wss_membership(parse_monad(_read(args.infile))).to_dict())
     return 0
 
 
 def _cmd_p3_dualize(args) -> int:
-    pt = modp3.parse_point(_read(args.infile))
-    _write(args.out, format_monad(dualize(modp3.point_monad(pt))))
+    pt = modp3.point_monad(parse_monad(_read(args.infile)))
+    _write(args.out, format_monad(dualize(pt)))
     return 0
 
 
 def _cmd_p3_demo(args) -> int:
     field = parse_field(args.field)
     report: dict = {"seed": args.seed, "field": repr(field)}
-    pt, tries, res = modp3.sample_wss_stats(args.seed, field, _max_tries(args))
+    monad, tries, res = modp3.sample_wss_stats(args.seed, field, _max_tries(args))
     report["tries"] = tries
     report["membership"] = res.to_dict()
-    monad = modp3.point_monad(pt)
     report["euler"] = str(euler_poly(monad))
     report["window_hilbert"] = str(hilbert_poly_of_cohomology(monad))
     dual_monad = dualize(monad)

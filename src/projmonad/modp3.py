@@ -18,14 +18,16 @@ section matrices:
 
 Sections are a functor, S_3(phi) S_3(psi) = S_3(phi psi), and at twist
 3 that product holds the coefficients of phi psi, so clause (b) is
-decided by the complex condition, monad.validate of point_monad(pt),
-and no section matrix is ever multiplied.  Clause (c) ranks phi's
+decided by the complex condition, monad.validate of the point, and no
+section matrix is ever multiplied.  Clause (c) ranks phi's
 sections through the section-rank cache the Hilbert window shares, so
 membership builds no section matrix of phi of its own.
 
-A point is a Monad (point_monad, with point_of going back), so
-monad.dualize transposes it into a resolution on the 3m-1 side and
-autgroup.act moves it by term automorphisms, compatibly on both sides.
+A point is a Monad on these twist lists at positions -2..0, with codim
+2 and cohomology at 0, as point_monad checks; psi and phi are its
+diffs[-2] and diffs[-1].  So monad.dualize transposes it into a
+resolution on the 3m-1 side and autgroup.act moves it by term
+automorphisms, compatibly on both sides.
 """
 
 from __future__ import annotations
@@ -35,16 +37,16 @@ from random import Random
 
 from .autgroup import graded_inverse, random_automorphism
 from .linalg import Matrix, kernel_basis, rank
-from .monad import Monad, _sections_rank, format_monad, parse_monad, validate
+from .monad import Monad, _sections_rank, parse_block, validate
 from .polymat import (
     FreeSheaf,
     GradedMatrix,
     HomogPoly,
+    ParseBudget,
     compose,
     coordinates,
     forms_dimension,
     from_coordinates,
-    parse_poly,
     random_poly,
     sections_matrix,
 )
@@ -73,24 +75,6 @@ class SampleExhaustedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ParamPoint:
-    psi: GradedMatrix
-    phi: GradedMatrix
-
-    def __post_init__(self):
-        if self.psi.source != SOURCE or self.psi.target != MIDDLE:
-            raise MalformedPointError("psi must map 2O(-3) to O(-1)+3O(-2)")
-        if self.phi.source != MIDDLE or self.phi.target != TARGET:
-            raise MalformedPointError("phi must map O(-1)+3O(-2) to O+O(-1)")
-        if self.psi.field != self.phi.field:
-            raise MalformedPointError("psi and phi over different fields")
-
-    @property
-    def field(self) -> Field:
-        return self.phi.field
-
-
-@dataclass(frozen=True)
 class Membership:
     member: bool
     clauses: dict[str, bool]
@@ -112,59 +96,68 @@ def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> Matrix:
     return Matrix(field, len(forms), forms_dimension(N, 1), [coordinates(f) for f in forms])
 
 
-def wss_membership(pt: ParamPoint) -> Membership:
-    """Evaluate the four semistability clauses at twist 3.
+def point_monad(m: Monad) -> Monad:
+    """m itself if it is a point: the fixed twist lists at -2..0 on P^3,
+    codim 2 and cohomology at 0; anything else is a MalformedPointError."""
+    if (m.n != N or m.lo != -2 or m.hi != 0
+            or m.terms[-2] != SOURCE or m.terms[-1] != MIDDLE or m.terms[0] != TARGET):
+        raise MalformedPointError("file does not carry the fixed twist lists")
+    if m.c != 2 or m.cohomology_position != 0:
+        raise MalformedPointError(
+            f"a point has codim 2 and cohomology at 0, not codim {m.c} "
+            f"and cohomology at {m.cohomology_position}")
+    return m
+
+
+def wss_membership(m: Monad) -> Membership:
+    """Evaluate the four semistability clauses of the point m at twist 3.
 
     Clause (b) validates the complex, phi psi = 0, since the product of
     the section matrices is the section matrix of phi psi.  phi is ranked
-    through the section-rank cache: the Hilbert window of point_monad(pt)
-    ranks the same matrix at the same twist.
+    through the section-rank cache: the Hilbert window of m ranks the
+    same matrix at the same twist.
     """
-    clause_a = rank(sections_matrix(pt.psi, SECTION_TWIST)) == 2
-    clause_b = not validate(point_monad(pt))
+    psi, phi = point_monad(m).diffs[-2], m.diffs[-1]
+    clause_a = rank(sections_matrix(psi, SECTION_TWIST)) == 2
+    clause_b = not validate(m)
     clause_c = (MIDDLE.sections_dim(SECTION_TWIST)
-                - _sections_rank(pt.phi, SECTION_TWIST)) == 2
-    phi_21 = pt.phi.entries[1][0]
+                - _sections_rank(phi, SECTION_TWIST)) == 2
+    phi_21 = phi.entries[1][0]
     if not phi_21.is_zero():
         clause_d = True
     else:
-        lin = [pt.phi.entries[1][j] for j in (1, 2, 3)]
-        clause_d = rank(_linear_coeff_matrix(pt.field, lin)) == 3
+        lin = [phi.entries[1][j] for j in (1, 2, 3)]
+        clause_d = rank(_linear_coeff_matrix(m.field, lin)) == 3
     clauses = {"a": clause_a, "b": clause_b, "c": clause_c, "d": clause_d}
     return Membership(all(clauses.values()), clauses)
 
 
-def point_monad(pt: ParamPoint) -> Monad:
+def _point(field: Field, psi: GradedMatrix, phi: GradedMatrix) -> Monad:
     """The complex 2O(-3) -> O(-1)+3O(-2) -> O+O(-1) at positions -2..0."""
-    terms = {-2: SOURCE, -1: MIDDLE, 0: TARGET}
-    return Monad(pt.field, N, terms, {-2: pt.psi, -1: pt.phi}, 2, 0)
+    return Monad(field, N, {-2: SOURCE, -1: MIDDLE, 0: TARGET}, {-2: psi, -1: phi}, 2, 0)
 
 
-def twisted_cubic_point(field: Field = QQ) -> ParamPoint:
+def _parsed_point(field: Field, psi_rows: list[str], phi_rows: list[str]) -> Monad:
+    """The point whose psi and phi have these rows, one per target summand."""
+    budget = ParseBudget()
+    return _point(field, parse_block("psi", psi_rows, field, N, SOURCE, MIDDLE, budget),
+                  parse_block("phi", phi_rows, field, N, MIDDLE, TARGET, budget))
+
+
+def twisted_cubic_point(field: Field = QQ) -> Monad:
     """The point carved out by the quadric minors of [[x0,x1,x2],[x1,x2,x3]].
 
     The second row of phi is the unit (1, 0, 0, 0); the first row holds
     the signed minors, whose two linear syzygies fill the columns of
     psi below a zero first row.
     """
-
-    def p(src, deg):
-        return parse_poly(src, field, N, deg)
-
-    phi = GradedMatrix(field, MIDDLE, TARGET, [
-        [p("0", 1), p("x1*x3 - x2^2", 2), p("x1*x2 - x0*x3", 2), p("x0*x2 - x1^2", 2)],
-        [p("1", 0), p("0", 1), p("0", 1), p("0", 1)],
-    ])
-    psi = GradedMatrix(field, SOURCE, MIDDLE, [
-        [p("0", 2), p("0", 2)],
-        [p("x0", 1), p("x1", 1)],
-        [p("x1", 1), p("x2", 1)],
-        [p("x2", 1), p("x3", 1)],
-    ])
-    return ParamPoint(psi=psi, phi=phi)
+    return _parsed_point(
+        field,
+        ["0; 0", "x0; x1", "x1; x2", "x2; x3"],
+        ["0; x1*x3 - x2^2; x1*x2 - x0*x3; x0*x2 - x1^2", "1; 0; 0; 0"])
 
 
-def forbidden_form_point(field: Field = QQ) -> ParamPoint:
+def forbidden_form_point(field: Field = QQ) -> Monad:
     """A point on the exact locus whose phi has the forbidden second row.
 
     The quadric row holds the signed minors of [[x0, x1, x2], [0, x0, x1]]
@@ -173,21 +166,10 @@ def forbidden_form_point(field: Field = QQ) -> ParamPoint:
     makes the second row column-reducible to (0, 0, *, *), so membership
     fails exactly through clause (d).
     """
-
-    def p(src, deg):
-        return parse_poly(src, field, N, deg)
-
-    phi = GradedMatrix(field, MIDDLE, TARGET, [
-        [p("x3", 1), p("x0*x2 - x1^2", 2), p("-x1*x2", 2), p("-x2^2", 2)],
-        [p("0", 0), p("0", 1), p("x0", 1), p("x1", 1)],
-    ])
-    psi = GradedMatrix(field, SOURCE, MIDDLE, [
-        [p("-x0*x2 + x1^2", 2), p("0", 2)],
-        [p("x3", 1), p("x2", 1)],
-        [p("0", 1), p("-x1", 1)],
-        [p("0", 1), p("x0", 1)],
-    ])
-    return ParamPoint(psi=psi, phi=phi)
+    return _parsed_point(
+        field,
+        ["-x0*x2 + x1^2; 0", "x3; x2", "0; -x1", "0; x0"],
+        ["x3; x0*x2 - x1^2; -x1*x2; -x2^2", "0; 0; x0; x1"])
 
 
 def _determinantal_phi(field: Field, rng: Random) -> GradedMatrix:
@@ -240,7 +222,7 @@ def _psi_from_kernel(phi: GradedMatrix) -> GradedMatrix | None:
 
 
 def sample_wss_stats(seed: int, field: Field,
-                     max_tries: int = 32) -> tuple[ParamPoint, int, Membership]:
+                     max_tries: int = 32) -> tuple[Monad, int, Membership]:
     """Draw phi on the syzygy-positive locus, densify by a random
     automorphism, solve psi from the section kernel, test membership.
 
@@ -262,31 +244,10 @@ def sample_wss_stats(seed: int, field: Field,
         psi = _psi_from_kernel(phi)
         if psi is None:
             continue
-        pt = ParamPoint(psi=psi, phi=phi)
+        pt = _point(field, psi, phi)
         res = wss_membership(pt)
         if not res.clauses["b"]:
             raise AssertionError("kernel solve must satisfy phi psi = 0")
         if res.member:
             return pt, attempt, res
     raise SampleExhaustedError(f"exhausted max_tries = {max_tries}")
-
-
-def format_point(pt: ParamPoint) -> str:
-    return format_monad(point_monad(pt))
-
-
-def point_of(m: Monad) -> ParamPoint:
-    """The point read off a monad with the fixed twist lists at -2..0,
-    codim 2 and cohomology at 0; point_of(point_monad(pt)) == pt."""
-    if (m.n != N or m.lo != -2 or m.hi != 0
-            or m.terms[-2] != SOURCE or m.terms[-1] != MIDDLE or m.terms[0] != TARGET):
-        raise MalformedPointError("file does not carry the fixed twist lists")
-    if m.c != 2 or m.cohomology_position != 0:
-        raise MalformedPointError(
-            f"a point has codim 2 and cohomology at 0, not codim {m.c} "
-            f"and cohomology at {m.cohomology_position}")
-    return ParamPoint(psi=m.diffs[-2], phi=m.diffs[-1])
-
-
-def parse_point(text: str) -> ParamPoint:
-    return point_of(parse_monad(text))

@@ -15,9 +15,7 @@ from projmonad.complexes import koszul_monad, line_monad, omega_resolution
 from projmonad.hilbert import IntPoly, bott_h, euler_poly
 from projmonad.modp3 import (
     forbidden_form_point,
-    format_point,
     point_monad,
-    point_of,
     sample_wss_stats,
     twisted_cubic_point,
     wss_membership,
@@ -190,7 +188,7 @@ def test_criterion_8_equivariance():
     for k in range(50):
         m = point_monad(points[k % 2])
         g = random_element(F101, m, seed=12000 + k)
-        assert wss_membership(point_of(act(g, m))).member
+        assert wss_membership(point_monad(act(g, m))).member
         invariant_ok += 1
     assert square_ok == 100 and invariant_ok == 50
     print("criterion 8: PASS - duality/action square 100/100, membership "
@@ -201,8 +199,8 @@ def test_criterion_9_determinism_and_round_trips():
     # same seed, same bytes; and the frozen golden draw has not drifted
     a, _, _ = sample_wss_stats(42, F101)
     b, _, _ = sample_wss_stats(42, F101)
-    assert format_point(a) == format_point(b)
-    assert format_point(a) == (DATA / "golden_p3_seed42_f101.monad").read_text()
+    assert format_monad(a) == format_monad(b)
+    assert format_monad(a) == (DATA / "golden_p3_seed42_f101.monad").read_text()
     # parse . print round trips, bit for bit
     rng = Random(90)
     subjects = [point_monad(a), point_monad(twisted_cubic_point()),

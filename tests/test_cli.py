@@ -15,7 +15,7 @@ from projmonad import monad as monad_module
 from projmonad.autgroup import format_group_element, random_element
 from projmonad.complexes import direct_sum, koszul_monad, omega_resolution
 from projmonad.hilbert import MAX_DIMENSION, bott_h
-from projmonad.modp3 import forbidden_form_point, format_point, twisted_cubic_point
+from projmonad.modp3 import forbidden_form_point, twisted_cubic_point
 from projmonad.monad import MAX_WINDOW_TWISTS, format_monad, parse_monad, sheaf_cohomology
 from projmonad.polymat import MAX_DEGREE, MAX_PAREN_DEPTH, MAX_PARSE_PRODUCTS, HomogPoly
 from projmonad.scalar import GF, QQ
@@ -43,7 +43,7 @@ def _run_json(capsys, argv):
 @pytest.fixture
 def cubic_file(tmp_path):
     path = tmp_path / "example_p3.monad"
-    path.write_text(format_point(twisted_cubic_point()))
+    path.write_text(format_monad(twisted_cubic_point()))
     return str(path)
 
 
@@ -51,7 +51,7 @@ def cubic_file(tmp_path):
 def cubic_f101_file(tmp_path):
     # prime-field twin for the commands that grind through twist windows
     path = tmp_path / "example_p3_f101.monad"
-    path.write_text(format_point(twisted_cubic_point(GF(101))))
+    path.write_text(format_monad(twisted_cubic_point(GF(101))))
     return str(path)
 
 
@@ -176,7 +176,7 @@ def test_p3_check_json(capsys, cubic_file):
 
 def test_p3_check_reports_reasons(capsys, tmp_path):
     bad = tmp_path / "forbidden.monad"
-    bad.write_text(format_point(forbidden_form_point()))
+    bad.write_text(format_monad(forbidden_form_point()))
     rc, payload = _run_json(capsys, ["p3", "check", "--in", str(bad)])
     assert rc == 0 and not payload["member"]
     assert payload["failed"] == ["d"]
@@ -504,6 +504,20 @@ def test_unwritable_out_is_a_json_parse_error(capsys, tmp_path, cubic_file, cubi
     _check(payload, "error")
 
 
+@pytest.mark.parametrize("argv", [["monad", "dualize", "--in", "{cubic}", "--json"],
+                                  ["p3", "sample", "--seed", "1", "--json"]],
+                         ids=["monad dualize", "p3 sample"])
+def test_json_goes_to_out(capsys, tmp_path, cubic_file, argv):
+    argv = [a.format(cubic=cubic_file) for a in argv]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+    json.loads(printed)
+
+
 def test_monad_exactness_bad_positions_is_parse_error(capsys, koszul_file):
     assert run(["monad", "exactness", "--in", koszul_file, "--positions", "x"]) == 2
     payload = json.loads(capsys.readouterr().out)
@@ -717,7 +731,7 @@ def test_p3_dualize_equals_monad_dualize(capsys, cubic_f101_file):
     ("codim 2", "codim 3"), ("cohomology_at 0", "cohomology_at -1")], ids=["codim", "position"])
 def test_p3_commands_refuse_other_codim_or_position(capsys, tmp_path, command, line,
                                                     replacement):
-    text = format_point(twisted_cubic_point())
+    text = format_monad(twisted_cubic_point())
     assert line + "\n" in text
     path = tmp_path / "moved.monad"
     path.write_text(text.replace(line + "\n", replacement + "\n"))

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 from random import Random
 
@@ -12,6 +13,7 @@ from projmonad.autgroup import (
     random_automorphism,
     random_element,
 )
+from projmonad.complexes import koszul_monad
 from projmonad.hilbert import IntPoly, euler_poly
 from projmonad.linalg import rank
 from projmonad.modp3 import (
@@ -19,25 +21,31 @@ from projmonad.modp3 import (
     SOURCE,
     TARGET,
     MalformedPointError,
-    ParamPoint,
     SampleExhaustedError,
     forbidden_form_point,
-    format_point,
-    parse_point,
     point_monad,
-    point_of,
     sample_wss_stats,
     twisted_cubic_point,
     wss_membership,
 )
 from projmonad.monad import (
+    Monad,
     dualize,
     exactness_check,
+    format_monad,
     hilbert_poly_of_cohomology,
     minimality_check,
+    parse_monad,
     validate,
 )
-from projmonad.polymat import GradedMatrix, compose, parse_poly, random_poly, sections_matrix
+from projmonad.polymat import (
+    FreeSheaf,
+    GradedMatrix,
+    compose,
+    parse_poly,
+    random_poly,
+    sections_matrix,
+)
 from projmonad.scalar import GF, QQ
 
 F101 = GF(101)
@@ -55,16 +63,16 @@ def _point(phi_rows, psi_rows, field=QQ):
     psi = GradedMatrix(field, SOURCE, MIDDLE,
                        [[parse_poly(s, field, 3, d) for s in row]
                         for row, d in zip(psi_rows, (2, 1, 1, 1))])
-    return ParamPoint(psi=psi, phi=phi)
+    return modp3._point(field, psi, phi)
 
 
 def test_twisted_cubic_is_a_complex_with_all_clauses():
     pt = twisted_cubic_point()
     # brute-force check of the frozen syzygy signs
-    assert compose(pt.phi, pt.psi).is_zero()
+    assert compose(pt.diffs[-1], pt.diffs[-2]).is_zero()
     res = wss_membership(pt)
     assert res.member and res.failed == []
-    assert rank(sections_matrix(pt.psi, 3)) == 2
+    assert rank(sections_matrix(pt.diffs[-2], 3)) == 2
 
 
 def test_twisted_cubic_hilbert_polynomial():
@@ -115,8 +123,8 @@ def _clause_b_points(field, rng, count):
     for k in range(count):
         if k % 3 == 2:
             density = rng.choice((0.05, 0.2, 1.0))
-            yield ParamPoint(psi=random_graded_matrix(field, SOURCE, MIDDLE, rng, density),
-                             phi=random_graded_matrix(field, MIDDLE, TARGET, rng, density))
+            yield modp3._point(field, random_graded_matrix(field, SOURCE, MIDDLE, rng, density),
+                               random_graded_matrix(field, MIDDLE, TARGET, rng, density))
             continue
         phi0 = modp3._determinantal_phi(field, rng)
         g_mid = random_automorphism(field, MIDDLE, rng)
@@ -128,7 +136,7 @@ def _clause_b_points(field, rng, count):
             r, s = rng.randrange(4), rng.randrange(2)
             entries[r][s] = random_poly(field, 3, entries[r][s].degree, rng, 0.3)
             psi = GradedMatrix(field, SOURCE, MIDDLE, entries)
-        yield ParamPoint(psi=psi, phi=phi)
+        yield modp3._point(field, psi, phi)
 
 
 @pytest.mark.parametrize("field", [GF(2), F101, GF(2 ** 31 - 1), QQ],
@@ -137,7 +145,8 @@ def test_clause_b_equals_the_section_product(field):
     # S_3(phi) S_3(psi) is the oracle the clause was once computed by
     zero_products = 0
     for pt in _clause_b_points(field, Random(25), 150):
-        product = matrix_product(sections_matrix(pt.phi, 3), sections_matrix(pt.psi, 3))
+        product = matrix_product(sections_matrix(pt.diffs[-1], 3),
+                                 sections_matrix(pt.diffs[-2], 3))
         zero = matrix_is_zero(product)
         assert wss_membership(pt).clauses["b"] == zero
         zero_products += zero
@@ -166,8 +175,37 @@ def test_membership_to_dict_shape():
 
 def test_point_shape_validation():
     pt = twisted_cubic_point()
+    # the Monad constructor refuses phi in place of psi
+    with pytest.raises(ValueError, match="does not match its terms"):
+        modp3._point(QQ, pt.diffs[-1], pt.diffs[-1])
+    # a valid Monad on other twist lists is no point
     with pytest.raises(MalformedPointError):
-        ParamPoint(psi=pt.phi, phi=pt.phi)
+        point_monad(dualize(pt))
+
+
+TWISTS = {-2: SOURCE.twists, -1: MIDDLE.twists, 0: TARGET.twists}
+OTHER_LISTS = "file does not carry the fixed twist lists"
+
+
+@pytest.mark.parametrize("n, twists, c, position, message", [
+    (4, TWISTS, 2, 0, OTHER_LISTS),
+    (3, {-3: (-4,), **TWISTS}, 2, 0, OTHER_LISTS),
+    (3, {**TWISTS, 1: (1,)}, 2, 0, OTHER_LISTS),
+    (3, {**TWISTS, -2: (-3, -4)}, 2, 0, OTHER_LISTS),
+    (3, {**TWISTS, -1: (-1, -2, -2)}, 2, 0, OTHER_LISTS),
+    (3, {**TWISTS, 0: (0,)}, 2, 0, OTHER_LISTS),
+    (3, TWISTS, 3, 0,
+     "a point has codim 2 and cohomology at 0, not codim 3 and cohomology at 0"),
+    (3, TWISTS, 2, -1,
+     "a point has codim 2 and cohomology at 0, not codim 2 and cohomology at -1"),
+], ids=["n", "lo", "hi", "source", "middle", "target", "codim", "position"])
+def test_point_monad_refusals(n, twists, c, position, message):
+    # zero maps on the point's terms, with one thing changed
+    m = Monad(QQ, n, {i: FreeSheaf(n, t) for i, t in twists.items()}, {}, c, position)
+    with pytest.raises(MalformedPointError, match=f"^{re.escape(message)}$"):
+        point_monad(m)
+    with pytest.raises(MalformedPointError, match=f"^{re.escape(message)}$"):
+        wss_membership(m)
 
 
 def test_dual_twist_lists():
@@ -180,7 +218,7 @@ def test_dual_twist_lists():
 
 def test_dualize_is_involution_on_points():
     pt = twisted_cubic_point()
-    assert point_of(dualize(dualize(point_monad(pt)))) == pt
+    assert point_monad(dualize(dualize(point_monad(pt)))) == pt
 
 
 def test_dual_euler_is_3m_minus_1():
@@ -203,7 +241,7 @@ def test_sampling_golden_point_seed_42():
     pt, tries, _ = sample_wss_stats(42, F101)
     assert tries == 1
     golden = (DATA / "golden_p3_seed42_f101.monad").read_text()
-    assert format_point(pt) == golden
+    assert format_monad(pt) == golden
 
 
 def test_sampling_guards(monkeypatch):
@@ -245,7 +283,7 @@ def test_membership_invariant_under_group_action():
     m = point_monad(pt)
     for trial in range(10):
         g = random_element(F101, m, seed=100 + trial)
-        assert wss_membership(point_of(act(g, m))).member
+        assert wss_membership(point_monad(act(g, m))).member
 
 
 def test_clause_d_or_is_the_invariant():
@@ -262,10 +300,10 @@ def test_clause_d_or_is_the_invariant():
     independence_flipped = False
     for trial in range(40):
         g = random_element(F101, m, seed=500 + trial)
-        moved = point_of(act(g, m))
+        moved = point_monad(act(g, m))
         assert wss_membership(moved).member
-        assert not moved.phi.entries[1][0].is_zero()
-        lin = [moved.phi.entries[1][j] for j in (1, 2, 3)]
+        assert not moved.diffs[-1].entries[1][0].is_zero()
+        lin = [moved.diffs[-1].entries[1][j] for j in (1, 2, 3)]
         if _rank(_linear_coeff_matrix(F101, lin)) == 3:
             independence_flipped = True  # false at the start point
     assert independence_flipped
@@ -284,17 +322,26 @@ def test_duality_action_equivariance():
 
 def test_point_file_round_trip():
     pt = sample_wss_stats(21, F101)[0]
-    text = format_point(pt)
-    assert parse_point(text) == pt
-    assert format_point(parse_point(text)) == text
+    text = format_monad(pt)
+    assert point_monad(parse_monad(text)) == pt
+    assert format_monad(point_monad(parse_monad(text))) == text
 
 
-def test_parse_point_rejects_wrong_shape():
-    from projmonad.complexes import koszul_monad
-    from projmonad.monad import format_monad
-
+def test_a_koszul_complex_is_no_point():
+    koszul = koszul_monad(QQ, 3, [0, 1])
     with pytest.raises(MalformedPointError):
-        parse_point(format_monad(koszul_monad(QQ, 3, [0, 1])))
+        point_monad(parse_monad(format_monad(koszul)))
+    with pytest.raises(MalformedPointError):
+        wss_membership(koszul)
+
+
+def test_named_and_sampled_points_are_their_own_point_monad():
+    points = [make(field) for make in (twisted_cubic_point, forbidden_form_point)
+              for field in (QQ, F101)]
+    points.append(sample_wss_stats(0, F101)[0])
+    for pt in points:
+        assert isinstance(pt, Monad)
+        assert point_monad(pt) is pt
 
 
 def test_minimality_flags_phi21():
