@@ -1,9 +1,11 @@
 """Command line front end.
 
 Every command is pure: the same inputs and seed produce byte-identical
-output.  Exit codes: 0 on success, 1 on domain errors, 2 on parse errors
-(bad files, flags or command lines, and --out paths that cannot be
-written); both errors are reported as machine-readable JSON on stdout.
+output.  Every command ends in one `_emit`, the one way out: text or a
+JSON line, to --out or stdout.  Exit codes: 0 on success, 1 on domain
+errors, 2 on parse errors (bad files, flags or command lines, and --out
+paths that cannot be written); both errors are reported as
+machine-readable JSON on stdout.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import modp3
@@ -52,7 +55,14 @@ def _read(path: str | None) -> str:
         raise ParseError(f"{name} is not UTF-8: {exc}") from exc
 
 
-def _write(path: str | None, text: str):
+def _emit(args, payload, text: str | None = None):
+    """The one way out of every command: text, or payload as one
+    sorted-key JSON line under --json or when the command has no text
+    form; to the --out file where the command takes one, to stdout
+    otherwise.  run passes args None, so its error JSON goes to stdout."""
+    if text is None or getattr(args, "json", False):
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    path = getattr(args, "out", None)
     if path in (None, "-"):
         sys.stdout.write(text)
         return
@@ -61,14 +71,6 @@ def _write(path: str | None, text: str):
             fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
-
-
-def _emit_json(obj):
-    sys.stdout.write(_json_line(obj))
 
 
 def _poly_payload(p: IntPoly) -> dict:
@@ -108,59 +110,39 @@ def _load_table(text: str) -> CohTable:
         raise ParseError(f"bad cohomology table: {exc}") from exc
 
 
-def _table_payload(t: CohTable) -> dict:
-    return {"n": t.n, "d": t.d, "entries": [list(e) for e in t.entries]}
-
-
-def _cmd_bott(args) -> int:
+def _cmd_bott(args):
     h = bott_h(args.n, args.p, args.q, args.t)
-    if args.json:
-        _emit_json({"h": h})
-    else:
-        print(h)
-    return 0
+    _emit(args, {"h": h}, f"{h}\n")
 
 
-def _cmd_hilb(args) -> int:
+def _cmd_hilb(args):
     p = line_bundle_hilb(args.n, args.e)
-    if args.json:
-        _emit_json(_poly_payload(p))
-    else:
-        print(p)
-    return 0
+    _emit(args, _poly_payload(p), f"{p}\n")
 
 
-def _cmd_monad_validate(args) -> int:
+def _cmd_monad_validate(args):
     m = parse_monad(_read(args.infile))
     problems = validate(m)
-    if args.json:
-        _emit_json({"ok": not problems, "violations": problems})
-    else:
-        print("ok" if not problems else "\n".join(problems))
-    return 0
+    _emit(args, {"ok": not problems, "violations": problems},
+          "\n".join(problems or ["ok"]) + "\n")
 
 
-def _cmd_monad_dualize(args) -> int:
+def _cmd_monad_dualize(args):
     m = parse_monad(_read(args.infile))
     text = format_monad(dualize(m))
-    _write(args.out, _json_line({"monad": text}) if args.json else text)
-    return 0
+    _emit(args, {"monad": text}, text)
 
 
-def _cmd_monad_hilbert(args) -> int:
+def _cmd_monad_hilbert(args):
     m = parse_monad(_read(args.infile))
     p = hilbert_poly_of_cohomology(m)
-    if args.json:
-        _emit_json(_poly_payload(p))
-    else:
-        print(p)
-    return 0
+    _emit(args, _poly_payload(p), f"{p}\n")
 
 
-def _cmd_monad_exactness(args) -> int:
+def _cmd_monad_exactness(args):
     m = parse_monad(_read(args.infile))
-    window = _parse_window(args.window) if args.window else default_window(m)
-    if args.positions:
+    window = _parse_window(args.window) if args.window is not None else default_window(m)
+    if args.positions is not None:
         try:
             positions = [int(p) for p in args.positions.split(",")]
         except ValueError as exc:
@@ -169,63 +151,47 @@ def _cmd_monad_exactness(args) -> int:
         positions = [i for i in range(m.lo, m.hi + 1) if i != m.cohomology_position]
     result = {str(p): ok for p, ok in exactness_check(m, positions, window).items()}
     lo, hi = window[0], window[-1]
-    if args.json:
-        _emit_json({"window": [lo, hi], "positions": result})
-    else:
-        for p, ok in result.items():
-            print(f"{p}: {'exact' if ok else 'not exact'} on [{lo}, {hi}]")
-    return 0
+    _emit(args, {"window": [lo, hi], "positions": result},
+          "".join(f"{p}: {'exact' if ok else 'not exact'} on [{lo}, {hi}]\n"
+                  for p, ok in result.items()))
 
 
-def _cmd_monad_minimality(args) -> int:
+def _cmd_monad_minimality(args):
     m = parse_monad(_read(args.infile))
     ok = minimality_check(m)
-    if args.json:
-        _emit_json({"minimal": ok})
-    else:
-        print("minimal" if ok else "not minimal")
-    return 0
+    _emit(args, {"minimal": ok}, "minimal\n" if ok else "not minimal\n")
 
 
-def _cmd_beilinson_shape(args) -> int:
+def _cmd_beilinson_shape(args):
     table = _load_table(_read(args.infile))
     shape = beilinson_shape(table)
-    if args.json:
-        _emit_json({"terms": {str(i): list(s.twists) for i, s in shape.items() if s.rank}})
-    else:
-        for i in sorted(shape):
-            if shape[i].rank:
-                print(f"term {i}: {shape[i]}")
-    return 0
+    _emit(args, {"terms": {str(i): list(s.twists) for i, s in shape.items() if s.rank}},
+          "".join(f"term {i}: {shape[i]}\n" for i in sorted(shape) if shape[i].rank))
 
 
-def _cmd_beilinson_dualtable(args) -> int:
+def _cmd_beilinson_dualtable(args):
     table = _load_table(_read(args.infile))
     out = dual_beilinson_table(table)
-    _write(args.out, _json_line(_table_payload(out)))
-    return 0
+    _emit(args, {"n": out.n, "d": out.d, "entries": [list(e) for e in out.entries]})
 
 
-def _cmd_group_random(args) -> int:
+def _cmd_group_random(args):
     if not 0 <= args.density <= 1:  # NaN fails both comparisons
         raise ParseError(f"density must lie in [0, 1], got {args.density}")
     m = parse_monad(_read(args.monad))
     g = random_element(m.field, m, seed=args.seed, density=args.density)
-    _write(args.out, format_group_element(g))
-    return 0
+    _emit(args, None, format_group_element(g))
 
 
-def _cmd_group_act(args) -> int:
+def _cmd_group_act(args):
     m = parse_monad(_read(args.monad))
     g = parse_group_element(_read(args.element))
-    _write(args.out, format_monad(act(g, m)))
-    return 0
+    _emit(args, None, format_monad(act(g, m)))
 
 
-def _cmd_group_dual(args) -> int:
+def _cmd_group_dual(args):
     g = parse_group_element(_read(args.element))
-    _write(args.out, format_group_element(induced_dual_element(g, args.codim)))
-    return 0
+    _emit(args, None, format_group_element(induced_dual_element(g, args.codim)))
 
 
 def _max_tries(args) -> int:
@@ -235,28 +201,23 @@ def _max_tries(args) -> int:
     return args.max_tries
 
 
-def _cmd_p3_sample(args) -> int:
+def _cmd_p3_sample(args):
     field = parse_field(args.field)
     pt, tries, _ = modp3.sample_wss_stats(args.seed, field, _max_tries(args))
     text = format_monad(pt)
-    if args.json:
-        text = _json_line({"seed": args.seed, "tries": tries, "point": text})
-    _write(args.out, text)
-    return 0
+    _emit(args, {"seed": args.seed, "tries": tries, "point": text}, text)
 
 
-def _cmd_p3_check(args) -> int:
-    _emit_json(modp3.wss_membership(parse_monad(_read(args.infile))).to_dict())
-    return 0
+def _cmd_p3_check(args):
+    _emit(args, modp3.wss_membership(parse_monad(_read(args.infile))).to_dict())
 
 
-def _cmd_p3_dualize(args) -> int:
+def _cmd_p3_dualize(args):
     pt = modp3.point_monad(parse_monad(_read(args.infile)))
-    _write(args.out, format_monad(dualize(pt)))
-    return 0
+    _emit(args, None, format_monad(dualize(pt)))
 
 
-def _cmd_p3_demo(args) -> int:
+def _cmd_p3_demo(args):
     field = parse_field(args.field)
     report: dict = {"seed": args.seed, "field": repr(field)}
     monad, tries, res = modp3.sample_wss_stats(args.seed, field, _max_tries(args))
@@ -274,25 +235,28 @@ def _cmd_p3_demo(args) -> int:
           and report["window_hilbert"] == "3*m + 1"
           and report["dual_euler"] == "3*m - 1" and report["equivariant"])
     report["ok"] = ok
-    if args.json:
-        _emit_json(report)
-    else:
-        print(f"sampled a point over {report['field']} (seed {args.seed}, "
-              f"{tries} draw{'s' if tries != 1 else ''})")
-        print(f"membership: {res.member}, clauses {res.clauses}")
-        print(f"Hilbert polynomial: {report['euler']} (window check: "
-              f"{report['window_hilbert']})")
-        chain = " -> ".join(str(dual_monad.terms[i]) for i in (-2, -1, 0))
-        print(f"dual resolution: {chain}")
-        print(f"dual Hilbert polynomial: {report['dual_euler']}")
-        print(f"duality commutes with the group action: {report['equivariant']}")
-        print("demo ok" if ok else "demo FAILED")
+    chain = " -> ".join(str(dual_monad.terms[i]) for i in (-2, -1, 0))
+    _emit(args, report,
+          f"sampled a point over {report['field']} (seed {args.seed}, "
+          f"{tries} draw{'s' if tries != 1 else ''})\n"
+          f"membership: {res.member}, clauses {res.clauses}\n"
+          f"Hilbert polynomial: {report['euler']} (window check: "
+          f"{report['window_hilbert']})\n"
+          f"dual resolution: {chain}\n"
+          f"dual Hilbert polynomial: {report['dual_euler']}\n"
+          f"duality commutes with the group action: {report['equivariant']}\n"
+          f"demo {'ok' if ok else 'FAILED'}\n")
     return 0 if ok else 1
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser whose errors raise ParseError instead of exiting;
-    its subparsers are built from the same class."""
+    its subparsers are built from the same class.  A value that starts with
+    a minus and a digit, as in --window -3:2, is read as a value, never a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
@@ -308,113 +272,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("bott", help="h^q of twisted p-forms on P^n")
-    for flag in ("--n", "--p", "--q", "--t"):
-        p.add_argument(flag, type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_bott)
+    def command(parent, name, help, func, shared, *own):
+        """One command: the shared flags named in shared around its own
+        (flag, options) pairs, --in first, then --out and --json last."""
+        p = parent.add_parser(name, help=help)
+        shared = shared.split()
+        if "in" in shared:
+            p.add_argument("--in", dest="infile")
+        for flag, options in own:
+            p.add_argument(flag, **options)
+        if "out" in shared:
+            p.add_argument("--out")
+        if "json" in shared:
+            p.add_argument("--json", action="store_true", help="emit JSON")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("hilb", help="Hilbert polynomial of O(e) on P^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_hilb)
+    required = {"required": True}
+    integer = {"type": int, "required": True}
+    field = ("--field", {"default": "Fp:101"})
+    max_tries = ("--max-tries", {"type": int, "default": 32})
 
-    monad = sub.add_parser("monad", help="operations on monad files").add_subparsers(
-        dest="subcommand", required=True)
+    command(sub, "bott", "h^q of twisted p-forms on P^n", _cmd_bott, "json",
+            *[(flag, integer) for flag in ("--n", "--p", "--q", "--t")])
+    command(sub, "hilb", "Hilbert polynomial of O(e) on P^n", _cmd_hilb, "json",
+            ("--n", integer), ("--e", integer))
 
-    p = monad.add_parser("validate", help="check the complex condition")
-    p.add_argument("--in", dest="infile")
-    add_json(p)
-    p.set_defaults(func=_cmd_monad_validate)
+    monad = group("monad", "operations on monad files")
+    command(monad, "validate", "check the complex condition", _cmd_monad_validate, "in json")
+    command(monad, "dualize", "twisted dual complex", _cmd_monad_dualize, "in out json")
+    command(monad, "hilbert", "Hilbert polynomial of the cohomology sheaf",
+            _cmd_monad_hilbert, "in json")
+    command(monad, "exactness", "window exactness test", _cmd_monad_exactness, "in json",
+            ("--window", {"help": "twist window lo:hi"}),
+            ("--positions", {"help": "comma-separated positions"}))
+    command(monad, "minimality", "no constants between equal twists",
+            _cmd_monad_minimality, "in json")
 
-    p = monad.add_parser("dualize", help="twisted dual complex")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
-    add_json(p)
-    p.set_defaults(func=_cmd_monad_dualize)
+    beil = group("beilinson", "canonical monad bookkeeping")
+    command(beil, "shape", "terms of the canonical monad of a table", _cmd_beilinson_shape,
+            "in json")
+    command(beil, "dualtable", "table of the twisted dual sheaf", _cmd_beilinson_dualtable,
+            "in out")
 
-    p = monad.add_parser("hilbert", help="Hilbert polynomial of the cohomology sheaf")
-    p.add_argument("--in", dest="infile")
-    add_json(p)
-    p.set_defaults(func=_cmd_monad_hilbert)
+    grp = group("group", "term automorphisms")
+    command(grp, "random", "seeded random group element for a monad", _cmd_group_random,
+            "out", ("--monad", required), ("--seed", integer),
+            ("--density", {"type": float, "default": 0.7, "help": "a number in [0, 1]"}))
+    command(grp, "act", "twist the differentials by an element", _cmd_group_act, "out",
+            ("--monad", required), ("--element", required))
+    command(grp, "dual", "element acting on the dual complex", _cmd_group_dual, "out",
+            ("--element", required), ("--codim", integer))
 
-    p = monad.add_parser("exactness", help="window exactness test")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--window", help="twist window lo:hi")
-    p.add_argument("--positions", help="comma-separated positions")
-    add_json(p)
-    p.set_defaults(func=_cmd_monad_exactness)
-
-    p = monad.add_parser("minimality", help="no constants between equal twists")
-    p.add_argument("--in", dest="infile")
-    add_json(p)
-    p.set_defaults(func=_cmd_monad_minimality)
-
-    beil = sub.add_parser("beilinson", help="canonical monad bookkeeping").add_subparsers(
-        dest="subcommand", required=True)
-
-    p = beil.add_parser("shape", help="terms of the canonical monad of a table")
-    p.add_argument("--in", dest="infile")
-    add_json(p)
-    p.set_defaults(func=_cmd_beilinson_shape)
-
-    p = beil.add_parser("dualtable", help="table of the twisted dual sheaf")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_beilinson_dualtable)
-
-    grp = sub.add_parser("group", help="term automorphisms").add_subparsers(
-        dest="subcommand", required=True)
-
-    p = grp.add_parser("random", help="seeded random group element for a monad")
-    p.add_argument("--monad", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.7, help="a number in [0, 1]")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_group_random)
-
-    p = grp.add_parser("act", help="twist the differentials by an element")
-    p.add_argument("--monad", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_group_act)
-
-    p = grp.add_parser("dual", help="element acting on the dual complex")
-    p.add_argument("--element", required=True)
-    p.add_argument("--codim", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_group_dual)
-
-    p3 = sub.add_parser("p3", help="the 3m+1 parameter space on P^3").add_subparsers(
-        dest="subcommand", required=True)
-
-    p = p3.add_parser("sample", help="seeded draw from the semistable locus")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--field", default="Fp:101")
-    p.add_argument("--max-tries", type=int, default=32)
-    p.add_argument("--out")
-    add_json(p)
-    p.set_defaults(func=_cmd_p3_sample)
-
-    p = p3.add_parser("check", help="membership verdict with reason codes (JSON)")
-    p.add_argument("--in", dest="infile")
-    p.set_defaults(func=_cmd_p3_check)
-
-    p = p3.add_parser("dualize", help="transpose onto the 3m-1 side")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_p3_dualize)
-
-    p = p3.add_parser("demo", help="sample, check, dualize, verify")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", default="Fp:101")
-    p.add_argument("--max-tries", type=int, default=32)
-    add_json(p)
-    p.set_defaults(func=_cmd_p3_demo)
+    p3 = group("p3", "the 3m+1 parameter space on P^3")
+    command(p3, "sample", "seeded draw from the semistable locus", _cmd_p3_sample,
+            "out json", ("--seed", integer), field, max_tries)
+    command(p3, "check", "membership verdict with reason codes (JSON)", _cmd_p3_check, "in")
+    command(p3, "dualize", "transpose onto the 3m-1 side", _cmd_p3_dualize, "in out")
+    command(p3, "demo", "sample, check, dualize, verify", _cmd_p3_demo, "json",
+            ("--seed", {"type": int, "default": 0}), field, max_tries)
 
     return ap
 
@@ -422,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(args) or 0  # only a failed p3 demo returns its exit code, 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except ParseError as exc:
-        _emit_json({"error": {"kind": "parse", "message": str(exc)}})
+        _emit(None, {"error": {"kind": "parse", "message": str(exc)}})
         return 2
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:
-        _emit_json({"error": {"kind": "domain", "message": str(exc)}})
+        _emit(None, {"error": {"kind": "domain", "message": str(exc)}})
         return 1
 
 

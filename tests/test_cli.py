@@ -480,12 +480,12 @@ OUT_COMMANDS = {
     "p3 sample": ["p3", "sample", "--seed", "3"],
     "p3 dualize": ["p3", "dualize", "--in", "{cubic}"],
 }
+# The ones among them that also take --json.
+OUT_JSON_COMMANDS = {"monad dualize", "p3 sample"}
 
 
-@pytest.mark.parametrize("target", ["missing directory", "directory"])
-@pytest.mark.parametrize("command", OUT_COMMANDS)
-def test_unwritable_out_is_a_json_parse_error(capsys, tmp_path, cubic_file, cubic_f101_file,
-                                              command, target):
+def _out_argv(tmp_path, cubic_file, cubic_f101_file, command) -> list[str]:
+    """The arguments of an OUT_COMMANDS entry, its input files written."""
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"n": 2, "d": 1, "entries": [[0, 0, 1], [-1, 1, 1]]}))
     element = tmp_path / "g.element"
@@ -493,8 +493,15 @@ def test_unwritable_out_is_a_json_parse_error(capsys, tmp_path, cubic_file, cubi
     element.write_text(format_group_element(random_element(m.field, m, seed=4)))
     files = {"cubic": cubic_file, "cubic_f101": cubic_f101_file, "table": table,
              "element": element}
+    return [a.format(**files) for a in OUT_COMMANDS[command]]
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_unwritable_out_is_a_json_parse_error(capsys, tmp_path, cubic_file, cubic_f101_file,
+                                              command, target):
     out = tmp_path / "no" / "such" / "x" if target == "missing directory" else tmp_path
-    argv = [a.format(**files) for a in OUT_COMMANDS[command]] + ["--out", str(out)]
+    argv = _out_argv(tmp_path, cubic_file, cubic_f101_file, command) + ["--out", str(out)]
     assert run(argv) == 2
     got = capsys.readouterr()
     payload = json.loads(got.out)
@@ -504,18 +511,23 @@ def test_unwritable_out_is_a_json_parse_error(capsys, tmp_path, cubic_file, cubi
     _check(payload, "error")
 
 
-@pytest.mark.parametrize("argv", [["monad", "dualize", "--in", "{cubic}", "--json"],
-                                  ["p3", "sample", "--seed", "1", "--json"]],
-                         ids=["monad dualize", "p3 sample"])
-def test_json_goes_to_out(capsys, tmp_path, cubic_file, argv):
-    argv = [a.format(cubic=cubic_file) for a in argv]
-    assert run(argv) == 0
-    printed = capsys.readouterr().out
-    out = tmp_path / "out.json"
-    assert run(argv + ["--out", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    assert out.read_text() == printed
-    json.loads(printed)
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_json_goes_to_out(capsys, tmp_path, cubic_file, cubic_f101_file, command):
+    # --out holds exactly what stdout gets without it, in text and in JSON
+    argv = _out_argv(tmp_path, cubic_file, cubic_f101_file, command)
+    for flags in ([], ["--json"]) if command in OUT_JSON_COMMANDS else ([],):
+        assert run(argv + flags) == 0
+        printed = capsys.readouterr().out
+        assert printed
+        out = tmp_path / "out"
+        assert run(argv + flags + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        if flags:
+            json.loads(printed)
+    if command not in OUT_JSON_COMMANDS:
+        assert run(argv + ["--json"]) == 2
+        capsys.readouterr()
 
 
 def test_monad_exactness_bad_positions_is_parse_error(capsys, koszul_file):
@@ -523,6 +535,36 @@ def test_monad_exactness_bad_positions_is_parse_error(capsys, koszul_file):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "parse"
     _check(payload, "error")
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--window=", "window must look like lo:hi, got ''"),
+    ("--positions=", "bad positions ''"),
+])
+def test_monad_exactness_empty_value_is_parse_error(capsys, koszul_file, flag, message):
+    # an empty value is not the default
+    assert run(["monad", "exactness", "--in", koszul_file, flag]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "parse", "message": message}
+    _check(payload, "error")
+
+
+EXACTNESS = ["monad", "exactness", "--in", "{koszul}"]
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (EXACTNESS + ["--window", "-3:2"], EXACTNESS + ["--window=-3:2"]),
+    (EXACTNESS + ["--positions", "-2,-1"], EXACTNESS + ["--positions=-2,-1"]),
+    (EXACTNESS + ["--window", "-3:2", "--positions", "-2", "--json"],
+     EXACTNESS + ["--window=-3:2", "--positions=-2", "--json"]),
+    (["hilb", "--n", "3", "--e", "-4"], ["hilb", "--n", "3", "--e=-4"]),
+], ids=["window", "positions", "window, positions and json", "hilb"])
+def test_negative_option_values_need_no_equals_sign(capsys, koszul_file, spaced, joined):
+    # a value that starts with a minus and a digit is read as the value
+    assert run([a.format(koszul=koszul_file) for a in joined]) == 0
+    expected = capsys.readouterr().out
+    assert run([a.format(koszul=koszul_file) for a in spaced]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_monad_exactness_huge_window_is_domain_error(capsys, koszul_file):
@@ -631,7 +673,7 @@ def test_product_bound_is_shared_by_the_cells_of_a_file(capsys, tmp_path, kind):
 
 
 @pytest.mark.parametrize("density, rc", [
-    ("nan", 2), ("inf", 2), ("-0.5", 2), ("1.5", 2), ("0", 0), ("1", 0)])
+    ("nan", 2), ("inf", 2), ("-0.5", 2), ("-.5", 2), ("1.5", 2), ("0", 0), ("1", 0)])
 def test_group_random_density_must_lie_in_unit_interval(capsys, cubic_f101_file, density, rc):
     assert run(["group", "random", "--monad", cubic_f101_file, "--seed", "4",
                 "--density", density]) == rc
