@@ -39,9 +39,14 @@ projmonad's compose (form_combination).  The reflection m -> -m of a
 Hilbert polynomial (reflect), its value at an integer (evaluate), the
 difference of two (difference), cohomology tables from {(i, p): h}
 dicts (table_from_dict) and the lookup of one table entry (table_entry)
-serve only tests too.
+serve only tests too.  cli_digest, the sha256 over the exit code and
+stdout of one in-process cli.run, is the byte pin of a command line,
+shared by tests/test_p3_pins.py and scripts/pin_p3_bytes.py.
 """
 
+import contextlib
+import hashlib
+import io
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -51,6 +56,7 @@ from random import Random
 import pytest
 
 from projmonad.autgroup import act, constant_part, random_element
+from projmonad.cli import run
 from projmonad.complexes import direct_sum, koszul_monad
 from projmonad.hilbert import IntPoly, InterpolationError, euler_poly, interpolate
 from projmonad.linalg import Matrix, inverse as matrix_inverse
@@ -129,6 +135,14 @@ class Boxed:
 
     def __repr__(self):
         return str(self.value)
+
+
+def cli_digest(argv) -> str:
+    """sha256 over the exit code and stdout of cli.run(argv), run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run(argv)
+    return hashlib.sha256(f"{rc}\n{out.getvalue()}".encode()).hexdigest()
 
 
 def is_canonical(field, v) -> bool:
