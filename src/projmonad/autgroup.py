@@ -38,6 +38,9 @@ from .polymat import (
 )
 from .scalar import Field
 
+# draws random_automorphism makes before it gives up on an invertible one
+_AUTOMORPHISM_TRIES = 64
+
 
 def constant_part(g: GradedMatrix) -> Matrix:
     """The scalar matrix of constants between equal twists."""
@@ -188,14 +191,14 @@ def induced_dual_element(g: GroupElement, c: int) -> GroupElement:
 
 
 def random_automorphism(field: Field, sheaf: FreeSheaf, rng: Random,
-                        density: float = 0.7, max_tries: int = 64) -> GradedMatrix:
+                        density: float = 0.7) -> GradedMatrix:
     """Random invertible endomorphism: constants drawn until the degree-0
     part inverts, positive-degree entries filled at the given density."""
     n = sheaf.n
     k = sheaf.rank
     if k == 0:
         return GradedMatrix.zero(field, sheaf, sheaf)
-    for _ in range(max_tries):
+    for _ in range(_AUTOMORPHISM_TRIES):
         ent = []
         for r in range(k):
             row = []
@@ -211,7 +214,7 @@ def random_automorphism(field: Field, sheaf: FreeSheaf, rng: Random,
         g = GradedMatrix(field, sheaf, sheaf, ent)
         if is_automorphism(g):
             return g
-    raise RuntimeError(f"no invertible draw in {max_tries} tries")
+    raise RuntimeError(f"no invertible draw in {_AUTOMORPHISM_TRIES} tries")
 
 
 def random_element(field: Field, m: Monad, seed: int, density: float = 0.7) -> GroupElement:

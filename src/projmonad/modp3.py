@@ -6,22 +6,26 @@ A parameter point is a pair of graded matrices
 
 with phi psi = 0; the cokernel of phi is then a sheaf with Hilbert
 polynomial 3m+1 once the complex is exact on the left.  Membership in
-the semistable locus W^ss is decided by four clauses on the twist-3
-section matrices:
+the semistable locus W^ss is decided by four clauses, each on section
+matrices:
 
-    (a) the sections of psi have rank 2,
+    (a) the sections of psi have rank 2 at twist 3,
     (b) the section matrices compose to zero, which is phi psi = 0,
-    (c) the sections of phi have a 2-dimensional kernel,
-    (d) phi_21 != 0, or the linear entries phi_22, phi_23, phi_24 are
-        independent (phi is then not column-equivalent to a matrix
-        whose second row starts with two zeros).
+    (c) the sections of phi have a 2-dimensional kernel at twist 3,
+    (d) the sections of phi's second row, O(-1) + 3O(-2) -> O(-1), have
+        rank at least 3 at twist 2.
 
 Sections are a functor, S_3(phi) S_3(psi) = S_3(phi psi), and at twist
 3 that product holds the coefficients of phi psi, so clause (b) is
 decided by the complex condition, monad.validate of the point, and no
-section matrix is ever multiplied.  Clause (c) ranks phi's
-sections through the section-rank cache the Hilbert window shares, so
-membership builds no section matrix of phi of its own.
+section matrix is ever multiplied.  Clause (c) ranks phi's sections
+through the section-rank cache the Hilbert window shares.  In (d) the
+columns are phi_21 x0..x3 and the coefficients of phi_22, phi_23,
+phi_24: the rank is 4 when phi_21 != 0, else that of the three linear
+forms, so (d) fails exactly when phi is column-equivalent to a matrix
+whose second row starts with two zeros.  The rank is G-invariant: row 2
+of g_tgt phi g_mid^{-1} is c row2 g_mid^{-1} with c a nonzero constant,
+as Hom(O, O(-1)) = 0, and S_2(g_mid^{-1}) is invertible.
 
 A point is a Monad on these twist lists at positions -2..0, with codim
 2 and cohomology at 0, as point_monad checks; psi and phi are its
@@ -32,11 +36,10 @@ automorphisms, compatibly on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from .autgroup import graded_inverse, random_automorphism
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import kernel_basis, rank
 from .monad import Monad, _sections_rank, parse_block, validate
 from .polymat import (
     FreeSheaf,
@@ -74,28 +77,6 @@ class SampleExhaustedError(RuntimeError):
     """No accepted point within the allowed number of draws."""
 
 
-@dataclass(frozen=True)
-class Membership:
-    member: bool
-    clauses: dict[str, bool]
-
-    @property
-    def failed(self) -> list[str]:
-        return [k for k, ok in sorted(self.clauses.items()) if not ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "clauses": dict(sorted(self.clauses.items())),
-            "failed": self.failed,
-            "descriptions": {k: CLAUSES[k] for k in self.failed},
-        }
-
-
-def _linear_coeff_matrix(field: Field, forms: list[HomogPoly]) -> Matrix:
-    return Matrix(field, len(forms), forms_dimension(N, 1), [coordinates(f) for f in forms])
-
-
 def point_monad(m: Monad) -> Monad:
     """m itself if it is a point: the fixed twist lists at -2..0 on P^3,
     codim 2 and cohomology at 0; anything else is a MalformedPointError."""
@@ -109,27 +90,28 @@ def point_monad(m: Monad) -> Monad:
     return m
 
 
-def wss_membership(m: Monad) -> Membership:
-    """Evaluate the four semistability clauses of the point m at twist 3.
+def wss_membership(m: Monad) -> dict:
+    """The verdict on the point m that p3 check prints: member, the four
+    clauses in order a to d, the failed ones and their descriptions.
 
     Clause (b) validates the complex, phi psi = 0, since the product of
     the section matrices is the section matrix of phi psi.  phi is ranked
     through the section-rank cache: the Hilbert window of m ranks the
-    same matrix at the same twist.
+    same matrix at the same twist.  Clause (d) builds the section matrix
+    of phi's second row only when phi_21 is zero; otherwise its rank is 4.
     """
     psi, phi = point_monad(m).diffs[-2], m.diffs[-1]
-    clause_a = rank(sections_matrix(psi, SECTION_TWIST)) == 2
-    clause_b = not validate(m)
-    clause_c = (MIDDLE.sections_dim(SECTION_TWIST)
-                - _sections_rank(phi, SECTION_TWIST)) == 2
-    phi_21 = phi.entries[1][0]
-    if not phi_21.is_zero():
-        clause_d = True
-    else:
-        lin = [phi.entries[1][j] for j in (1, 2, 3)]
-        clause_d = rank(_linear_coeff_matrix(m.field, lin)) == 3
-    clauses = {"a": clause_a, "b": clause_b, "c": clause_c, "d": clause_d}
-    return Membership(all(clauses.values()), clauses)
+    row2 = phi.entries[1]
+    clauses = {
+        "a": rank(sections_matrix(psi, SECTION_TWIST)) == 2,
+        "b": not validate(m),
+        "c": MIDDLE.sections_dim(SECTION_TWIST) - _sections_rank(phi, SECTION_TWIST) == 2,
+        "d": not row2[0].is_zero() or rank(sections_matrix(
+            GradedMatrix(m.field, MIDDLE, FreeSheaf(N, (-1,)), [row2]), 2)) >= 3,
+    }
+    failed = [k for k, ok in clauses.items() if not ok]
+    return {"member": not failed, "clauses": clauses, "failed": failed,
+            "descriptions": {k: CLAUSES[k] for k in failed}}
 
 
 def _point(field: Field, psi: GradedMatrix, phi: GradedMatrix) -> Monad:
@@ -222,12 +204,12 @@ def _psi_from_kernel(phi: GradedMatrix) -> GradedMatrix | None:
 
 
 def sample_wss_stats(seed: int, field: Field,
-                     max_tries: int = 32) -> tuple[Monad, int, Membership]:
+                     max_tries: int = 32) -> tuple[Monad, int, dict]:
     """Draw phi on the syzygy-positive locus, densify by a random
     automorphism, solve psi from the section kernel, test membership.
 
     Returns the first accepted point, the number of draws it took and
-    the Membership that accepted it.  Deterministic in the seed.
+    the wss_membership verdict that accepted it.  Deterministic in the seed.
     Refuses Q: the rejection loop is only meant for prime fields, where
     dense draws are cheap and generic.
     """
@@ -246,8 +228,8 @@ def sample_wss_stats(seed: int, field: Field,
             continue
         pt = _point(field, psi, phi)
         res = wss_membership(pt)
-        if not res.clauses["b"]:
+        if not res["clauses"]["b"]:
             raise AssertionError("kernel solve must satisfy phi psi = 0")
-        if res.member:
+        if res["member"]:
             return pt, attempt, res
     raise SampleExhaustedError(f"exhausted max_tries = {max_tries}")

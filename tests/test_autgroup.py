@@ -89,6 +89,19 @@ def test_inverse_two_sided_100_random():
         assert compose(inv, g) == ident
 
 
+def test_random_automorphism_gives_up_after_64_draws(monkeypatch):
+    drawn = []
+
+    def never(g):
+        drawn.append(g)
+        return False
+
+    monkeypatch.setattr(autgroup, "is_automorphism", never)
+    with pytest.raises(RuntimeError, match="^no invertible draw in 64 tries$"):
+        random_automorphism(F101, FreeSheaf(2, (0, -1)), Random(3))
+    assert len(drawn) == 64
+
+
 def _automorphism_cases(field, rng):
     """Automorphisms with 1-5 twist levels, gapped and unsorted twist
     lists, every density, plus the rank-0 and identity edge cases."""

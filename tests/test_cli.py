@@ -448,6 +448,15 @@ def test_cached_parser_leaks_no_state_between_runs(capsys, koszul_file, tmp_path
     ([], "required"),
     (["group", "act", "--monad"], "expected one argument"),
     (["p3", "demo", "--max-tries", "1.5"], "invalid int value"),
+    # the innermost parser that saw an unrecognized argument names itself
+    (["monad", "exactness", "--jobs", "2"],
+     "projmonad monad exactness: unrecognized arguments: --jobs 2"),
+    (["p3", "check", "--in", "point.monad", "--json"],
+     "projmonad p3 check: unrecognized arguments: --json"),
+    (["bott", "--n", "3", "--p", "1", "--q", "1", "--t", "0", "extra"],
+     "projmonad bott: unrecognized arguments: extra"),
+    (["monad", "--bogus", "validate", "--in", "point.monad"],
+     "projmonad monad: unrecognized arguments: --bogus"),
 ])
 def test_malformed_command_line_is_a_json_parse_error(capsys, argv, says):
     assert run(argv) == 2
@@ -540,12 +549,44 @@ def test_monad_exactness_bad_positions_is_parse_error(capsys, koszul_file):
 @pytest.mark.parametrize("flag, message", [
     ("--window=", "window must look like lo:hi, got ''"),
     ("--positions=", "bad positions ''"),
+    ("--window=3:x", "bad window '3:x'"),
+    ("--window=5:3", "empty window '5:3'"),
 ])
 def test_monad_exactness_empty_value_is_parse_error(capsys, koszul_file, flag, message):
-    # an empty value is not the default
+    # an empty value is not the default; a malformed or empty window is refused
     assert run(["monad", "exactness", "--in", koszul_file, flag]) == 2
-    payload = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
     assert payload["error"] == {"kind": "parse", "message": message}
+    assert err == ""
+    _check(payload, "error")
+
+
+@pytest.mark.parametrize("argv, kind, message", [
+    (["monad", "exactness", "--in", "{koszul}", "--positions", "9"],
+     "domain", "position 9 outside [-2, 0]"),
+    (["monad", "validate", "--in", "{short_row}"], "parse", "diff -1 row 0: expected 2 entries"),
+    (["monad", "validate", "--in", "{no_term}"], "parse", "a monad needs at least one term"),
+    (["group", "act", "--monad", "{cubic_f101}", "--element", "{koszul_element}"],
+     "domain", "group element does not match term -2"),
+], ids=["position outside", "short diff row", "no term", "element of another complex"])
+def test_hostile_input_is_one_json_error(capsys, tmp_path, koszul_file, cubic_f101_file,
+                                         argv, kind, message):
+    files = {"koszul": koszul_file, "cubic_f101": cubic_f101_file}
+    for name, text in [
+        ("short_row", "P 2 over Q\nterm -1: [0,0]\nterm 0: [0]\ndiff -1:\n1\n"
+                      "codim 1\ncohomology_at 0\n"),
+        ("no_term", "P 2 over Q\ncodim 1\ncohomology_at 0\n"),
+        ("koszul_element", format_group_element(
+            random_element(QQ, parse_monad(Path(koszul_file).read_text()), seed=1))),
+    ]:
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    assert run([a.format(**files) for a in argv]) == (1 if kind == "domain" else 2)
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"] == {"kind": kind, "message": message}
+    assert err == ""
     _check(payload, "error")
 
 

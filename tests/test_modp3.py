@@ -4,7 +4,15 @@ from random import Random
 
 import pytest
 
-from conftest import matrix_is_zero, matrix_product, poly_add_oracle, random_graded_matrix
+from conftest import (
+    Boxed,
+    boxed_rows,
+    matrix_is_zero,
+    matrix_product,
+    poly_add_oracle,
+    random_graded_matrix,
+    rank_oracle,
+)
 from projmonad import modp3
 from projmonad.autgroup import (
     act,
@@ -41,7 +49,9 @@ from projmonad.monad import (
 from projmonad.polymat import (
     FreeSheaf,
     GradedMatrix,
+    HomogPoly,
     compose,
+    coordinates,
     parse_poly,
     random_poly,
     sections_matrix,
@@ -71,7 +81,7 @@ def test_twisted_cubic_is_a_complex_with_all_clauses():
     # brute-force check of the frozen syzygy signs
     assert compose(pt.diffs[-1], pt.diffs[-2]).is_zero()
     res = wss_membership(pt)
-    assert res.member and res.failed == []
+    assert res["member"] and res["failed"] == []
     assert rank(sections_matrix(pt.diffs[-2], 3)) == 2
 
 
@@ -88,9 +98,9 @@ def test_forbidden_form_rejected_with_reason_d():
     pt = forbidden_form_point()
     assert not validate(point_monad(pt))
     res = wss_membership(pt)
-    assert not res.member
-    assert res.failed == ["d"]
-    assert res.clauses == {"a": True, "b": True, "c": True, "d": False}
+    assert not res["member"]
+    assert res["failed"] == ["d"]
+    assert res["clauses"] == {"a": True, "b": True, "c": True, "d": False}
     assert euler_poly(point_monad(pt)) == IntPoly([1, 3])
 
 
@@ -103,7 +113,7 @@ def test_reason_codes_name_each_clause():
         psi_rows=[["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"]],
     )
     res = wss_membership(zero_psi)
-    assert res.failed == ["a"]
+    assert res["failed"] == ["a"]
     # a psi that is not even a complex trips (b)
     broken = _point(
         phi_rows=[["0", "x1*x3 - x2^2", "x1*x2 - x0*x3", "x0*x2 - x1^2"],
@@ -111,7 +121,7 @@ def test_reason_codes_name_each_clause():
         psi_rows=[["0", "0"], ["x0", "x1"], ["x1", "x2"], ["x2", "x0"]],
     )
     res = wss_membership(broken)
-    assert "b" in res.failed
+    assert "b" in res["failed"]
 
 
 def _clause_b_points(field, rng, count):
@@ -148,7 +158,7 @@ def test_clause_b_equals_the_section_product(field):
         product = matrix_product(sections_matrix(pt.diffs[-1], 3),
                                  sections_matrix(pt.diffs[-2], 3))
         zero = matrix_is_zero(product)
-        assert wss_membership(pt).clauses["b"] == zero
+        assert wss_membership(pt)["clauses"]["b"] == zero
         zero_products += zero
     assert 0 < zero_products < 150
 
@@ -168,7 +178,7 @@ def test_sampling_refuses_a_kernel_solve_that_is_no_complex(monkeypatch):
 
 
 def test_membership_to_dict_shape():
-    d = wss_membership(twisted_cubic_point()).to_dict()
+    d = wss_membership(twisted_cubic_point())
     assert set(d) == {"member", "clauses", "failed", "descriptions"}
     assert set(d["clauses"]) == {"a", "b", "c", "d"}
 
@@ -230,7 +240,7 @@ def test_sampling_accepts_within_regression_bound():
     for seed in range(10):
         pt, tries, _ = sample_wss_stats(seed, F101)
         assert tries <= TRY_BOUND
-        assert wss_membership(pt).member
+        assert wss_membership(pt)["member"]
 
 
 def test_sampling_galleries_are_deterministic():
@@ -283,7 +293,19 @@ def test_membership_invariant_under_group_action():
     m = point_monad(pt)
     for trial in range(10):
         g = random_element(F101, m, seed=100 + trial)
-        assert wss_membership(point_monad(act(g, m))).member
+        assert wss_membership(point_monad(act(g, m)))["member"]
+
+
+def _row2_rank(phi):
+    """The rank of the twist-2 sections of phi's second row, by minors."""
+    row2 = GradedMatrix(phi.field, MIDDLE, FreeSheaf(3, (-1,)), [phi.entries[1]])
+    return rank_oracle(phi.field, boxed_rows(sections_matrix(row2, 2)), 7)
+
+
+def _independent(forms):
+    """Whether linear forms are independent, by minors on their coordinates."""
+    rows = [[Boxed(f.field, coordinates(f).get(j, 0)) for j in range(4)] for f in forms]
+    return rank_oracle(forms[0].field, rows, 4) == len(forms)
 
 
 def test_clause_d_or_is_the_invariant():
@@ -291,22 +313,42 @@ def test_clause_d_or_is_the_invariant():
     # degrees make every group block triangular, so phi_21 only ever
     # rescales, while column operations pour phi_21 multiples into the
     # linear entries and flip their independence freely.  Membership
-    # must therefore assert the OR, never one branch.
-    from projmonad.linalg import rank as _rank
-    from projmonad.modp3 import _linear_coeff_matrix
-
+    # must therefore assert the OR, never one branch; the second row's
+    # section rank at twist 2 is the invariant that carries it.
     pt = twisted_cubic_point(F101)
     m = point_monad(pt)
+    start_rank = _row2_rank(m.diffs[-1])
     independence_flipped = False
     for trial in range(40):
         g = random_element(F101, m, seed=500 + trial)
         moved = point_monad(act(g, m))
-        assert wss_membership(moved).member
+        assert wss_membership(moved)["member"]
         assert not moved.diffs[-1].entries[1][0].is_zero()
-        lin = [moved.diffs[-1].entries[1][j] for j in (1, 2, 3)]
-        if _rank(_linear_coeff_matrix(F101, lin)) == 3:
+        assert _row2_rank(moved.diffs[-1]) == start_rank
+        if _independent([moved.diffs[-1].entries[1][j] for j in (1, 2, 3)]):
             independence_flipped = True  # false at the start point
     assert independence_flipped
+
+
+@pytest.mark.parametrize("field", [GF(2), F101, QQ], ids=["F_2", "F_101", "Q"])
+def test_clause_d_is_phi21_or_independent_linear_forms(field):
+    # half the draws zero phi_21, so the section rank decides clause (d)
+    rng = Random(37)
+    kinds = set()
+    for k in range(60):
+        density = rng.choice((0.1, 0.4, 1.0))
+        entries = [list(row) for row in
+                   random_graded_matrix(field, MIDDLE, TARGET, rng, density).entries]
+        if k % 2:
+            entries[1][0] = HomogPoly.zero(field, 3, 0)
+        phi = GradedMatrix(field, MIDDLE, TARGET, entries)
+        pt = modp3._point(field, random_graded_matrix(field, SOURCE, MIDDLE, rng, density), phi)
+        phi_21_zero = entries[1][0].is_zero()
+        expected = not phi_21_zero or _independent(entries[1][1:])
+        assert wss_membership(pt)["clauses"]["d"] == expected
+        assert expected == (_row2_rank(phi) >= 3)
+        kinds.add((phi_21_zero, expected))
+    assert kinds == {(False, True), (True, True), (True, False)}
 
 
 def test_duality_action_equivariance():

@@ -282,6 +282,16 @@ def test_graded_matrix_rejects_wrong_degree():
                      [[parse_poly("1", QQ, 1, 0)]])
 
 
+@pytest.mark.parametrize("source, target, message", [
+    (FreeSheaf(1, (0,)), FreeSheaf(2, (0, 0)), "source and target on different projective spaces"),
+    (FreeSheaf(1, (0,)), FreeSheaf(1, (0, 0)), "entry grid is not 2x1"),
+], ids=["spaces", "grid"])
+def test_graded_matrix_rejects_bad_shape(source, target, message):
+    one = parse_poly("1", QQ, 1, 0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GradedMatrix(QQ, source, target, [[one]])
+
+
 def test_dual_hom_shape_example():
     src = FreeSheaf(3, (-3, -3))
     tgt = FreeSheaf(3, (-1, -2, -2, -2))
