@@ -39,8 +39,9 @@ projmonad's compose (form_combination).  The reflection m -> -m of a
 Hilbert polynomial (reflect), its value at an integer (evaluate), the
 difference of two (difference), cohomology tables from {(i, p): h}
 dicts (table_from_dict) and the lookup of one table entry (table_entry)
-serve only tests too.  cli_digest, the sha256 over the exit code and
-stdout of one in-process cli.run, is the byte pin of a command line,
+serve only tests too.  cli_digest, the sha256 over the exit code,
+stdout and --out file of one in-process cli.run, is the byte pin of a
+command line,
 shared by tests/test_p3_pins.py and scripts/pin_p3_bytes.py.
 """
 
@@ -51,6 +52,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -138,11 +140,17 @@ class Boxed:
 
 
 def cli_digest(argv) -> str:
-    """sha256 over the exit code and stdout of cli.run(argv), run in-process."""
+    """sha256 over the exit code and stdout of cli.run(argv), run in-process,
+    and over the bytes of the --out file it wrote, which is then removed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = run(argv)
-    return hashlib.sha256(f"{rc}\n{out.getvalue()}".encode()).hexdigest()
+    text = f"{rc}\n{out.getvalue()}"
+    path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if path is not None and path.is_file():
+        text += f"--out\n{path.read_text()}"
+        path.unlink()
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def is_canonical(field, v) -> bool:
