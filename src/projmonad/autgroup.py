@@ -196,8 +196,6 @@ def random_automorphism(field: Field, sheaf: FreeSheaf, rng: Random,
     part inverts, positive-degree entries filled at the given density."""
     n = sheaf.n
     k = sheaf.rank
-    if k == 0:
-        return GradedMatrix.zero(field, sheaf, sheaf)
     for _ in range(_AUTOMORPHISM_TRIES):
         ent = []
         for r in range(k):

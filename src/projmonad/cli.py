@@ -226,16 +226,17 @@ def _cmd_p3_demo(args):
     report["euler"] = str(euler_poly(monad))
     report["window_hilbert"] = str(hilbert_poly_of_cohomology(monad))
     dual_monad = dualize(monad)
-    report["dual_twists"] = {str(i): list(dual_monad.terms[i].twists) for i in (-2, -1, 0)}
+    positions = range(dual_monad.lo, dual_monad.hi + 1)
+    report["dual_twists"] = {str(i): list(dual_monad.terms[i].twists) for i in positions}
     report["dual_euler"] = str(euler_poly(dual_monad))
     g = random_element(field, monad, seed=args.seed + 1)
-    gd = induced_dual_element(g, 2)
+    gd = induced_dual_element(g, monad.c)
     report["equivariant"] = dualize(act(g, monad)) == act(gd, dual_monad)
     ok = (res["member"] and report["euler"] == "3*m + 1"
           and report["window_hilbert"] == "3*m + 1"
           and report["dual_euler"] == "3*m - 1" and report["equivariant"])
     report["ok"] = ok
-    chain = " -> ".join(str(dual_monad.terms[i]) for i in (-2, -1, 0))
+    chain = " -> ".join(str(dual_monad.terms[i]) for i in positions)
     _emit(args, report,
           f"sampled a point over {report['field']} (seed {args.seed}, "
           f"{tries} draw{'s' if tries != 1 else ''})\n"
@@ -249,21 +250,35 @@ def _cmd_p3_demo(args):
     return 0 if ok else 1
 
 
+class _SubParsersAction(argparse._SubParsersAction):
+    """A command choice whose parser's error waits for the parser above."""
+
+    def __call__(self, parser, namespace, *args):
+        try:
+            super().__call__(parser, namespace, *args)
+        except ParseError as exc:
+            namespace.command_error = exc
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser whose errors raise ParseError instead of exiting;
     its subparsers are built from the same class.  A value that starts with
     a minus and a digit, as in --window -3:2, is read as a value, never a
     flag.  Arguments a parser leaves over are its own error, so the
-    innermost command that saw them names itself."""
+    innermost command that saw them names itself, before any error of a
+    command chosen after them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self.register("action", "parsers", _SubParsersAction)
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
+        if hasattr(namespace, "command_error"):
+            raise namespace.command_error
         return namespace, extras
 
     def error(self, message):

@@ -18,8 +18,9 @@ matrices:
 Sections are a functor, S_3(phi) S_3(psi) = S_3(phi psi), and at twist
 3 that product holds the coefficients of phi psi, so clause (b) is
 decided by the complex condition, monad.validate of the point, and no
-section matrix is ever multiplied.  Clause (c) ranks phi's sections
-through the section-rank cache the Hilbert window shares.  In (d) the
+section matrix is ever multiplied.  Clauses (a), (c) and (d) rank
+through monad._sections_rank, the cache the Hilbert window shares, and
+a sampled psi is polymat.syzygies(phi, 3).  In (d) the
 columns are phi_21 x0..x3 and the coefficients of phi_22, phi_23,
 phi_24: the rank is 4 when phi_21 != 0, else that of the three linear
 forms, so (d) fails exactly when phi is column-equivalent to a matrix
@@ -39,7 +40,6 @@ from __future__ import annotations
 from random import Random
 
 from .autgroup import graded_inverse, random_automorphism
-from .linalg import kernel_basis, rank
 from .monad import Monad, _sections_rank, parse_block, validate
 from .polymat import (
     FreeSheaf,
@@ -48,10 +48,9 @@ from .polymat import (
     ParseBudget,
     compose,
     coordinates,
-    forms_dimension,
     from_coordinates,
     random_poly,
-    sections_matrix,
+    syzygies,
 )
 from .scalar import QQ, Field
 
@@ -95,19 +94,19 @@ def wss_membership(m: Monad) -> dict:
     clauses in order a to d, the failed ones and their descriptions.
 
     Clause (b) validates the complex, phi psi = 0, since the product of
-    the section matrices is the section matrix of phi psi.  phi is ranked
-    through the section-rank cache: the Hilbert window of m ranks the
-    same matrix at the same twist.  Clause (d) builds the section matrix
-    of phi's second row only when phi_21 is zero; otherwise its rank is 4.
+    the section matrices is the section matrix of phi psi.  The other
+    three rank through the section-rank cache; the Hilbert window of m
+    ranks phi at the same twist again.  Clause (d) ranks phi's second row
+    only when phi_21 is zero; otherwise its rank is 4.
     """
     psi, phi = point_monad(m).diffs[-2], m.diffs[-1]
     row2 = phi.entries[1]
     clauses = {
-        "a": rank(sections_matrix(psi, SECTION_TWIST)) == 2,
+        "a": _sections_rank(psi, SECTION_TWIST) == 2,
         "b": not validate(m),
         "c": MIDDLE.sections_dim(SECTION_TWIST) - _sections_rank(phi, SECTION_TWIST) == 2,
-        "d": not row2[0].is_zero() or rank(sections_matrix(
-            GradedMatrix(m.field, MIDDLE, FreeSheaf(N, (-1,)), [row2]), 2)) >= 3,
+        "d": not row2[0].is_zero() or _sections_rank(
+            GradedMatrix(m.field, MIDDLE, FreeSheaf(N, (-1,)), [row2]), 2) >= 3,
     }
     failed = [k for k, ok in clauses.items() if not ok]
     return {"member": not failed, "clauses": clauses, "failed": failed,
@@ -180,33 +179,10 @@ def _determinantal_phi(field: Field, rng: Random) -> GradedMatrix:
                          [one, zero1, zero1, zero1]])
 
 
-def _psi_from_kernel(phi: GradedMatrix) -> GradedMatrix | None:
-    """Solve phi psi = 0: psi columns span the twist-3 section kernel.
-
-    The kernel's columns run over the monomials of psi's rows in turn,
-    quadrics in the first row and linear forms in the other three.
-    """
-    kernel = kernel_basis(sections_matrix(phi, SECTION_TWIST))
-    if len(kernel) != 2:
-        return None
-    field = phi.field
-    degrees = [SECTION_TWIST + e for e in MIDDLE.twists]
-    slots = [(r, j) for r, d in enumerate(degrees) for j in range(forms_dimension(N, d))]
-    columns = []
-    for v in kernel:
-        coords = [{} for _ in degrees]
-        for c, x in v.items():
-            r, j = slots[c]
-            coords[r][j] = x
-        columns.append([from_coordinates(field, N, d, x) for d, x in zip(degrees, coords)])
-    return GradedMatrix(field, SOURCE, MIDDLE,
-                        [[columns[0][r], columns[1][r]] for r in range(4)])
-
-
 def sample_wss_stats(seed: int, field: Field,
                      max_tries: int = 32) -> tuple[Monad, int, dict]:
     """Draw phi on the syzygy-positive locus, densify by a random
-    automorphism, solve psi from the section kernel, test membership.
+    automorphism, take psi = syzygies(phi, 3) and test membership.
 
     Returns the first accepted point, the number of draws it took and
     the wss_membership verdict that accepted it.  Deterministic in the seed.
@@ -223,8 +199,8 @@ def sample_wss_stats(seed: int, field: Field,
         g_mid = random_automorphism(field, MIDDLE, rng, density=1.0)
         g_tgt = random_automorphism(field, TARGET, rng, density=1.0)
         phi = compose(g_tgt, compose(phi0, graded_inverse(g_mid)))
-        psi = _psi_from_kernel(phi)
-        if psi is None:
+        psi = syzygies(phi, SECTION_TWIST)
+        if psi.cols != 2:
             continue
         pt = _point(field, psi, phi)
         res = wss_membership(pt)

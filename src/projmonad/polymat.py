@@ -53,11 +53,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, lcm
 from random import Random
 from types import MappingProxyType
 
-from .linalg import Matrix
+from .linalg import Matrix, kernel_basis
 from .scalar import Field
 
 Monomial = int  # a packed exponent vector
@@ -560,7 +561,11 @@ class FreeSheaf:
         return FreeSheaf(self.n, tuple(-self.n - 1 - e for e in self.twists))
 
     def sections_dim(self, t: int) -> int:
-        return sum(forms_dimension(self.n, t + e) for e in self.twists)
+        return self.section_starts(t)[-1]
+
+    def section_starts(self, t: int) -> list[int]:
+        """The start of each summand's block of sections in twist t, then their total."""
+        return list(accumulate((forms_dimension(self.n, t + e) for e in self.twists), initial=0))
 
     def __str__(self):
         return "[" + ",".join(str(e) for e in self.twists) + "]"
@@ -704,21 +709,13 @@ def sections_matrix(m: GradedMatrix, t: int) -> Matrix:
     come out sparse: only the products of monomials with terms are set.
     """
     n = m.n
-    src_dims = [forms_dimension(n, t + e) for e in m.source.twists]
-    tgt_dims = [forms_dimension(n, t + f) for f in m.target.twists]
-    src_off = [0]
-    for d in src_dims:
-        src_off.append(src_off[-1] + d)
-    tgt_off = [0]
-    for d in tgt_dims:
-        tgt_off.append(tgt_off[-1] + d)
+    src_off, tgt_off = m.source.section_starts(t), m.target.section_starts(t)
     rows, cols = tgt_off[-1], src_off[-1]
     row_maps: list[dict] = [{} for _ in range(rows)]
     for j in range(m.cols):
-        d_src = t + m.source.twists[j]
-        if d_src < 0:
+        src_monos = monomials_of_degree(n, t + m.source.twists[j])
+        if not src_monos:
             continue
-        src_monos = monomials_of_degree(n, d_src)
         for i in range(m.rows):
             terms = m.entries[i][j].coeffs.items()
             if not terms:
@@ -729,6 +726,19 @@ def sections_matrix(m: GradedMatrix, t: int) -> Matrix:
                 for v, coef in terms:
                     row_maps[off + index[u + v]][col] = coef
     return Matrix(m.field, rows, cols, row_maps)
+
+
+def syzygies(m: GradedMatrix, t: int) -> GradedMatrix:
+    """The degree-t syzygies of m: the map k O(-t) -> m.source whose
+    column s holds the forms of the s-th kernel_basis vector of
+    sections_matrix(m, t), read summand by summand in that matrix's
+    column layout; so compose(m, syzygies(m, t)) is zero."""
+    kernel = kernel_basis(sections_matrix(m, t))
+    field, n, starts = m.field, m.n, m.source.section_starts(t)
+    return GradedMatrix(field, FreeSheaf(n, (-t,) * len(kernel)), m.source, [
+        [from_coordinates(field, n, t + e, {c - lo: x for c, x in v.items() if lo <= c < hi})
+         for v in kernel]
+        for e, lo, hi in zip(m.source.twists, starts, starts[1:])])
 
 
 def random_poly(field: Field, n: int, degree: int, rng: Random,

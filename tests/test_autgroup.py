@@ -61,6 +61,8 @@ def test_is_automorphism_needs_endomorphism():
     m = GradedMatrix(QQ, src, tgt, [[parse_poly("x0", QQ, 1, 1)]])
     with pytest.raises(ValueError):
         is_automorphism(m)
+    with pytest.raises(ValueError, match="^block 0 is not an endomorphism$"):
+        GroupElement({0: m})
 
 
 def test_inverse_of_unipotent():

@@ -11,8 +11,8 @@ import pytest
 
 from projmonad.cli import run
 from projmonad import autgroup as autgroup_module, modp3 as modp3_module
-from projmonad import monad as monad_module
-from projmonad.autgroup import format_group_element, random_element
+from projmonad import monad as monad_module, polymat as polymat_module
+from projmonad.autgroup import format_group_element, parse_group_element, random_element
 from projmonad.complexes import direct_sum, koszul_monad, omega_resolution
 from projmonad.hilbert import MAX_DIMENSION, bott_h
 from projmonad.modp3 import forbidden_form_point, twisted_cubic_point
@@ -457,6 +457,10 @@ def test_cached_parser_leaks_no_state_between_runs(capsys, koszul_file, tmp_path
      "projmonad bott: unrecognized arguments: extra"),
     (["monad", "--bogus", "validate", "--in", "point.monad"],
      "projmonad monad: unrecognized arguments: --bogus"),
+    # an unknown flag before a command is named before the command's own
+    # missing arguments
+    (["--bogus", "bott"], "projmonad: unrecognized arguments: --bogus"),
+    (["group", "--bogus", "dual"], "projmonad group: unrecognized arguments: --bogus"),
 ])
 def test_malformed_command_line_is_a_json_parse_error(capsys, argv, says):
     assert run(argv) == 2
@@ -569,7 +573,10 @@ def test_monad_exactness_empty_value_is_parse_error(capsys, koszul_file, flag, m
     (["monad", "validate", "--in", "{no_term}"], "parse", "a monad needs at least one term"),
     (["group", "act", "--monad", "{cubic_f101}", "--element", "{koszul_element}"],
      "domain", "group element does not match term -2"),
-], ids=["position outside", "short diff row", "no term", "element of another complex"])
+    (["monad", "validate", "--in", "{diff_past_terms}"], "parse",
+     "diff 5 without surrounding terms"),
+], ids=["position outside", "short diff row", "no term", "element of another complex",
+        "diff past terms"])
 def test_hostile_input_is_one_json_error(capsys, tmp_path, koszul_file, cubic_f101_file,
                                          argv, kind, message):
     files = {"koszul": koszul_file, "cubic_f101": cubic_f101_file}
@@ -577,6 +584,7 @@ def test_hostile_input_is_one_json_error(capsys, tmp_path, koszul_file, cubic_f1
         ("short_row", "P 2 over Q\nterm -1: [0,0]\nterm 0: [0]\ndiff -1:\n1\n"
                       "codim 1\ncohomology_at 0\n"),
         ("no_term", "P 2 over Q\ncodim 1\ncohomology_at 0\n"),
+        ("diff_past_terms", "P 2 over Q\nterm 0: [0]\ndiff 5:\ncodim 1\ncohomology_at 0\n"),
         ("koszul_element", format_group_element(
             random_element(QQ, parse_monad(Path(koszul_file).read_text()), seed=1))),
     ]:
@@ -759,7 +767,7 @@ def test_p3_demo_solves_each_inverse_and_ranks_each_section_matrix_once(capsys, 
         built.append((d.source, d.target, t))
         return build(d, t)
 
-    for module in (monad_module, modp3_module):
+    for module in (monad_module, polymat_module):
         monkeypatch.setattr(module, "sections_matrix", counting_sections)
     monad_module._sections_rank.cache_clear()
     rc, payload = _run_json(capsys, ["p3", "demo", "--json", "--seed", "0"])
@@ -767,9 +775,10 @@ def test_p3_demo_solves_each_inverse_and_ranks_each_section_matrix_once(capsys, 
     # one solve for the draw, three for g's blocks; gd carries its own
     assert len(solved) == 4
     info = monad_module._sections_rank.cache_info()
-    # phi at twist 3 is ranked for membership, then found again by the window
-    assert (info.hits, info.misses) == (1, 5)
-    # phi at twist 3 is built for the kernel solve and for its one rank;
+    # every membership rank goes through the cache, psi's and phi's at
+    # twist 3; the window finds phi at twist 3 again
+    assert (info.hits, info.misses) == (1, 6)
+    # phi at twist 3 is built for its syzygies and for its one rank;
     # membership decides clause (b) without a section matrix of phi
     assert len(built) == 7
     assert built.count((modp3_module.MIDDLE, modp3_module.TARGET, 3)) == 2
@@ -791,6 +800,15 @@ def test_negative_dimension_is_domain_error(capsys, tmp_path, argv):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {"kind": "domain", "message": f"dimension {dim} is negative"}
     _check(payload, "error")
+
+
+def test_group_random_skips_a_rank_zero_term(capsys, tmp_path):
+    path = tmp_path / "rank0.monad"
+    path.write_text("P 3 over F101\nterm -1: []\nterm 0: [-1,1]\ncodim 2\ncohomology_at 0\n")
+    assert run(["group", "random", "--monad", str(path), "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "block 0:" in out and "block -1:" not in out
+    assert parse_group_element(out).blocks[-1].rows == 0
 
 
 def test_empty_group_element_is_parse_error(capsys, tmp_path):

@@ -37,6 +37,11 @@ parser a literal's numerator by its denominator, and hilbert's IntPoly
 keeps canonical raw values of QQ as its coefficients.  So only scalar
 names Fraction, calls pow(x, -1, p) or reads a numerator or a
 denominator.
+
+Section matrices have one owner too: polymat lays them out, and turns
+their kernel back into forms (syzygies), and monad ranks them through
+its one cache (_sections_rank).  No other module names sections_matrix;
+the package __init__ only re-exports it.
 """
 
 import ast
@@ -421,3 +426,40 @@ def test_rational_rule_sees_numerators(source, found):
                          ids=lambda p: p.name)
 def test_only_scalar_reads_numerators(path):
     assert _rational_parts(path.read_text()) == []
+
+
+MAY_NAME_SECTIONS_MATRIX = {"polymat.py", "monad.py"}
+
+
+def _section_matrix_names(source: str, exports: bool = False) -> list[str]:
+    """Where source names sections_matrix; with exports, other than as a
+    name imported from polymat, which is how the package re-exports it."""
+    tree = ast.parse(source)
+    exported = {id(a) for node in ast.walk(tree)
+                if exports and isinstance(node, ast.ImportFrom)
+                and _imported_module(node) == "polymat" for a in node.names}
+    return [f"line {getattr(node, 'lineno', '?')}: names sections_matrix"
+            for node in ast.walk(tree)
+            if _name(node) == "sections_matrix" and id(node) not in exported]
+
+
+# The lines that built section matrices in modp3 before psi came from
+# polymat.syzygies and every clause rank from monad._sections_rank.
+@pytest.mark.parametrize("source, exports, found", [
+    ("from .polymat import forms_dimension, sections_matrix", False, True),
+    ('clauses = {"a": rank(sections_matrix(psi, SECTION_TWIST)) == 2}', False, True),
+    ("kernel = kernel_basis(sections_matrix(phi, SECTION_TWIST))", False, True),
+    ("monkeypatch.setattr(module, 'sections_matrix', counting)", False, True),
+    ("from .monad import sections_matrix", True, True),
+    ("from .polymat import sections_matrix", True, False),
+    ("psi = syzygies(phi, SECTION_TWIST)", False, False),
+    ('clauses = {"a": _sections_rank(psi, SECTION_TWIST) == 2}', False, False),
+])
+def test_section_matrix_rule_sees_section_matrices(source, exports, found):
+    assert bool(_section_matrix_names(source, exports)) == found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in MAY_NAME_SECTIONS_MATRIX],
+                         ids=lambda p: p.name)
+def test_only_polymat_and_monad_name_sections_matrix(path):
+    assert _section_matrix_names(path.read_text(), exports=path.name == "__init__.py") == []

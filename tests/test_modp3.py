@@ -55,6 +55,7 @@ from projmonad.polymat import (
     parse_poly,
     random_poly,
     sections_matrix,
+    syzygies,
 )
 from projmonad.scalar import GF, QQ
 
@@ -140,7 +141,9 @@ def _clause_b_points(field, rng, count):
         g_mid = random_automorphism(field, MIDDLE, rng)
         g_tgt = random_automorphism(field, TARGET, rng)
         phi = compose(g_tgt, compose(phi0, graded_inverse(g_mid)))
-        psi = modp3._psi_from_kernel(phi) or random_graded_matrix(field, SOURCE, MIDDLE, rng)
+        psi = syzygies(phi, 3)
+        if psi.cols != 2:
+            psi = random_graded_matrix(field, SOURCE, MIDDLE, rng)
         if k % 3 == 1:
             entries = [list(row) for row in psi.entries]
             r, s = rng.randrange(4), rng.randrange(2)
@@ -164,15 +167,13 @@ def test_clause_b_equals_the_section_product(field):
 
 
 def test_sampling_refuses_a_kernel_solve_that_is_no_complex(monkeypatch):
-    solve = modp3._psi_from_kernel
-
-    def skewed(phi):
-        psi = solve(phi)
+    def skewed(phi, t):
+        psi = syzygies(phi, t)
         entries = [list(row) for row in psi.entries]
         entries[1][0] = poly_add_oracle(entries[1][0], parse_poly("x0", phi.field, 3, 1))
         return GradedMatrix(phi.field, SOURCE, MIDDLE, entries)
 
-    monkeypatch.setattr(modp3, "_psi_from_kernel", skewed)
+    monkeypatch.setattr(modp3, "syzygies", skewed)
     with pytest.raises(AssertionError, match="kernel solve must satisfy phi psi = 0"):
         sample_wss_stats(0, F101)
 
@@ -270,7 +271,8 @@ def test_sampling_guards(monkeypatch):
             sample_wss_stats(1, F101, max_tries=tries)
     assert drawn == []
     # every draw without a two-dimensional kernel is refused
-    monkeypatch.setattr(modp3, "_psi_from_kernel", lambda phi: None)
+    monkeypatch.setattr(modp3, "syzygies",
+                        lambda phi, t: GradedMatrix.zero(phi.field, FreeSheaf(3, ()), MIDDLE))
     with pytest.raises(SampleExhaustedError, match="exhausted max_tries = 2"):
         sample_wss_stats(1, F101, max_tries=2)
     assert len(drawn) == 2

@@ -106,6 +106,32 @@ def test_monad_constructor_guards():
         Monad(QQ, 2, {0: FreeSheaf(2, (0,)), 2: FreeSheaf(2, (0,))}, {}, 1, 0)
 
 
+def _x0_map(field) -> GradedMatrix:
+    """x0: O(-1) -> O on P^2."""
+    return GradedMatrix(field, FreeSheaf(2, (-1,)), FreeSheaf(2, (0,)),
+                        [[parse_poly("x0", field, 2, 1)]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Monad(QQ, 2, {0: FreeSheaf(3, (0,))}, {}, 1, 0), "term 0 lives on P^3, not P^2"),
+    (lambda: Monad(QQ, 2, {0: FreeSheaf(2, (0,))}, {0: _x0_map(QQ)}, 1, 0),
+     "differential at 0 has no adjacent terms"),
+    (lambda: Monad(QQ, 2, {-1: FreeSheaf(2, (-1,)), 0: FreeSheaf(2, (0,))},
+                   {-1: _x0_map(F101)}, 1, 0),
+     "differential at -1 over the wrong field"),
+    (lambda: line_monad(QQ, 1), "a line needs an ambient P^n with n >= 2"),
+    (lambda: omega_resolution(QQ, 2, 3, 0), "p = 3 out of range for P^2"),
+    (lambda: direct_sum(koszul_monad(QQ, 2, [0]), koszul_monad(F101, 2, [0])),
+     "summands live in different settings"),
+    (lambda: cohomology_hilbert_function(line_monad(QQ, 2), 5, range(3)),
+     "position 5 outside [-1, 0]"),
+], ids=["term on another P^n", "lone differential", "differential field", "line on P^1",
+        "omega p", "direct sum fields", "position outside"])
+def test_constructors_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 # --- dualize -------------------------------------------------------------
 
 

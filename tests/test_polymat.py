@@ -27,6 +27,7 @@ from conftest import (
     random_graded_matrix,
     random_monad,
     random_valid_monad,
+    rank_oracle,
 )
 from projmonad.autgroup import (
     format_group_element,
@@ -36,7 +37,7 @@ from projmonad.autgroup import (
     random_automorphism,
     random_element,
 )
-from projmonad.linalg import rank
+from projmonad.linalg import kernel_basis, rank
 from projmonad.monad import (
     MAX_SECTION_SIDE,
     Monad,
@@ -63,6 +64,7 @@ from projmonad.polymat import (
     parse_twists,
     random_poly,
     sections_matrix,
+    syzygies,
 )
 from projmonad.scalar import GF, QQ, FieldError
 
@@ -258,6 +260,8 @@ def test_compose_shape_mismatch():
     wrong = _p1_matrix("x1", -3, -2)
     with pytest.raises(ValueError):
         compose(a, wrong)
+    with pytest.raises(ValueError, match="^composition across fields$"):
+        compose(a, _p1_matrix("1", -1, -1, F7))
 
 
 def test_compose_associative_100_random():
@@ -363,6 +367,44 @@ def test_sections_over_prime_field_rank():
     tgt = FreeSheaf(1, (0,))
     m = GradedMatrix(F7, src, tgt, [[parse_poly("x0", F7, 1, 1)]])
     assert rank(sections_matrix(m, 2)) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["Q", "F_2", "F_101"])
+def test_syzygies_are_the_section_kernel(field):
+    # the composite vanishes, the kernel has the corank the minor oracle
+    # finds, and the sections of the syzygies are the kernel_basis vectors
+    rng = Random(41)
+    kernels = []
+    for _ in range(25):
+        n = rng.randint(1, 2)
+        src = FreeSheaf(n, tuple(rng.randint(-2, 0) for _ in range(rng.randint(1, 3))))
+        tgt = FreeSheaf(n, tuple(rng.randint(-1, 1) for _ in range(rng.randint(1, 2))))
+        m = random_graded_matrix(field, src, tgt, rng, rng.choice((0.3, 1.0)))
+        for t in (0, 1, 2):
+            s = sections_matrix(m, t)
+            if s.rows * s.cols > 42:  # the oracle searches every minor
+                continue
+            syz = syzygies(m, t)
+            assert (syz.source, syz.target) == (FreeSheaf(n, (-t,) * syz.cols), src)
+            assert compose(m, syz).is_zero()
+            assert syz.cols == s.cols - rank_oracle(field, boxed_rows(s), s.cols)
+            back = sections_matrix(syz, t)
+            assert [{r: row[c] for r, row in enumerate(back.row_maps) if c in row}
+                    for c in range(syz.cols)] == kernel_basis(s)
+            kernels.append(syz.cols)
+    assert 0 in kernels and max(kernels) >= 2
+
+
+def test_syzygies_of_injective_sections_have_no_columns():
+    m = _p1_matrix("x0", -1, 0)
+    syz = syzygies(m, 1)
+    assert (syz.source, syz.target, syz.cols) == (FreeSheaf(1, ()), m.source, 0)
+    # a source summand without sections in the twist holds zero forms
+    m = GradedMatrix(QQ, FreeSheaf(1, (-2, 0)), FreeSheaf(1, (0,)),
+                     [[P("x0^2", 1, 2), P("0", 1, 0)]])
+    syz = syzygies(m, 1)
+    assert syz.cols == 2 and all(p.is_zero() and p.degree == -1 for p in syz.entries[0])
+    assert compose(m, syz).is_zero()
 
 
 def test_twist_list_parsing():
